@@ -13,11 +13,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, FullConfig, parse_config
 from .data import SignalSpec
+from .decomposition import reconstruct_weights
 from .experiments import (
     SweepGrid,
+    arm_noise_rng,
     axis_aligned_spec,
     run_dynamics,
     run_heatmap,
@@ -26,6 +30,7 @@ from .experiments import (
 )
 from .io import EmitError, RunArtifactFiles, emit_outputs, now_utc, write_json
 from .theory import check_assumptions, concentration_suite
+from .training import LabelNoiseSpec, OracleReplay
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,7 +89,7 @@ def _make_snapshot_observers(config: FullConfig):
     def make(label):
         sink = sinks[label]
 
-        def observer(step, net, state, dataset, row):
+        def observer(step, state, dataset, row):
             if step % config.coeff_stride == 0 or step == config.steps:
                 sink.append((step, state.gamma.copy(), state.rho_bar.copy(),
                              state.rho_under.copy()))
@@ -308,18 +313,21 @@ def _cmd_decompose(args) -> int:
     config = parse_config(data=manifest["config"])
     sinks, observers = _make_snapshot_observers(config)
     recon_errors = {"standard": [], "label_noise": []}
+    arms = [("standard", LabelNoiseSpec.none()), ("label_noise", config.noise)]
 
-    from .decomposition import reconstruct_weights  # local import to avoid cycle
-    import numpy as np
-
-    def recon_observer(label):
+    def recon_observer(idx, label, noise):
+        # The weight-space oracle replays the arm on its own copy of the
+        # multiplier stream; the engine's weights are judged against it.
         base = observers[label]
+        oracle = OracleReplay(config.q, config.eta, noise,
+                              arm_noise_rng(config.seed, idx, noise))
 
-        def observer(step, net, state, dataset, row):
-            base(step, net, state, dataset, row)
+        def observer(step, state, dataset, row):
+            base(step, state, dataset, row)
+            w = oracle.advance(step, state, dataset).weights
             w_plus, w_minus = reconstruct_weights(state, dataset)
-            err = (np.linalg.norm(np.hstack([w_plus, w_minus]) - net.weights)
-                   / max(np.linalg.norm(net.weights), 1e-300))
+            err = (np.linalg.norm(np.hstack([w_plus, w_minus]) - w)
+                   / max(np.linalg.norm(w), 1e-300))
             recon_errors[label].append((step, float(err)))
 
         return observer
@@ -328,7 +336,9 @@ def _cmd_decompose(args) -> int:
         _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
         eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
         log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
-        c_test=config.c_test, observers={k: recon_observer(k) for k in observers},
+        c_test=config.c_test,
+        observers={label: recon_observer(idx, label, noise)
+                   for idx, (label, noise) in enumerate(arms)},
     )
     # Re-emit into a scratch area to compare digests against the manifest.
     import tempfile

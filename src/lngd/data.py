@@ -106,11 +106,16 @@ class Sample:
 
 @dataclass
 class Dataset:
-    """Ordered collection of samples drawn from one SignalSpec."""
+    """Ordered collection of samples drawn from one SignalSpec.
+
+    ``noise_block``, when given, is the (n, d) array whose rows the samples'
+    noise vectors view; ``noise_matrix`` then returns it instead of a copy.
+    """
 
     samples: list[Sample]
     spec: SignalSpec
     seed_record: int
+    noise_block: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -123,6 +128,8 @@ class Dataset:
     @cached_property
     def noise_matrix(self) -> np.ndarray:
         """(n, d) matrix whose rows are the per-sample noise vectors."""
+        if self.noise_block is not None:
+            return self.noise_block
         if not self.samples:
             return np.zeros((0, self.spec.d))
         return np.ascontiguousarray(np.stack([s.noise_vector for s in self.samples]))
@@ -154,7 +161,7 @@ def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Data
                noise_vector=noise[i], mu=spec.mu)
         for i in range(n)
     ]
-    return Dataset(samples=samples, spec=spec, seed_record=seed_record)
+    return Dataset(samples=samples, spec=spec, seed_record=seed_record, noise_block=noise)
 
 
 # --- JSON serialization (run reproducibility) -------------------------------

@@ -1,11 +1,16 @@
-"""Signal/noise coefficient decomposition tracked alongside training.
+"""Signal/noise coefficient decomposition: the state the trainer advances.
 
 Every gradient update moves each filter within span{mu, xi_1..xi_n}, so the
-displacement from initialization is captured exactly by a signal coefficient
-gamma_{j,r} per filter and noise coefficients rho_{j,r,i} per (filter,
-sample) pair. The recurrences here consume the same per-step inner products
-and loss derivatives as the weight update, making them ground truth; weight
-reconstruction and projections onto mu / xi_i serve as cross-checks.
+weights are exactly
+
+    w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i rho_{j,r,i} xi_i/|xi_i|^2
+
+with a signal coefficient gamma_{j,r} per filter and noise coefficients
+rho_{j,r,i} per (filter, sample) pair. Training advances (gamma, rho) with
+the recurrence in ``update_coefficients``; ``SpanProducts`` turns them into
+pre-activations from inner products computed once, so a step does no work
+that scales with d. Weights are rebuilt by ``reconstruct_weights`` only when
+asked for; projections onto mu / xi_i serve as cross-checks.
 
 Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1.
 rho_bar holds the same-class coefficients (defined where y_i = j, zero
@@ -20,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .network import Network, activation_derivative
+from .network import Network, activation_derivative, loss_derivative
 
 __all__ = [
     "CoefficientState",
+    "SpanProducts",
     "branch_index",
     "update_coefficients",
     "reconstruct_weights",
@@ -36,6 +42,7 @@ __all__ = [
 ]
 
 RATIO_FLOOR = 1e-12
+_BRANCH_SIGN = np.array([[1.0], [-1.0]])  # j per branch row
 
 
 def branch_index(j: int) -> int:
@@ -97,34 +104,67 @@ class CoefficientState:
         return np.stack([self.labels == 1.0, self.labels == -1.0])
 
 
-def update_coefficients(state: CoefficientState, ctx, eta: float) -> CoefficientState:
-    """Advance the recurrences one step using a trainer step context.
+@dataclass(frozen=True)
+class SpanProducts:
+    """Inner products of N points x with w0 and with the span basis.
 
-    ``ctx`` must come from the matching train_step (same step index, loss
-    derivatives, multipliers, and pre-activation inner products), so both
-    paths consume identical floating-point inputs.
+    With these, <w_{j,r}, x> = <w0_{j,r}, x> + (<x, mu>/|mu|^2) j gamma_{j,r}
+    + sum_i (<x, xi_i>/|xi_i|^2) rho_{j,r,i}: an exact reparametrisation
+    (the <x, mu> cross-terms are kept, not assumed zero) that costs O(N n m).
     """
-    if ctx.step != state.step:
-        raise ValueError(f"step mismatch: context is step {ctx.step}, state at {state.step}")
+
+    w0: np.ndarray  # (N, 2m) <w0_{j,r}, x>
+    signal: np.ndarray  # (N,) <x, mu> / |mu|^2
+    noise: np.ndarray  # (N, n) <x, xi_i> / |xi_i|^2
+
+    @classmethod
+    def of(cls, points: np.ndarray, dataset: Dataset, w0: np.ndarray) -> "SpanProducts":
+        spec = dataset.spec
+        return cls(
+            w0=points @ w0,
+            signal=(points @ spec.mu) / spec.mu_norm_sq,
+            noise=(points @ dataset.noise_matrix.T) / dataset.xi_norms_sq,
+        )
+
+    def preactivations(self, state: CoefficientState) -> np.ndarray:
+        """(N, 2m) inner products <w_{j,r}, x> at the state's coefficients."""
+        gamma_signed = state.gamma * _BRANCH_SIGN  # j gamma_{j,r}
+        rho = (state.rho_bar + state.rho_under).reshape(2 * state.m, state.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.w0 + np.multiply.outer(self.signal, gamma_signed.ravel())
+                    + self.noise @ rho.T)
+
+
+def update_coefficients(state: CoefficientState, eps: np.ndarray, f: np.ndarray,
+                        mu_proj: np.ndarray, noise_pre: np.ndarray, *, eta: float, q: int,
+                        mu_norm_sq: float) -> np.ndarray:
+    """Advance (gamma, rho) by one step of GD on (1/n) sum_i loss(eps_i y_i f_i).
+
+    ``f`` (n,), ``mu_proj`` (2m,) and ``noise_pre`` (n, 2m) are the outputs
+    and inner products <w_{j,r}, mu>, <w_{j,r}, xi_i> before the step.
+    Returns the (2, m, n) rho increment. A non-finite increment raises
+    FloatingPointError and leaves the state unchanged.
+    """
     m, n = state.m, state.n
-    q = ctx.q
-    coef = ctx.lprime * ctx.eps  # (n,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = loss_derivative(eps * state.labels * f) * eps  # (n,)
 
-    # gamma_{j,r} += -(eta |mu|^2 / nm) sum_i coef_i sigma'(<w_{j,r}, y_i mu>)
-    sig_der = activation_derivative(np.multiply.outer(state.labels, ctx.mu_proj), q)  # (n, 2m)
-    dgamma = (-eta * ctx.mu_norm_sq / (n * m)) * (coef @ sig_der)  # (2m,)
+        # gamma_{j,r} += -(eta |mu|^2 / nm) sum_i coef_i sigma'(<w_{j,r}, y_i mu>)
+        sig_der = activation_derivative(np.multiply.outer(state.labels, mu_proj), q)  # (n, 2m)
+        dgamma = (-eta * mu_norm_sq / (n * m)) * (coef @ sig_der)  # (2m,)
+
+        # rho_{j,r,i} += -(eta / nm) j y_i coef_i sigma'(<w_{j,r}, xi_i>) |xi_i|^2
+        noise_der = activation_derivative(noise_pre, q)  # (n, 2m)
+        scale = (-eta / (n * m)) * (coef * state.labels * state.xi_norms_sq)  # (n,)
+        drho = (noise_der * scale[:, None]).T.reshape(2, m, n) * _BRANCH_SIGN[:, :, None]
+    if not (np.all(np.isfinite(dgamma)) and np.all(np.isfinite(drho))):
+        raise FloatingPointError("non-finite coefficient update")
     state.gamma += dgamma.reshape(2, m)
-
-    # rho_{j,r,i} += -(eta / nm) j y_i coef_i sigma'(<w_{j,r}, xi_i>) |xi_i|^2
-    noise_der = activation_derivative(ctx.noise_pre, q)  # (n, 2m)
-    scale = (-eta / (n * m)) * (coef * state.labels * state.xi_norms_sq)  # (n,)
-    drho = (noise_der * scale[:, None]).T.reshape(2, m, n).copy()
-    drho[1] *= -1.0
     same = state.same_class_mask[:, None, :]  # (2, 1, n)
     state.rho_bar += np.where(same, drho, 0.0)
     state.rho_under += np.where(same, 0.0, drho)
     state.step += 1
-    return state
+    return drho
 
 
 def reconstruct_weights(state: CoefficientState, dataset: Dataset, mu: np.ndarray | None = None):

@@ -9,6 +9,7 @@ indices, so results are independent of execution order or worker count.
 from __future__ import annotations
 
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ from .theory import (
     stage2_boundedness_check,
     empirical_verdicts,
 )
-from .training import LabelNoiseSpec, RunAborted, TrainTrace, run_training
+from .training import LabelNoiseSpec, RunAborted, RunProducts, TrainTrace, run_training
 
 __all__ = [
     "RunArtifacts",
@@ -32,6 +33,7 @@ __all__ = [
     "SweepGrid",
     "CellResult",
     "HeatmapResult",
+    "arm_noise_rng",
     "axis_aligned_spec",
     "run_dynamics",
     "run_heatmap",
@@ -79,12 +81,12 @@ class DynamicsResult:
 
 def _train_arm(label: str, noise: LabelNoiseSpec, init_net: Network, dataset: Dataset,
                test_dataset: Dataset, *, eta: float, steps: int, log_stride: int,
-               noise_rng, observer=None) -> RunArtifacts:
+               noise_rng, products: RunProducts, observer=None) -> RunArtifacts:
     net = init_net.clone()
     try:
         trace, state = run_training(
             net, dataset, test_dataset, eta=eta, steps=steps, noise=noise,
-            log_stride=log_stride, noise_rng=noise_rng, observer=observer,
+            log_stride=log_stride, noise_rng=noise_rng, observer=observer, products=products,
         )
         return RunArtifacts(label=label, noise=noise, net=net, trace=trace, state=state)
     except RunAborted as exc:
@@ -92,20 +94,30 @@ def _train_arm(label: str, noise: LabelNoiseSpec, init_net: Network, dataset: Da
                             state=exc.state, aborted=True, abort_reason=exc.reason)
 
 
+def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
+    """Multiplier stream of arm ``idx`` in a paired run (None for standard GD)."""
+    return substream(seed, STREAM_IDS["label_noise"], idx) if noise.kind != "none" else None
+
+
 def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
                  log_stride: int, n_test: int, observers: dict | None = None):
-    """Train one arm per noise spec on shared data/init/test; returns arms + data."""
+    """Train one arm per noise spec on shared data/init/test; returns arms + data.
+
+    The engine's inner products depend only on the shared draws, so they are
+    computed once here for every arm.
+    """
     dataset = generate_dataset(spec, n, stream(seed, "data"))
     test_dataset = generate_dataset(spec, n_test, stream(seed, "test"))
     init_net = init_network(spec.d, m, q, sigma_0, stream(seed, "init"))
+    products = RunProducts.of(dataset, test_dataset, init_net.weights)
     arms = []
     for idx, (label, noise) in enumerate(noises):
-        noise_rng = substream(seed, STREAM_IDS["label_noise"], idx) if noise.kind != "none" else None
         observer = (observers or {}).get(label)
         arms.append(_train_arm(label, noise, init_net, dataset, test_dataset,
                                eta=eta, steps=steps, log_stride=log_stride,
-                               noise_rng=noise_rng, observer=observer))
+                               noise_rng=arm_noise_rng(seed, idx, noise), products=products,
+                               observer=observer))
     return arms, dataset, test_dataset
 
 
@@ -242,6 +254,16 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
     return row, col, seed_index, out
 
 
+def _failure_reason(exc: BaseException, frames: int = 3) -> str:
+    """repr(exc) followed by the last ``frames`` frames of its traceback.
+
+    Exceptions from worker processes carry the remote traceback as their
+    __cause__, which is included.
+    """
+    lines = traceback.format_exception(type(exc), exc, exc.__traceback__, limit=-frames)
+    return repr(exc) + "\n" + "".join(lines).rstrip()
+
+
 def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
     """Evaluate every (snr, n, seed) unit; failures are recorded, not fatal."""
     units = [
@@ -251,8 +273,9 @@ def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
         for s in range(grid.seeds_per_cell)
     ]
     def failed(u, exc):
-        return (u[0], u[1], u[2], {"standard": ("error", repr(exc)),
-                                   "label_noise": ("error", repr(exc))})
+        reason = _failure_reason(exc)
+        return (u[0], u[1], u[2], {"standard": ("error", reason),
+                                   "label_noise": ("error", reason)})
 
     results = []
     if workers > 1:

@@ -28,6 +28,8 @@ __all__ = [
     "loss_derivative",
     "clean_batch_loss",
     "full_batch_gradient",
+    "outputs_from_preactivations",
+    "sign_error",
     "zero_one_error",
     "network_to_json",
     "network_from_json",
@@ -133,15 +135,29 @@ def forward(net: Network, point) -> float:
     return float(f_plus - f_minus)
 
 
+def outputs_from_preactivations(labels: np.ndarray, mu_proj: np.ndarray,
+                                noise_pre: np.ndarray, q: int) -> np.ndarray:
+    """(N,) outputs f from <w_{j,r}, mu> (2m,) and <w_{j,r}, xi_i> (N, 2m).
+
+    The signal patch y_i mu contributes sigma(y_i <w_{j,r}, mu>).
+    """
+    m = noise_pre.shape[1] // 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = activation(np.multiply.outer(labels, mu_proj), q) + activation(noise_pre, q)
+        return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
+
+
+def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of points with y != sign(f); sign(0) counts as an error."""
+    return float(np.mean(np.sign(f) != labels))
+
+
 def _batch_outputs(net: Network, dataset: Dataset) -> np.ndarray:
     """(n,) outputs f(W, x_i), vectorized over the dataset."""
     with np.errstate(over="ignore", invalid="ignore"):
         mu_proj = dataset.spec.mu @ net._w  # (2m,)
-        sig_pre = np.multiply.outer(dataset.labels, mu_proj)  # (n, 2m)
         noise_pre = dataset.noise_matrix @ net._w  # (n, 2m)
-        act = activation(sig_pre, net.q) + activation(noise_pre, net.q)
-        m = net.m
-        return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
+    return outputs_from_preactivations(dataset.labels, mu_proj, noise_pre, net.q)
 
 
 def clean_batch_loss(net: Network, dataset: Dataset) -> float:
@@ -156,12 +172,11 @@ def zero_one_error(net: Network, test_dataset: Dataset) -> float:
     """Fraction of points with y != sign(f); sign(0) counts as an error."""
     if len(test_dataset) == 0:
         raise ValueError("empty test set")
-    f = _batch_outputs(net, test_dataset)
-    return float(np.mean(np.sign(f) != test_dataset.labels))
+    return sign_error(_batch_outputs(net, test_dataset), test_dataset.labels)
 
 
 def _forward_backward(net: Network, dataset: Dataset, multipliers: np.ndarray):
-    """Shared forward/backward pass.
+    """Weight-space forward/backward pass: the oracle the coefficient engine is tested against.
 
     Returns (f, lprime, mu_proj, noise_pre, grad) where grad is the full
     gradient of (1/n) sum_i loss(eps_i y_i f_i) in (d, 2m) layout. mu_proj

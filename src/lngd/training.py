@@ -1,10 +1,13 @@
 """Full-batch gradient descent with pluggable per-step label-noise multipliers.
 
 Standard GD is the special case of all-ones multipliers. Each step draws a
-fresh multiplier vector eps, descends the eps-weighted logistic loss, and
-feeds the identical per-step quantities (loss derivatives, pre-activation
-inner products) to the coefficient recurrences so decomposition and weights
-stay in exact agreement.
+fresh multiplier vector eps and descends the eps-weighted logistic loss.
+Training runs in coefficient space: ``run_training`` advances the signal and
+noise coefficients (gamma, rho) of the decomposition directly, evaluating
+pre-activations from inner products computed once per dataset and init, so
+a step costs O(n^2 m) whatever d is. The weight-space step ``train_step``
+(closed-form gradient, certified by finite differences) is kept as the
+oracle the engine is tested against.
 """
 
 from __future__ import annotations
@@ -14,23 +17,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SignalSpec, generate_dataset
-from .decomposition import CoefficientState, iota_all, ratio_summary, update_coefficients
+from .decomposition import (
+    CoefficientState,
+    SpanProducts,
+    iota_all,
+    ratio_summary,
+    reconstruct_weights,
+    update_coefficients,
+)
 from .network import (
     Network,
     _forward_backward,
     init_network,
     logistic_loss,
-    zero_one_error,
+    outputs_from_preactivations,
+    sign_error,
 )
-from .streams import STREAM_IDS, stream
+from .streams import stream
 
 __all__ = [
     "LabelNoiseSpec",
     "TrainConfig",
     "TraceRow",
     "TrainTrace",
-    "StepContext",
+    "RunProducts",
     "RunAborted",
+    "OracleReplay",
     "sample_multipliers",
     "train_step",
     "train_run",
@@ -178,19 +190,23 @@ class TrainTrace:
 
 
 @dataclass(frozen=True)
-class StepContext:
-    """Per-step quantities shared between the weight update and the recurrences."""
+class RunProducts:
+    """The engine's inner products for one (dataset, test set, w0).
 
-    step: int
-    q: int
-    n: int
-    m: int
-    mu_norm_sq: float
-    eps: np.ndarray  # (n,)
-    lprime: np.ndarray  # (n,) loss derivatives at eps_i y_i f_i
-    mu_proj: np.ndarray  # (2m,) <w_{j,r}, mu> at the pre-update weights
-    noise_pre: np.ndarray  # (n, 2m) <w_{j,r}, xi_i> at the pre-update weights
-    f: np.ndarray  # (n,) network outputs at the pre-update weights
+    Computed once; arms that share the data and the init share them.
+    """
+
+    mu: SpanProducts  # the single point mu
+    train: SpanProducts  # the training noise vectors xi_i
+    test: SpanProducts  # the test noise vectors
+
+    @classmethod
+    def of(cls, dataset: Dataset, test_dataset: Dataset, w0: np.ndarray) -> "RunProducts":
+        return cls(
+            mu=SpanProducts.of(dataset.spec.mu[None, :], dataset, w0),
+            train=SpanProducts.of(dataset.noise_matrix, dataset, w0),
+            test=SpanProducts.of(test_dataset.noise_matrix, dataset, w0),
+        )
 
 
 class RunAborted(RuntimeError):
@@ -205,42 +221,54 @@ class RunAborted(RuntimeError):
         self.state = state
 
 
-def _step_context(net: Network, dataset: Dataset, multipliers: np.ndarray, step: int):
-    f, lprime, mu_proj, noise_pre, grad = _forward_backward(net, dataset, multipliers)
-    ctx = StepContext(
-        step=step,
-        q=net.q,
-        n=len(dataset),
-        m=net.m,
-        mu_norm_sq=dataset.spec.mu_norm_sq,
-        eps=multipliers,
-        lprime=lprime,
-        mu_proj=mu_proj,
-        noise_pre=noise_pre,
-        f=f,
-    )
-    return ctx, grad
-
-
 def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: float,
-               step: int = 0) -> StepContext:
-    """Apply one update W <- W - eta * grad in place; return the step context."""
+               step: int = 0) -> None:
+    """Oracle step: apply W <- W - eta * grad in place with the closed-form gradient."""
     multipliers = np.asarray(multipliers, dtype=np.float64)
     if multipliers.shape != (len(dataset),):
         raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
-    ctx, grad = _step_context(net, dataset, multipliers, step)
-    if not np.all(np.isfinite(ctx.f)):
+    f, _, _, _, grad = _forward_backward(net, dataset, multipliers)
+    if not np.all(np.isfinite(f)):
         raise RunAborted(step, "non-finite network outputs", net=net)
     if not np.all(np.isfinite(grad)):
         raise RunAborted(step, "non-finite gradient", net=net)
     np.subtract(net.weights, eta * grad, out=net.weights)
-    return ctx
 
 
-def _trace_row(step, ctx, state, labels, test_error, iotas) -> TraceRow:
-    margins = labels * ctx.f
+class OracleReplay:
+    """Replays one training arm in weight space with ``train_step``.
+
+    ``noise_rng`` must be a fresh generator on the arm's multiplier stream,
+    so the replay draws the same multipliers as the engine did. ``advance``
+    takes the oracle network (built from ``state.w0`` on first use) forward
+    to a given step; observers use it to compare the engine's coefficients
+    against directly trained weights.
+    """
+
+    def __init__(self, q: int, eta: float, noise: LabelNoiseSpec, noise_rng=None):
+        self.q = q
+        self.eta = eta
+        self.noise = noise
+        self.noise_rng = noise_rng
+        self.net: Network | None = None
+        self.step = 0
+
+    def advance(self, step: int, state: CoefficientState, dataset: Dataset) -> Network:
+        if self.net is None:
+            self.net = Network(state.w0.copy(), self.q)
+        if step < self.step:
+            raise ValueError(f"replay is at step {self.step}, cannot go back to {step}")
+        while self.step < step:
+            eps = sample_multipliers(self.noise, len(dataset), self.noise_rng)
+            train_step(self.net, dataset, eps, self.eta, step=self.step)
+            self.step += 1
+        return self.net
+
+
+def _trace_row(step, f, eps, state, labels, test_error, iotas) -> TraceRow:
+    margins = labels * f
     clean = float(np.mean(logistic_loss(margins)))
-    noisy = float(np.mean(logistic_loss(ctx.eps * margins)))
+    noisy = float(np.mean(logistic_loss(eps * margins)))
     same = state.same_class_mask[:, None, :]
     rho_bar_defined = state.rho_bar[np.broadcast_to(same, state.rho_bar.shape)]
     rho_under_defined = state.rho_under[np.broadcast_to(~same, state.rho_under.shape)]
@@ -257,67 +285,86 @@ def _trace_row(step, ctx, state, labels, test_error, iotas) -> TraceRow:
         ratio_rho_over_gamma=ratio_summary(state),
         iota_mean=float(iotas.mean()),
         iota_max=float(iotas.max()),
-        flip_count=int(np.sum(ctx.eps == -1.0)),
+        flip_count=int(np.sum(eps < 0)),
     )
+
+
+def _materialise(net: Network, state: CoefficientState, dataset: Dataset) -> None:
+    """Write the weights the coefficients stand for into ``net``."""
+    w_plus, w_minus = reconstruct_weights(state, dataset)
+    net.w_plus[...] = w_plus
+    net.w_minus[...] = w_minus
 
 
 def run_training(net: Network, dataset: Dataset, test_dataset: Dataset, *,
                  eta: float, steps: int, noise: LabelNoiseSpec,
                  log_stride: int = 10, noise_rng: np.random.Generator | None = None,
-                 observer=None) -> tuple[TrainTrace, CoefficientState]:
-    """Train ``net`` in place; log a row every log_stride steps plus the final step.
+                 observer=None, products: RunProducts | None = None,
+                 ) -> tuple[TrainTrace, CoefficientState]:
+    """Train from ``net``'s weights; log a row every log_stride steps plus the final step.
 
-    The row at step t reflects the weights after t updates and the multiplier
-    vector drawn for step t (the loss the optimizer is about to descend).
-    ``observer(step, net, state, dataset, row)`` runs at every logged step.
-    Non-finite steps record the abort in the trace and raise RunAborted.
+    The run advances the coefficient state; ``net`` receives the weights it
+    stands for at the end of the run, or on abort. ``products`` are the
+    precomputed inner products for (dataset, test_dataset, net.weights),
+    computed here when not given. The row at step t reflects the state after
+    t updates and the multiplier vector drawn for step t (the loss the
+    optimizer is about to descend). ``observer(step, state, dataset, row)``
+    runs at every logged step; one that needs weights rebuilds them with
+    ``reconstruct_weights``. Non-finite outputs or coefficient updates record
+    the abort in the trace and raise RunAborted.
     """
     if noise.kind != "none" and noise_rng is None:
         raise ValueError("noise_rng is required for stochastic label noise")
+    if products is None:
+        products = RunProducts.of(dataset, test_dataset, net.weights)
     trace = TrainTrace(n=len(dataset), d=dataset.spec.d, noise_kind=noise.kind)
     state = CoefficientState.zeros(dataset, net)
     labels = dataset.labels
+    q, n = net.q, len(dataset)
     check_monotone = noise.kind == "none"
+    same = state.same_class_mask[:, None, :]
 
-    def log_at(t: int, ctx: StepContext):
+    def forward():
+        mu_proj = products.mu.preactivations(state)[0]
+        noise_pre = products.train.preactivations(state)
+        return mu_proj, noise_pre, outputs_from_preactivations(labels, mu_proj, noise_pre, q)
+
+    def log_at(t: int, f, eps, mu_proj):
         iotas = iota_all(state)
-        err = zero_one_error(net, test_dataset)
-        row = _trace_row(t, ctx, state, labels, err, iotas)
+        f_test = outputs_from_preactivations(test_dataset.labels, mu_proj,
+                                             products.test.preactivations(state), q)
+        row = _trace_row(t, f, eps, state, labels, sign_error(f_test, test_dataset.labels),
+                         iotas)
         trace.rows.append(row)
         trace.iota_history.append((t, iotas))
         if observer is not None:
-            observer(t, net, state, dataset, row)
+            observer(t, state, dataset, row)
 
-    for t in range(steps):
-        eps = sample_multipliers(noise, len(dataset), noise_rng)
+    def abort(t: int, reason: str):
+        trace.aborted_at = t
+        trace.abort_reason = reason
+        _materialise(net, state, dataset)
+        raise RunAborted(t, reason, net=net, trace=trace, state=state)
+
+    for t in range(steps + 1):
+        # The extra draw at t = steps keeps every row's (state, eps) pairing uniform.
+        eps = sample_multipliers(noise, n, noise_rng)
+        mu_proj, noise_pre, f = forward()
+        if not np.all(np.isfinite(f)):
+            abort(t, "non-finite network outputs")
+        if t % log_stride == 0 or t == steps:
+            log_at(t, f, eps, mu_proj)
+        if t == steps:
+            break
         try:
-            ctx, grad = _step_context(net, dataset, eps, t)
-            if not np.all(np.isfinite(ctx.f)) or not np.all(np.isfinite(grad)):
-                raise RunAborted(t, "non-finite forward/gradient")
-        except (RunAborted, FloatingPointError) as exc:
-            trace.aborted_at = t
-            trace.abort_reason = getattr(exc, "reason", str(exc))
-            raise RunAborted(t, trace.abort_reason, net=net, trace=trace, state=state)
-        if t % log_stride == 0:
-            log_at(t, ctx)
-        np.subtract(net.weights, eta * grad, out=net.weights)
+            drho = update_coefficients(state, eps, f, mu_proj, noise_pre, eta=eta, q=q,
+                                       mu_norm_sq=dataset.spec.mu_norm_sq)
+        except FloatingPointError as exc:
+            abort(t, str(exc))
         if check_monotone:
-            before = state.rho_bar.copy()
-            update_coefficients(state, ctx, eta)
-            if np.any(state.rho_bar < before):
-                trace.rho_bar_monotone_violations += int(np.sum(state.rho_bar < before))
-        else:
-            update_coefficients(state, ctx, eta)
-
-    # Final row for the post-update weights; one extra multiplier draw keeps
-    # every row's (weights, eps) pairing uniform.
-    eps = sample_multipliers(noise, len(dataset), noise_rng)
-    ctx, _ = _step_context(net, dataset, eps, steps)
-    if not np.all(np.isfinite(ctx.f)):
-        trace.aborted_at = steps
-        trace.abort_reason = "non-finite network outputs at final evaluation"
-        raise RunAborted(steps, trace.abort_reason, net=net, trace=trace, state=state)
-    log_at(steps, ctx)
+            # rho_bar is nondecreasing exactly when no same-class increment is negative.
+            trace.rho_bar_monotone_violations += int(np.sum((drho < 0) & same))
+    _materialise(net, state, dataset)
     return trace, state
 
 

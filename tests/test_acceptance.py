@@ -26,6 +26,7 @@ from lngd.data import SignalSpec, generate_dataset
 from lngd.decomposition import iota_series, projection_check, reconstruct_weights
 from lngd.experiments import (
     SweepGrid,
+    arm_noise_rng,
     axis_aligned_spec,
     run_dynamics,
     run_heatmap,
@@ -33,7 +34,7 @@ from lngd.experiments import (
     run_q_sweep,
 )
 from lngd.io import RunArtifactFiles, emit_outputs
-from lngd.network import full_batch_gradient, init_network, logistic_loss
+from lngd.network import full_batch_gradient, init_network, logistic_loss, zero_one_error
 from lngd.network import _batch_outputs
 from lngd.theory import (
     concentration_suite,
@@ -42,7 +43,7 @@ from lngd.theory import (
     coefficient_envelope_monitor,
     stage2_boundedness_check,
 )
-from lngd.training import LabelNoiseSpec
+from lngd.training import LabelNoiseSpec, OracleReplay
 
 SEEDS = (1, 2, 3, 4, 5)
 S5 = dict(n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000, n_test=2000)
@@ -62,31 +63,56 @@ def spec5():
 @pytest.fixture(scope="module")
 def section5_runs():
     """Paired standard/label-noise runs at the reference configuration,
-    five seeds, with reconstruction and projection tracked at every
-    logged step."""
+    five seeds. Beside each arm the weight-space oracle (train_step on the
+    arm's own multiplier stream) is replayed; at every logged step the
+    engine's coefficients are checked against the oracle's weights by
+    reconstruction and by projection onto mu."""
     runs = {}
+    noise = LabelNoiseSpec.flip(0.1)
+    arms = (("standard", LabelNoiseSpec.none()), ("label_noise", noise))
     for seed in SEEDS:
-        checks = {"standard": {"recon": 0.0, "gamma": 0.0},
-                  "label_noise": {"recon": 0.0, "gamma": 0.0}}
+        checks = {label: {"recon": 0.0, "gamma": 0.0} for label, _ in arms}
 
-        def make_observer(rec):
-            def observer(step, net, state, dataset, row):
+        def make_observer(rec, oracle):
+            def observer(step, state, dataset, row):
+                net = oracle.advance(step, state, dataset)
                 wp, wm = reconstruct_weights(state, dataset)
                 rel = (np.linalg.norm(np.hstack([wp, wm]) - net.weights)
                        / np.linalg.norm(net.weights))
                 proj = projection_check(net, state, dataset, t_star=S5["steps"])
                 rec["recon"] = max(rec["recon"], rel)
                 rec["gamma"] = max(rec["gamma"], proj["gamma_discrepancy_max"])
+                rec["oracle"] = net
 
             return observer
 
-        result = run_dynamics(
-            spec5(), noise=LabelNoiseSpec.flip(0.1), seed=seed, log_stride=LOG_STRIDE,
-            observers={label: make_observer(rec) for label, rec in checks.items()},
-            **S5,
-        )
+        observers = {
+            label: make_observer(checks[label], OracleReplay(
+                S5["q"], S5["eta"], arm_noise, arm_noise_rng(seed, idx, arm_noise)))
+            for idx, (label, arm_noise) in enumerate(arms)
+        }
+        result = run_dynamics(spec5(), noise=noise, seed=seed, log_stride=LOG_STRIDE,
+                              observers=observers, **S5)
         runs[seed] = (result, checks)
     return runs
+
+
+def test_engine_agrees_with_weight_space_oracle(section5_runs):
+    # Agreement gate for the coefficient engine: on every section-5 seed and
+    # both arms, final weights within 1e-12 relative of the oracle's and an
+    # identical final test error.
+    worst = 0.0
+    mismatched = []
+    for seed, (res, checks) in section5_runs.items():
+        for arm in (res.standard, res.label_noise):
+            oracle = checks[arm.label]["oracle"]
+            rel = (np.linalg.norm(arm.net.weights - oracle.weights)
+                   / np.linalg.norm(oracle.weights))
+            worst = max(worst, rel)
+            if arm.trace.final.test_error_01 != zero_one_error(oracle, res.test_dataset):
+                mismatched.append((seed, arm.label))
+    assert worst <= 1e-12, f"worst relative weight gap {worst:.3e}"
+    assert not mismatched, f"final test error differs from the oracle's: {mismatched}"
 
 
 def test_criterion_01_gradient_matches_finite_differences():

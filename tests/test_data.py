@@ -97,6 +97,20 @@ class TestGenerateDataset:
         assert np.array_equal(a.noise_matrix, b.noise_matrix)
         assert np.array_equal(a.patch_index, b.patch_index)
 
+    def test_noise_block_stored_once_in_draw_order(self, small_spec):
+        # noise_matrix is the block the draw produced (no stacked copy), and
+        # the draw order labels, patch slots, noise block is unchanged.
+        ds = generate_dataset(small_spec, 6, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        labels = np.where(rng.random(6) < 0.5, 1, -1)
+        slots = np.where(rng.random(6) < 0.5, 1, 2)
+        noise = _project_noise(small_spec, rng.standard_normal((6, small_spec.d)))
+        assert np.array_equal(ds.labels, labels)
+        assert np.array_equal(ds.patch_index, slots)
+        assert np.array_equal(ds.noise_matrix, noise)
+        assert ds.noise_matrix.flags.c_contiguous
+        assert all(np.shares_memory(ds.noise_matrix, s.noise_vector) for s in ds.samples)
+
     def test_pairwise_overlap_concentration(self):
         # |<xi_i, xi_j>| <= 2 sigma_p^2 sqrt(d log(4 n^2 / delta)) in >= 99%
         # of trials at d = 2000, n = 20, delta = 0.01.

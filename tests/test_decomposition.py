@@ -14,7 +14,7 @@ from lngd.decomposition import (
     sign_pattern_report,
 )
 from lngd.network import Network, init_network
-from lngd.training import LabelNoiseSpec, run_training, train_step
+from lngd.training import LabelNoiseSpec, OracleReplay, run_training
 
 
 def one_sample_setup():
@@ -27,15 +27,18 @@ def one_sample_setup():
     return spec, ds, net
 
 
+def one_engine_step(net, ds, eta):
+    """One standard-GD step of the coefficient engine; returns the state."""
+    _, state = run_training(net, ds, ds, eta=eta, steps=1, noise=LabelNoiseSpec.none(),
+                            log_stride=1)
+    return state
+
+
 class TestSingleStepHandValues:
     def test_gamma_and_rho_match_hand_evaluation(self):
         spec, ds, net = one_sample_setup()
-        state = CoefficientState.zeros(ds, net)
         eta = 0.1
-        ctx = train_step(net, ds, np.ones(1), eta, step=0)
-        from lngd.decomposition import update_coefficients
-
-        update_coefficients(state, ctx, eta)
+        state = one_engine_step(net, ds, eta)
 
         # Hand evaluation: <w_+, mu> = 0.6, <w_+, xi> = 0.4, <w_-, mu> = 0.2,
         # <w_-, xi> = -0.2, so f = (0.36 + 0.16) - 0.04 = 0.48 and
@@ -53,23 +56,10 @@ class TestSingleStepHandValues:
     def test_zero_network_context_is_a_fixed_point(self):
         spec, ds, _ = one_sample_setup()
         net = Network(np.zeros((2, 2)), 2)
-        state = CoefficientState.zeros(ds, net)
-        ctx = train_step(net, ds, np.ones(1), 0.5, step=0)
-        from lngd.decomposition import update_coefficients
-
-        update_coefficients(state, ctx, 0.5)
+        state = one_engine_step(net, ds, 0.5)
         assert not state.gamma.any()
         assert not state.rho_bar.any()
         assert not state.rho_under.any()
-
-    def test_step_mismatch_rejected(self):
-        spec, ds, net = one_sample_setup()
-        state = CoefficientState.zeros(ds, net)
-        ctx = train_step(net, ds, np.ones(1), 0.1, step=3)
-        from lngd.decomposition import update_coefficients
-
-        with pytest.raises(ValueError):
-            update_coefficients(state, ctx, 0.1)
 
 
 class TestReconstruction:
@@ -80,24 +70,24 @@ class TestReconstruction:
         assert np.array_equal(np.hstack([wp, wm]), net.weights)
 
     def test_after_training_small_scale(self, small_spec, small_dataset):
+        # The engine's weights match the weight-space oracle replayed on the
+        # same multiplier stream.
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(1))
+        noise = LabelNoiseSpec.flip(0.2)
         trace, state = run_training(net, small_dataset, small_dataset, eta=0.05,
-                                    steps=40, noise=LabelNoiseSpec.flip(0.2),
-                                    log_stride=10,
+                                    steps=40, noise=noise, log_stride=10,
                                     noise_rng=np.random.default_rng(2))
+        oracle = OracleReplay(2, 0.05, noise, np.random.default_rng(2))
+        w = oracle.advance(40, state, small_dataset).weights
         wp, wm = reconstruct_weights(state, small_dataset)
-        rel = np.linalg.norm(np.hstack([wp, wm]) - net.weights) / np.linalg.norm(net.weights)
+        rel = np.linalg.norm(np.hstack([wp, wm]) - w) / np.linalg.norm(w)
         assert rel <= 1e-12
 
     def test_zero_learning_rate_returns_w0(self, small_spec, small_dataset):
-        # eta carries through both update paths, so eta -> 0 reconstructs w0.
+        # eta carries through the update, so eta -> 0 reconstructs w0.
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(3))
         w0 = net.weights.copy()
-        state = CoefficientState.zeros(small_dataset, net)
-        ctx = train_step(net, small_dataset, np.ones(len(small_dataset)), 0.0, step=0)
-        from lngd.decomposition import update_coefficients
-
-        update_coefficients(state, ctx, 0.0)
+        state = one_engine_step(net, small_dataset, 0.0)
         wp, wm = reconstruct_weights(state, small_dataset)
         assert np.array_equal(np.hstack([wp, wm]), w0)
         assert np.array_equal(net.weights, w0)

@@ -102,6 +102,22 @@ class TestHeatmap:
         assert cell.label_noise_accuracies[0] == pytest.approx(
             direct.label_noise.final_test_accuracy)
 
+    def test_failed_unit_keeps_traceback(self, monkeypatch):
+        import lngd.experiments as experiments
+
+        def failing_unit(grid, row, col, seed_index):
+            raise ValueError(f"boom in unit {row},{col},{seed_index}")
+
+        monkeypatch.setattr(experiments, "_run_heatmap_unit", failing_unit)
+        result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
+        errors = result.cell(0.05, 8).errors
+        assert len(errors) == 2  # both arms of the failed unit
+        for err in errors:
+            assert "ValueError('boom in unit 0,0,0')" in err
+            assert "Traceback (most recent call last)" in err
+            assert "in failing_unit" in err
+        assert not result.long_rows
+
     def test_mu_scale_for_snr(self):
         grid = self.grid()
         # |mu| = snr * sigma_p * sqrt(d)

@@ -80,19 +80,19 @@ class TestTrainStep:
         assert np.array_equal(net.weights, before)
 
     def test_one_step_reconstruction_at_scale(self):
-        # Post-step weights equal w0 + decomposition reconstruction to 1e-10
+        # After one step, the engine's weights (w0 + decomposition
+        # reconstruction) equal the oracle's post-step weights to 1e-10
         # relative Frobenius error at the reference scale.
-        from lngd.decomposition import CoefficientState, update_coefficients
-
         spec = axis_aligned_spec(2.0, 0.5, 2000)
         ds = generate_dataset(spec, 200, np.random.default_rng(5))
-        net = init_network(spec.d, 20, 2, 0.01, np.random.default_rng(6))
-        state = CoefficientState.zeros(ds, net)
-        eps = sample_multipliers(LabelNoiseSpec.flip(0.1), 200, np.random.default_rng(7))
-        ctx = train_step(net, ds, eps, 0.5, step=0)
-        update_coefficients(state, ctx, 0.5)
-        wp, wm = reconstruct_weights(state, ds)
-        rel = np.linalg.norm(np.hstack([wp, wm]) - net.weights) / np.linalg.norm(net.weights)
+        oracle = init_network(spec.d, 20, 2, 0.01, np.random.default_rng(6))
+        engine = oracle.clone()
+        noise = LabelNoiseSpec.flip(0.1)
+        eps = sample_multipliers(noise, 200, np.random.default_rng(7))
+        train_step(oracle, ds, eps, 0.5, step=0)
+        run_training(engine, ds, ds, eta=0.5, steps=1, noise=noise, log_stride=1,
+                     noise_rng=np.random.default_rng(7))
+        rel = np.linalg.norm(engine.weights - oracle.weights) / np.linalg.norm(oracle.weights)
         assert rel <= 1e-10
 
     def test_non_finite_abort(self, small_spec, small_dataset):
@@ -151,6 +151,27 @@ class TestRunTraining:
                          noise=LabelNoiseSpec.none(), log_stride=10)
         assert info.value.trace.aborted_at == info.value.step
         assert info.value.trace.aborted_at is not None
+
+    def test_non_finite_update_aborts_before_it_is_applied(self, small_spec, small_dataset):
+        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
+        w0 = net.weights.copy()
+        with pytest.raises(RunAborted) as info:
+            run_training(net, small_dataset, small_dataset, eta=np.inf, steps=5,
+                         noise=LabelNoiseSpec.none(), log_stride=1)
+        assert info.value.step == 0
+        assert info.value.reason == "non-finite coefficient update"
+        assert not info.value.state.gamma.any()
+        assert np.array_equal(info.value.net.weights, w0)
+
+    def test_flip_count_counts_negative_multipliers(self, small_spec, small_dataset):
+        # Gaussian multipliers are never exactly -1; flip_count counts eps_i < 0.
+        noise = LabelNoiseSpec.gaussian(0.0, 1.0)
+        _, trace, _ = self.small_run(small_spec, small_dataset, steps=20, noise=noise)
+        rng = np.random.default_rng(4)
+        expected = [int(np.sum(sample_multipliers(noise, len(small_dataset), rng) < 0))
+                    for _ in range(21)]
+        assert [r.flip_count for r in trace.rows] == [expected[r.step] for r in trace.rows]
+        assert sum(r.flip_count for r in trace.rows) > 0
 
     def test_noise_rng_required_for_stochastic_noise(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
