@@ -254,13 +254,13 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
     return row, col, seed_index, out
 
 
-def _failure_reason(exc: BaseException, frames: int = 3) -> str:
-    """repr(exc) followed by the last ``frames`` frames of its traceback.
+def _failure_reason(exc: BaseException) -> str:
+    """repr(exc) followed by the last three frames of its traceback.
 
     Exceptions from worker processes carry the remote traceback as their
     __cause__, which is included.
     """
-    lines = traceback.format_exception(type(exc), exc, exc.__traceback__, limit=-frames)
+    lines = traceback.format_exception(type(exc), exc, exc.__traceback__, limit=-3)
     return repr(exc) + "\n" + "".join(lines).rstrip()
 
 
