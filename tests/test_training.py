@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from lngd.data import generate_dataset
-from lngd.decomposition import reconstruct_weights
 from lngd.experiments import axis_aligned_spec
 from lngd.network import full_batch_gradient, init_network
 from lngd.streams import stream
