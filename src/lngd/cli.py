@@ -91,8 +91,7 @@ def _make_snapshot_observers(config: FullConfig):
 
         def observer(step, state, dataset, row):
             if step % config.coeff_stride == 0 or step == config.steps:
-                sink.append((step, state.gamma.copy(), state.rho_bar.copy(),
-                             state.rho_under.copy()))
+                sink.append((step, state.gamma.copy(), state.rho_bar, state.rho_under))
 
         return observer
 

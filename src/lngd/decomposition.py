@@ -12,10 +12,12 @@ pre-activations from inner products computed once, so a step does no work
 that scales with d. Weights are rebuilt by ``reconstruct_weights`` only when
 asked for; projections onto mu / xi_i serve as cross-checks.
 
-Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1.
-rho_bar holds the same-class coefficients (defined where y_i = j, zero
-elsewhere); rho_under the opposite-class ones (defined where y_i = -j,
-nonpositive). Dense storage: n*m is small at desk scale.
+Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1. rho is
+stored once, (2, m, n); its same-class entries (y_i = j) are the paper's
+rho_bar and its opposite-class entries (y_i = -j, nonpositive) rho_under.
+``CoefficientState.rho_bar``/``rho_under`` are read-only masked copies with
+zeros elsewhere. Arms that share a dataset and an init are advanced together
+by ``CoefficientStack``, whose per-arm states are views into its arrays.
 """
 
 from __future__ import annotations
@@ -25,57 +27,49 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .network import Network, activation_derivative, loss_derivative
+from .network import Network, loss_derivative
 
 __all__ = [
     "CoefficientState",
+    "CoefficientStack",
     "SpanProducts",
-    "branch_index",
     "update_coefficients",
     "reconstruct_weights",
     "projection_check",
-    "iota",
     "iota_all",
     "iota_series",
     "ratio_summary",
-    "sign_pattern_report",
 ]
 
 RATIO_FLOOR = 1e-12
+LABEL_SIGN = np.array([1.0, -1.0])  # y of the two signal patches y mu
 _BRANCH_SIGN = np.array([[1.0], [-1.0]])  # j per branch row
-
-
-def branch_index(j: int) -> int:
-    """Map branch label j in {+1, -1} to array axis index."""
-    if j == 1:
-        return 0
-    if j == -1:
-        return 1
-    raise ValueError(f"branch label must be +1 or -1, got {j}")
 
 
 @dataclass
 class CoefficientState:
-    """Coefficients gamma (2, m), rho_bar / rho_under (2, m, n), plus w0 snapshot."""
+    """One arm's coefficients gamma (2, m) and rho (2, m, n), plus the w0 snapshot."""
 
     gamma: np.ndarray
-    rho_bar: np.ndarray
-    rho_under: np.ndarray
+    rho: np.ndarray
     xi_norms_sq: np.ndarray
     w0: np.ndarray  # (d, 2m) initial weights snapshot
+    labels: np.ndarray = field(repr=False)
     step: int = 0
-    labels: np.ndarray = field(default=None, repr=False)
+    same_class_mask: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # (2, n) boolean: True where y_i == j for the branch on that row.
+        self.same_class_mask = np.stack([self.labels == 1.0, self.labels == -1.0])
 
     @classmethod
     def zeros(cls, dataset: Dataset, net: Network) -> "CoefficientState":
         m, n = net.m, len(dataset)
         return cls(
             gamma=np.zeros((2, m)),
-            rho_bar=np.zeros((2, m, n)),
-            rho_under=np.zeros((2, m, n)),
+            rho=np.zeros((2, m, n)),
             xi_norms_sq=dataset.xi_norms_sq.copy(),
             w0=net.weights.copy(),
-            step=0,
             labels=dataset.labels.copy(),
         )
 
@@ -85,104 +79,141 @@ class CoefficientState:
 
     @property
     def n(self) -> int:
-        return self.rho_bar.shape[2]
+        return self.rho.shape[2]
 
-    def snapshot(self) -> "CoefficientState":
-        return CoefficientState(
-            gamma=self.gamma.copy(),
-            rho_bar=self.rho_bar.copy(),
-            rho_under=self.rho_under.copy(),
-            xi_norms_sq=self.xi_norms_sq,
-            w0=self.w0,
-            step=self.step,
-            labels=self.labels,
-        )
+    def _masked(self, same_class: bool) -> np.ndarray:
+        out = np.where(self.same_class_mask[:, None, :] == same_class, self.rho, 0.0)
+        out.flags.writeable = False
+        return out
 
     @property
-    def same_class_mask(self) -> np.ndarray:
-        """(2, n) boolean: True where y_i == j for the branch on that row."""
-        return np.stack([self.labels == 1.0, self.labels == -1.0])
+    def rho_bar(self) -> np.ndarray:
+        """(2, m, n) same-class coefficients, zero elsewhere (a read-only copy)."""
+        return self._masked(True)
+
+    @property
+    def rho_under(self) -> np.ndarray:
+        """(2, m, n) opposite-class coefficients, zero elsewhere (a read-only copy)."""
+        return self._masked(False)
+
+
+class CoefficientStack:
+    """The coefficients of A arms that share a dataset and an init.
+
+    ``coef`` (n + 1, A, 2m) holds arm a's rho_{j,r,i} at [i, a, (j, r)] and
+    its j gamma_{j,r} at row n, so every arm's pre-activations come from one
+    product with ``SpanProducts.span``. ``gamma`` (A, 2m) holds the signal
+    coefficients themselves; ``states[a]`` is arm a's CoefficientState, whose
+    arrays are views into these. ``drho`` (n, A, 2m) receives each step's rho
+    increment.
+    """
+
+    def __init__(self, dataset: Dataset, w0: np.ndarray, arms: int):
+        n, two_m = len(dataset), w0.shape[1]
+        m = two_m // 2
+        self.labels = dataset.labels.copy()
+        self.xi_norms_sq = dataset.xi_norms_sq.copy()
+        self.signed_xi_norms_sq = self.labels * self.xi_norms_sq  # y_i |xi_i|^2
+        self.branch_sign = np.repeat([1.0, -1.0], m)  # j per column
+        self.label_index = (self.labels < 0).astype(np.intp)  # 0 for y = +1, 1 for y = -1
+        self.label_onehot = np.stack([self.labels == 1.0, self.labels == -1.0]).astype(float)
+        self.gamma = np.zeros((arms, two_m))
+        self.coef = np.zeros((n + 1, arms, two_m))
+        self.drho = np.zeros((n, arms, two_m))
+        w0 = w0.copy()
+        self.states = [
+            CoefficientState(gamma=self.gamma[a].reshape(2, m),
+                             rho=self.coef[:n, a].T.reshape(2, m, n),
+                             xi_norms_sq=self.xi_norms_sq, w0=w0, labels=self.labels)
+            for a in range(arms)
+        ]
 
 
 @dataclass(frozen=True)
 class SpanProducts:
     """Inner products of N points x with w0 and with the span basis.
 
-    With these, <w_{j,r}, x> = <w0_{j,r}, x> + (<x, mu>/|mu|^2) j gamma_{j,r}
-    + sum_i (<x, xi_i>/|xi_i|^2) rho_{j,r,i}: an exact reparametrisation
-    (the <x, mu> cross-terms are kept, not assumed zero) that costs O(N n m).
+    With these, <w_{j,r}, x> = <w0_{j,r}, x> + sum_i (<x, xi_i>/|xi_i|^2) rho_{j,r,i}
+    + (<x, mu>/|mu|^2) j gamma_{j,r}: an exact reparametrisation (the <x, mu>
+    cross-terms are kept, not assumed zero) that costs O(N n m) per arm.
     """
 
     w0: np.ndarray  # (N, 2m) <w0_{j,r}, x>
-    signal: np.ndarray  # (N,) <x, mu> / |mu|^2
-    noise: np.ndarray  # (N, n) <x, xi_i> / |xi_i|^2
+    span: np.ndarray  # (N, n + 1) <x, xi_i>/|xi_i|^2 in column i, <x, mu>/|mu|^2 in column n
 
     @classmethod
     def of(cls, points: np.ndarray, dataset: Dataset, w0: np.ndarray) -> "SpanProducts":
         spec = dataset.spec
-        return cls(
-            w0=points @ w0,
-            signal=(points @ spec.mu) / spec.mu_norm_sq,
-            noise=(points @ dataset.noise_matrix.T) / dataset.xi_norms_sq,
-        )
+        span = np.empty((len(points), len(dataset) + 1))
+        np.divide(points @ dataset.noise_matrix.T, dataset.xi_norms_sq, out=span[:, :-1])
+        np.divide(points @ spec.mu, spec.mu_norm_sq, out=span[:, -1])
+        return cls(w0=points @ w0, span=span)
 
-    def preactivations(self, state: CoefficientState) -> np.ndarray:
-        """(N, 2m) inner products <w_{j,r}, x> at the state's coefficients."""
-        gamma_signed = state.gamma * _BRANCH_SIGN  # j gamma_{j,r}
-        rho = (state.rho_bar + state.rho_under).reshape(2 * state.m, state.n)
+    def preactivations(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(N, A, 2m) inner products <w_{j,r}, x> of every arm at the stacked ``coef``."""
+        rows, arms, two_m = coef.shape
+        if out is None:
+            out = np.empty((len(self.w0), arms, two_m))
         with np.errstate(over="ignore", invalid="ignore"):
-            return (self.w0 + np.multiply.outer(self.signal, gamma_signed.ravel())
-                    + self.noise @ rho.T)
+            np.matmul(self.span, coef.reshape(rows, arms * two_m),
+                      out=out.reshape(len(self.w0), arms * two_m))
+            out += self.w0[:, None, :]
+        return out
 
 
-def update_coefficients(state: CoefficientState, eps: np.ndarray, f: np.ndarray,
-                        mu_proj: np.ndarray, noise_pre: np.ndarray, *, eta: float, q: int,
-                        mu_norm_sq: float) -> np.ndarray:
-    """Advance (gamma, rho) by one step of GD on (1/n) sum_i loss(eps_i y_i f_i).
+def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
+                        signal_q1: np.ndarray, noise_q1: np.ndarray, live: np.ndarray, *,
+                        eta: float, q: int, mu_norm_sq: float) -> np.ndarray:
+    """Advance every live arm by one step of GD on (1/n) sum_i loss(eps_i y_i f_i).
 
-    ``f`` (n,), ``mu_proj`` (2m,) and ``noise_pre`` (n, 2m) are the outputs
-    and inner products <w_{j,r}, mu>, <w_{j,r}, xi_i> before the step.
-    Returns the (2, m, n) rho increment. A non-finite increment raises
-    FloatingPointError and leaves the state unchanged.
+    ``eps`` and ``f`` (n, A) are the multipliers and outputs before the step;
+    ``signal_q1`` (2, A, 2m) is max(y <w_{j,r}, mu>, 0)^(q-1) for y = +1, -1
+    and ``noise_q1`` (n, A, 2m) is max(<w_{j,r}, xi_i>, 0)^(q-1). The rho
+    increment is left in ``stack.drho``. Returns the (A,) mask of live arms
+    whose increment is non-finite; those arms, like the ones not live, are
+    left unchanged.
     """
-    m, n = state.m, state.n
+    n, arms, two_m = stack.drho.shape
+    m = two_m // 2
+    drho = stack.drho
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = loss_derivative(eps * state.labels * f) * eps  # (n,)
+        coef = loss_derivative(eps * stack.labels[:, None] * f) * eps  # (n, A)
 
-        # gamma_{j,r} += -(eta |mu|^2 / nm) sum_i coef_i sigma'(<w_{j,r}, y_i mu>)
-        sig_der = activation_derivative(np.multiply.outer(state.labels, mu_proj), q)  # (n, 2m)
-        dgamma = (-eta * mu_norm_sq / (n * m)) * (coef @ sig_der)  # (2m,)
+        # gamma_{j,r} += -(eta |mu|^2 / nm) sum_i coef_i sigma'(<w_{j,r}, y_i mu>);
+        # y_i mu takes two values, so the sum runs over the two label groups.
+        by_label = stack.label_onehot @ coef  # (2, A)
+        dgamma = (-eta * mu_norm_sq * q / (n * m)) * (by_label[:, :, None] * signal_q1).sum(axis=0)
 
         # rho_{j,r,i} += -(eta / nm) j y_i coef_i sigma'(<w_{j,r}, xi_i>) |xi_i|^2
-        noise_der = activation_derivative(noise_pre, q)  # (n, 2m)
-        scale = (-eta / (n * m)) * (coef * state.labels * state.xi_norms_sq)  # (n,)
-        drho = (noise_der * scale[:, None]).T.reshape(2, m, n) * _BRANCH_SIGN[:, :, None]
-    if not (np.all(np.isfinite(dgamma)) and np.all(np.isfinite(drho))):
-        raise FloatingPointError("non-finite coefficient update")
-    state.gamma += dgamma.reshape(2, m)
-    same = state.same_class_mask[:, None, :]  # (2, 1, n)
-    state.rho_bar += np.where(same, drho, 0.0)
-    state.rho_under += np.where(same, 0.0, drho)
-    state.step += 1
-    return drho
+        scale = (-eta * q / (n * m)) * (coef * stack.signed_xi_norms_sq[:, None])  # (n, A)
+        np.multiply(noise_q1.reshape(n, arms, 2, m), scale[:, :, None, None] * _BRANCH_SIGN,
+                    out=drho.reshape(n, arms, 2, m))
+    bad = np.zeros(arms, dtype=bool)
+    if not (np.isfinite(drho).all() and np.isfinite(dgamma).all()):
+        bad = live & ~(np.isfinite(drho).all(axis=(0, 2)) & np.isfinite(dgamma).all(axis=1))
+    frozen = bad | ~live
+    if frozen.any():
+        drho[:, frozen] = 0.0
+        dgamma[frozen] = 0.0
+    stack.coef[:n] += drho
+    stack.gamma += dgamma
+    np.multiply(stack.gamma, stack.branch_sign, out=stack.coef[n])
+    return bad
 
 
 def reconstruct_weights(state: CoefficientState, dataset: Dataset, mu: np.ndarray | None = None):
     """Rebuild (w_plus, w_minus) from w0 and the coefficients.
 
-    w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i (rho_bar+rho_under)_{j,r,i} xi_i/|xi_i|^2
+    w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i rho_{j,r,i} xi_i/|xi_i|^2
     """
     if mu is None:
         mu = dataset.spec.mu
     mu_unit = mu / (mu @ mu)
     m, n = state.m, state.n
-    rho = state.rho_bar + state.rho_under  # (2, m, n)
     xi_scaled = dataset.noise_matrix / state.xi_norms_sq[:, None]  # (n, d)
     w = state.w0.copy()
-    gamma_signed = state.gamma.copy()
-    gamma_signed[1] *= -1.0  # j = -1 branch
-    w += np.multiply.outer(mu_unit, gamma_signed.reshape(2 * m))
-    w += (rho.reshape(2 * m, n) @ xi_scaled).T
+    w += np.multiply.outer(mu_unit, (state.gamma * _BRANCH_SIGN).ravel())  # j gamma_{j,r}
+    w += (state.rho.reshape(2 * m, n) @ xi_scaled).T
     return w[:, :m], w[:, m:]
 
 
@@ -200,13 +231,11 @@ def projection_check(net: Network, state: CoefficientState, dataset: Dataset,
         mu = dataset.spec.mu
     n, m = state.n, state.m
     disp = net.weights - state.w0  # (d, 2m)
-    mu_proj = (mu @ disp).reshape(2, m)
-    mu_proj[1] *= -1.0  # <w - w0, j mu>
+    mu_proj = (mu @ disp).reshape(2, m) * _BRANCH_SIGN  # <w - w0, j mu>
     gamma_disc = np.abs(mu_proj - state.gamma)
 
     xi_proj = (dataset.noise_matrix @ disp).T.reshape(2, m, n).copy()
-    rho = state.rho_bar + state.rho_under
-    rho_disc = np.abs(xi_proj - rho)
+    rho_disc = np.abs(xi_proj - state.rho)
 
     steps = max(2, state.step if t_star is None else t_star)
     alpha = 4.0 * np.log(steps)
@@ -221,18 +250,10 @@ def projection_check(net: Network, state: CoefficientState, dataset: Dataset,
     }
 
 
-def iota(state: CoefficientState, dataset: Dataset, i: int) -> float:
-    """Per-sample memorization scalar (1/m) sum_r rho_bar_{y_i, r, i}^2."""
-    if not (0 <= i < state.n):
-        raise IndexError(f"sample index {i} out of range [0, {state.n})")
-    j_idx = branch_index(int(dataset.labels[i]))
-    return float(np.mean(state.rho_bar[j_idx, :, i] ** 2))
-
-
 def iota_all(state: CoefficientState) -> np.ndarray:
-    """(n,) vector of iota_i, using the labels recorded in the state."""
+    """(n,) per-sample memorization scalars iota_i = (1/m) sum_r rho_bar_{y_i, r, i}^2."""
     j_idx = (state.labels < 0).astype(np.intp)  # 0 for y=+1, 1 for y=-1
-    picked = state.rho_bar[j_idx, :, np.arange(state.n)]  # (n, m)
+    picked = state.rho[j_idx, :, np.arange(state.n)]  # (n, m) same-class entries
     return np.mean(picked**2, axis=1)
 
 
@@ -259,21 +280,3 @@ def ratio_summary(state: CoefficientState, aggregation: str = "max") -> float:
     else:
         raise ValueError(f"unknown aggregation {aggregation!r}")
     return num / max(den, RATIO_FLOOR)
-
-
-def sign_pattern_report(state: CoefficientState) -> dict:
-    """Count coordinate-level violations of gamma >= 0, rho_bar >= 0, rho_under <= 0.
-
-    These hold under the theory's step-size regime; at desk-scale learning
-    rates small transient dips are possible, so they are reported rather
-    than asserted.
-    """
-    same = state.same_class_mask[:, None, :]
-    return {
-        "gamma_negative": int(np.sum(state.gamma < 0)),
-        "rho_bar_negative": int(np.sum(np.where(same, state.rho_bar, 0.0) < 0)),
-        "rho_under_positive": int(np.sum(np.where(~same, state.rho_under, 0.0) > 0)),
-        "gamma_min": float(state.gamma.min()),
-        "rho_bar_min": float(state.rho_bar.min()),
-        "rho_under_max": float(state.rho_under.max()),
-    }

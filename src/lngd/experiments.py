@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SignalSpec, generate_dataset
-from .decomposition import CoefficientState, iota_series
-from .network import Network, init_network
+from .decomposition import iota_series
+from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
 from .theory import (
     estimate_stage_times,
@@ -25,7 +25,7 @@ from .theory import (
     stage2_boundedness_check,
     empirical_verdicts,
 )
-from .training import LabelNoiseSpec, RunAborted, RunProducts, TrainTrace, run_training
+from .training import Arm, LabelNoiseSpec, RunArtifacts, run_training
 
 __all__ = [
     "RunArtifacts",
@@ -50,48 +50,12 @@ def axis_aligned_spec(mu_scale: float, sigma_p: float, d: int) -> SignalSpec:
 
 
 @dataclass
-class RunArtifacts:
-    """One trained arm: final network, trace, coefficient state, metadata."""
-
-    label: str
-    noise: LabelNoiseSpec
-    net: Network | None
-    trace: TrainTrace | None
-    state: CoefficientState | None
-    aborted: bool = False
-    abort_reason: str = ""
-
-    @property
-    def final_test_accuracy(self) -> float:
-        return 1.0 - self.trace.final.test_error_01
-
-    @property
-    def final_clean_loss(self) -> float:
-        return self.trace.final.clean_train_loss
-
-
-@dataclass
 class DynamicsResult:
     standard: RunArtifacts
     label_noise: RunArtifacts
     dataset: Dataset
     test_dataset: Dataset
     reports: dict = field(default_factory=dict)
-
-
-def _train_arm(label: str, noise: LabelNoiseSpec, init_net: Network, dataset: Dataset,
-               test_dataset: Dataset, *, eta: float, steps: int, log_stride: int,
-               noise_rng, products: RunProducts, observer=None) -> RunArtifacts:
-    net = init_net.clone()
-    try:
-        trace, state = run_training(
-            net, dataset, test_dataset, eta=eta, steps=steps, noise=noise,
-            log_stride=log_stride, noise_rng=noise_rng, observer=observer, products=products,
-        )
-        return RunArtifacts(label=label, noise=noise, net=net, trace=trace, state=state)
-    except RunAborted as exc:
-        return RunArtifacts(label=label, noise=noise, net=exc.net, trace=exc.trace,
-                            state=exc.state, aborted=True, abort_reason=exc.reason)
 
 
 def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
@@ -104,21 +68,17 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                  log_stride: int, n_test: int, observers: dict | None = None):
     """Train one arm per noise spec on shared data/init/test; returns arms + data.
 
-    The engine's inner products depend only on the shared draws, so they are
-    computed once here for every arm.
+    The arms advance together in one ``run_training`` call; arm ``idx``
+    draws from its own multiplier stream.
     """
     dataset = generate_dataset(spec, n, stream(seed, "data"))
     test_dataset = generate_dataset(spec, n_test, stream(seed, "test"))
     init_net = init_network(spec.d, m, q, sigma_0, stream(seed, "init"))
-    products = RunProducts.of(dataset, test_dataset, init_net.weights)
-    arms = []
-    for idx, (label, noise) in enumerate(noises):
-        observer = (observers or {}).get(label)
-        arms.append(_train_arm(label, noise, init_net, dataset, test_dataset,
-                               eta=eta, steps=steps, log_stride=log_stride,
-                               noise_rng=arm_noise_rng(seed, idx, noise), products=products,
-                               observer=observer))
-    return arms, dataset, test_dataset
+    arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
+            for idx, (label, noise) in enumerate(noises)]
+    results = run_training(init_net, dataset, test_dataset, arms, eta=eta, steps=steps,
+                           log_stride=log_stride)
+    return results, dataset, test_dataset
 
 
 def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
@@ -137,7 +97,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     stage_ln = estimate_stage_times(spec, n, m, eta, sigma_0, None, "LNGD")
     reports["stage_times"] = {"GD": vars(stage), "LNGD": vars(stage_ln)}
     for arm in arms:
-        if arm.trace is None or arm.aborted:
+        if arm.aborted:
             reports[arm.label] = {"aborted": True, "reason": arm.abort_reason}
             continue
         entry = {
@@ -247,8 +207,8 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
     )
     out = {}
     for arm in arms:
-        if arm.aborted or arm.trace is None:
-            out[arm.label] = ("error", arm.abort_reason or "aborted")
+        if arm.aborted:
+            out[arm.label] = ("error", arm.abort_reason)
         else:
             out[arm.label] = ("ok", arm.final_test_accuracy)
     return row, col, seed_index, out

@@ -62,20 +62,17 @@ def write_coefficients_csv(snapshots, path: Path) -> None:
 
     ``snapshots`` is a list of (step, gamma(2, m), rho_bar(2, m, n),
     rho_under(2, m, n)) tuples, typically strided more coarsely than the
-    trace to bound file size.
+    trace to bound file size. Values are written as ``fmt_float`` writes them.
     """
-    header = ["step", "j", "r", "i", "gamma", "rho_bar", "rho_under"]
-
-    def rows():
+    row = "%d,%d,%d,%d,%.17g,%.17g,%.17g\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write("step,j,r,i,gamma,rho_bar,rho_under\n")
         for step, gamma, rho_bar, rho_under in snapshots:
-            m, n = gamma.shape[1], rho_bar.shape[2]
-            for j_idx, j in ((0, 1), (1, -1)):
-                for r in range(m):
-                    g = gamma[j_idx, r]
-                    for i in range(n):
-                        yield (step, j, r, i, g, rho_bar[j_idx, r, i], rho_under[j_idx, r, i])
-
-    _write_csv(path, header, rows())
+            shape = rho_bar.shape
+            b, r, i = np.indices(shape).reshape(3, -1)
+            columns = (np.full(b.size, step), 1 - 2 * b, r, i,
+                       np.repeat(gamma.ravel(), shape[2]), rho_bar.ravel(), rho_under.ravel())
+            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))
 
 
 def write_coefficient_summary_csv(snapshots, path: Path) -> None:

@@ -28,7 +28,6 @@ __all__ = [
     "loss_derivative",
     "clean_batch_loss",
     "full_batch_gradient",
-    "outputs_from_preactivations",
     "sign_error",
     "zero_one_error",
     "network_to_json",
@@ -135,18 +134,6 @@ def forward(net: Network, point) -> float:
     return float(f_plus - f_minus)
 
 
-def outputs_from_preactivations(labels: np.ndarray, mu_proj: np.ndarray,
-                                noise_pre: np.ndarray, q: int) -> np.ndarray:
-    """(N,) outputs f from <w_{j,r}, mu> (2m,) and <w_{j,r}, xi_i> (N, 2m).
-
-    The signal patch y_i mu contributes sigma(y_i <w_{j,r}, mu>).
-    """
-    m = noise_pre.shape[1] // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        act = activation(np.multiply.outer(labels, mu_proj), q) + activation(noise_pre, q)
-        return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
-
-
 def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of points with y != sign(f); sign(0) counts as an error."""
     return float(np.mean(np.sign(f) != labels))
@@ -154,10 +141,14 @@ def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
 
 def _batch_outputs(net: Network, dataset: Dataset) -> np.ndarray:
     """(n,) outputs f(W, x_i), vectorized over the dataset."""
+    m, q = net.m, net.q
     with np.errstate(over="ignore", invalid="ignore"):
         mu_proj = dataset.spec.mu @ net._w  # (2m,)
         noise_pre = dataset.noise_matrix @ net._w  # (n, 2m)
-    return outputs_from_preactivations(dataset.labels, mu_proj, noise_pre, net.q)
+        # The signal patch y_i mu contributes sigma(y_i <w_{j,r}, mu>).
+        act = (activation(np.multiply.outer(dataset.labels, mu_proj), q)
+               + activation(noise_pre, q))
+        return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
 
 
 def clean_batch_loss(net: Network, dataset: Dataset) -> float:

@@ -5,7 +5,10 @@ fresh multiplier vector eps and descends the eps-weighted logistic loss.
 Training runs in coefficient space: ``run_training`` advances the signal and
 noise coefficients (gamma, rho) of the decomposition directly, evaluating
 pre-activations from inner products computed once per dataset and init, so
-a step costs O(n^2 m) whatever d is. The weight-space step ``train_step``
+a step costs O(n^2 m) whatever d is. The arms of a run, which share the
+dataset and the init and differ in their multipliers, advance as one stacked
+state: one matrix product and one pass of each elementwise operation per
+step serve them all. The weight-space step ``train_step``
 (closed-form gradient, certified by finite differences) is kept as the
 oracle the engine is tested against.
 """
@@ -13,11 +16,14 @@ oracle the engine is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import Dataset, SignalSpec, generate_dataset
 from .decomposition import (
+    LABEL_SIGN,
+    CoefficientStack,
     CoefficientState,
     SpanProducts,
     iota_all,
@@ -25,14 +31,7 @@ from .decomposition import (
     reconstruct_weights,
     update_coefficients,
 )
-from .network import (
-    Network,
-    _forward_backward,
-    init_network,
-    logistic_loss,
-    outputs_from_preactivations,
-    sign_error,
-)
+from .network import Network, _forward_backward, init_network, logistic_loss, sign_error
 from .streams import stream
 
 __all__ = [
@@ -40,7 +39,8 @@ __all__ = [
     "TrainConfig",
     "TraceRow",
     "TrainTrace",
-    "RunProducts",
+    "Arm",
+    "RunArtifacts",
     "RunAborted",
     "OracleReplay",
     "sample_multipliers",
@@ -189,24 +189,40 @@ class TrainTrace:
         return [r for r in self.rows if r.step >= step]
 
 
-@dataclass(frozen=True)
-class RunProducts:
-    """The engine's inner products for one (dataset, test set, w0).
+class Arm(NamedTuple):
+    """One arm of a run: its name, its multiplier law and stream, its observer."""
 
-    Computed once; arms that share the data and the init share them.
-    """
+    label: str
+    noise: LabelNoiseSpec
+    noise_rng: np.random.Generator | None = None
+    observer: Callable | None = None
 
-    mu: SpanProducts  # the single point mu
-    train: SpanProducts  # the training noise vectors xi_i
-    test: SpanProducts  # the test noise vectors
 
-    @classmethod
-    def of(cls, dataset: Dataset, test_dataset: Dataset, w0: np.ndarray) -> "RunProducts":
-        return cls(
-            mu=SpanProducts.of(dataset.spec.mu[None, :], dataset, w0),
-            train=SpanProducts.of(dataset.noise_matrix, dataset, w0),
-            test=SpanProducts.of(test_dataset.noise_matrix, dataset, w0),
-        )
+@dataclass
+class RunArtifacts:
+    """One trained arm: final network, trace, coefficient state, metadata."""
+
+    label: str
+    noise: LabelNoiseSpec
+    net: Network
+    trace: TrainTrace
+    state: CoefficientState
+
+    @property
+    def aborted(self) -> bool:
+        return self.trace.aborted_at is not None
+
+    @property
+    def abort_reason(self) -> str:
+        return self.trace.abort_reason
+
+    @property
+    def final_test_accuracy(self) -> float:
+        return 1.0 - self.trace.final.test_error_01
+
+    @property
+    def final_clean_loss(self) -> float:
+        return self.trace.final.clean_train_loss
 
 
 class RunAborted(RuntimeError):
@@ -269,9 +285,9 @@ def _trace_row(step, f, eps, state, labels, test_error, iotas) -> TraceRow:
     margins = labels * f
     clean = float(np.mean(logistic_loss(margins)))
     noisy = float(np.mean(logistic_loss(eps * margins)))
-    same = state.same_class_mask[:, None, :]
-    rho_bar_defined = state.rho_bar[np.broadcast_to(same, state.rho_bar.shape)]
-    rho_under_defined = state.rho_under[np.broadcast_to(~same, state.rho_under.shape)]
+    same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
+    rho_bar_defined = state.rho[same]
+    rho_under_defined = state.rho[~same]
     return TraceRow(
         step=step,
         clean_train_loss=clean,
@@ -289,91 +305,132 @@ def _trace_row(step, f, eps, state, labels, test_error, iotas) -> TraceRow:
     )
 
 
-def _materialise(net: Network, state: CoefficientState, dataset: Dataset) -> None:
-    """Write the weights the coefficients stand for into ``net``."""
-    w_plus, w_minus = reconstruct_weights(state, dataset)
-    net.w_plus[...] = w_plus
-    net.w_minus[...] = w_minus
+def _materialise(net: Network, state: CoefficientState, dataset: Dataset) -> Network:
+    """A copy of ``net`` holding the weights the coefficients stand for."""
+    out = net.clone()
+    out.w_plus[...], out.w_minus[...] = reconstruct_weights(state, dataset)
+    return out
 
 
-def run_training(net: Network, dataset: Dataset, test_dataset: Dataset, *,
-                 eta: float, steps: int, noise: LabelNoiseSpec,
-                 log_stride: int = 10, noise_rng: np.random.Generator | None = None,
-                 observer=None, products: RunProducts | None = None,
-                 ) -> tuple[TrainTrace, CoefficientState]:
-    """Train from ``net``'s weights; log a row every log_stride steps plus the final step.
+def _relu_q1(z: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """r = max(z, 0), written over z, and r^(q-1)."""
+    r = np.maximum(z, 0.0, out=z)
+    if q == 2:
+        return r, r
+    with np.errstate(over="ignore"):
+        return r, r ** (q - 1)
 
-    The run advances the coefficient state; ``net`` receives the weights it
-    stands for at the end of the run, or on abort. ``products`` are the
-    precomputed inner products for (dataset, test_dataset, net.weights),
-    computed here when not given. The row at step t reflects the state after
-    t updates and the multiplier vector drawn for step t (the loss the
-    optimizer is about to descend). ``observer(step, state, dataset, row)``
-    runs at every logged step; one that needs weights rebuilds them with
-    ``reconstruct_weights``. Non-finite outputs or coefficient updates record
-    the abort in the trace and raise RunAborted.
+
+def _outputs(pre, signal_sum, label_rows, q, branch_sign, act=None):
+    """(N, A) outputs f = F_{+1} - F_{-1} of every arm, and r^(q-1) for r = max(pre, 0).
+
+    ``pre`` (N, A, 2m), the noise-patch pre-activations, is overwritten by r;
+    ``signal_sum`` (2, A) is the signal patch's share of m f for y = +1, -1,
+    picked per point by ``label_rows``. ``act`` (default: ``pre``) receives r^q.
     """
-    if noise.kind != "none" and noise_rng is None:
-        raise ValueError("noise_rng is required for stochastic label noise")
-    if products is None:
-        products = RunProducts.of(dataset, test_dataset, net.weights)
-    trace = TrainTrace(n=len(dataset), d=dataset.spec.d, noise_kind=noise.kind)
-    state = CoefficientState.zeros(dataset, net)
-    labels = dataset.labels
-    q, n = net.q, len(dataset)
-    check_monotone = noise.kind == "none"
-    same = state.same_class_mask[:, None, :]
+    rows, arms, two_m = pre.shape
+    r, r_q1 = _relu_q1(pre, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        act = np.multiply(r_q1, r, out=r if act is None else act)
+        f = (act.reshape(rows * arms, two_m) @ branch_sign).reshape(rows, arms)
+        f += signal_sum[label_rows]
+        f /= two_m // 2
+    return f, r_q1
 
-    def forward():
-        mu_proj = products.mu.preactivations(state)[0]
-        noise_pre = products.train.preactivations(state)
-        return mu_proj, noise_pre, outputs_from_preactivations(labels, mu_proj, noise_pre, q)
 
-    def log_at(t: int, f, eps, mu_proj):
-        iotas = iota_all(state)
-        f_test = outputs_from_preactivations(test_dataset.labels, mu_proj,
-                                             products.test.preactivations(state), q)
-        row = _trace_row(t, f, eps, state, labels, sign_error(f_test, test_dataset.labels),
-                         iotas)
-        trace.rows.append(row)
-        trace.iota_history.append((t, iotas))
-        if observer is not None:
-            observer(t, state, dataset, row)
+def run_training(net: Network, dataset: Dataset, test_dataset: Dataset, arms: list[Arm], *,
+                 eta: float, steps: int, log_stride: int = 10) -> list[RunArtifacts]:
+    """Train every arm from ``net``'s weights; log a row every log_stride steps plus the final step.
 
-    def abort(t: int, reason: str):
-        trace.aborted_at = t
-        trace.abort_reason = reason
-        _materialise(net, state, dataset)
-        raise RunAborted(t, reason, net=net, trace=trace, state=state)
+    The arms share the dataset, the init and the test set and advance as one
+    stacked coefficient state; each draws its multipliers from its own stream
+    and keeps its own trace, observer and state. The row at step t reflects
+    the state after t updates and the multiplier vector drawn for step t (the
+    loss the optimizer is about to descend). ``observer(step, state, dataset,
+    row)`` runs at every logged step; one that needs weights rebuilds them
+    with ``reconstruct_weights``. A non-finite output or coefficient update
+    aborts that arm alone: it keeps its partial trace, the reason and the
+    state before the failed update. Each arm's ``net`` is a copy of ``net``
+    holding its final weights.
+    """
+    for arm in arms:
+        if arm.noise.kind != "none" and arm.noise_rng is None:
+            raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
+    # Inner products computed once: training points xi_1..xi_n and mu, then the test points.
+    points = np.vstack([dataset.noise_matrix, dataset.spec.mu])
+    train = SpanProducts.of(points, dataset, net.weights)
+    test = SpanProducts.of(test_dataset.noise_matrix, dataset, net.weights)
+    labels, test_labels = dataset.labels, test_dataset.labels
+    q, n, m = net.q, len(dataset), net.m
+    stack = CoefficientStack(dataset, net.weights, len(arms))
+    sign = stack.branch_sign
+    traces = [TrainTrace(n=n, d=dataset.spec.d, noise_kind=arm.noise.kind) for arm in arms]
+    live = np.ones(len(arms), dtype=bool)
+    monotone = [a for a, arm in enumerate(arms) if arm.noise.kind == "none"]
+    # rho_bar is nondecreasing exactly when no same-class increment is below 0.
+    floor = np.where(np.equal.outer(labels, sign), 0.0, -np.inf)  # (n, 2m)
+    eps = np.ones((n, len(arms)))
+    pre = np.empty((n + 1, len(arms), 2 * m))  # rows: xi_1..xi_n, then mu
+    act = np.empty((n, len(arms), 2 * m))
+
+    def log_at(t: int, f, signal_sum):
+        f_test, _ = _outputs(test.preactivations(stack.coef), signal_sum,
+                             (test_labels < 0).astype(np.intp), q, sign)
+        for a in np.flatnonzero(live):
+            state = stack.states[a]
+            state.step = t
+            iotas = iota_all(state)
+            row = _trace_row(t, f[:, a], eps[:, a], state, labels,
+                             sign_error(f_test[:, a], test_labels), iotas)
+            traces[a].rows.append(row)
+            traces[a].iota_history.append((t, iotas))
+            if arms[a].observer is not None:
+                arms[a].observer(t, state, dataset, row)
+
+    def abort(failed, t: int, reason: str):
+        for a in np.flatnonzero(failed):
+            traces[a].aborted_at, traces[a].abort_reason = t, reason
+            stack.states[a].step = t
+            live[a] = False
 
     for t in range(steps + 1):
         # The extra draw at t = steps keeps every row's (state, eps) pairing uniform.
-        eps = sample_multipliers(noise, n, noise_rng)
-        mu_proj, noise_pre, f = forward()
-        if not np.all(np.isfinite(f)):
-            abort(t, "non-finite network outputs")
+        for a in np.flatnonzero(live):
+            eps[:, a] = sample_multipliers(arms[a].noise, n, arms[a].noise_rng)
+        train.preactivations(stack.coef, out=pre)
+        s, s_q1 = _relu_q1(np.multiply.outer(LABEL_SIGN, pre[n]), q)  # signal patches y mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            signal_sum = ((s_q1 * s).reshape(-1, 2 * m) @ sign).reshape(2, -1)
+        f, r_q1 = _outputs(pre[:n], signal_sum, stack.label_index, q, sign, act)
+        failed = live & ~np.isfinite(f).all(axis=0)
+        if failed.any():
+            abort(failed, t, "non-finite network outputs")
+        if not live.any():
+            break
         if t % log_stride == 0 or t == steps:
-            log_at(t, f, eps, mu_proj)
+            log_at(t, f, signal_sum)
         if t == steps:
             break
-        try:
-            drho = update_coefficients(state, eps, f, mu_proj, noise_pre, eta=eta, q=q,
-                                       mu_norm_sq=dataset.spec.mu_norm_sq)
-        except FloatingPointError as exc:
-            abort(t, str(exc))
-        if check_monotone:
-            # rho_bar is nondecreasing exactly when no same-class increment is negative.
-            trace.rho_bar_monotone_violations += int(np.sum((drho < 0) & same))
-    _materialise(net, state, dataset)
-    return trace, state
+        failed = update_coefficients(stack, eps, f, s_q1, r_q1, live, eta=eta, q=q,
+                                     mu_norm_sq=dataset.spec.mu_norm_sq)
+        if failed.any():
+            abort(failed, t, "non-finite coefficient update")
+        for a in monotone:
+            if live[a]:
+                traces[a].rho_bar_monotone_violations += np.count_nonzero(stack.drho[:, a] < floor)
+    for a in np.flatnonzero(live):
+        stack.states[a].step = steps
+    return [RunArtifacts(arm.label, arm.noise, _materialise(net, state, dataset), trace, state)
+            for arm, trace, state in zip(arms, traces, stack.states)]
 
 
 def train_run(config: TrainConfig, spec: SignalSpec, n: int, m: int, q: int,
               sigma_0: float, observer=None):
     """Seed-derived end-to-end run: data, init, training, fixed test set.
 
-    Returns (final network, trace, final coefficient state). All randomness
-    comes from four named sub-streams of config.seed (see streams.STREAM_IDS).
+    Returns (final network, trace, final coefficient state) and raises
+    RunAborted on a non-finite step. All randomness comes from four named
+    sub-streams of config.seed (see streams.STREAM_IDS).
     """
     data_rng = stream(config.seed, "data")
     init_rng = stream(config.seed, "init")
@@ -382,15 +439,10 @@ def train_run(config: TrainConfig, spec: SignalSpec, n: int, m: int, q: int,
     dataset = generate_dataset(spec, n, data_rng)
     test_dataset = generate_dataset(spec, config.n_test, test_rng)
     net = init_network(spec.d, m, q, sigma_0, init_rng)
-    trace, state = run_training(
-        net,
-        dataset,
-        test_dataset,
-        eta=config.eta,
-        steps=config.steps,
-        noise=config.noise,
-        log_stride=config.log_stride,
-        noise_rng=noise_rng,
-        observer=observer,
-    )
-    return net, trace, state
+    [arm] = run_training(net, dataset, test_dataset,
+                         [Arm("train", config.noise, noise_rng, observer)],
+                         eta=config.eta, steps=config.steps, log_stride=config.log_stride)
+    if arm.aborted:
+        raise RunAborted(arm.trace.aborted_at, arm.abort_reason, net=arm.net,
+                         trace=arm.trace, state=arm.state)
+    return arm.net, arm.trace, arm.state

@@ -145,12 +145,21 @@ class TestEmitOutputs:
         result = tiny_run()
         art = artifacts_for(result, config)
         gamma = result.label_noise.state.gamma
+        rho_bar = result.label_noise.state.rho_bar
+        rho_under = result.label_noise.state.rho_under.copy()
+        rho_under[1, 2, 7] = -0.0  # the sign of a zero survives
         art.coefficient_snapshots["coefficients_label_noise.csv"] = [
-            (20, gamma, result.label_noise.state.rho_bar, result.label_noise.state.rho_under)
-        ]
+            (20, gamma, rho_bar, rho_under)]
         inventory = emit_outputs(art, tmp_path)
         assert "coefficients_label_noise.csv" in inventory
         lines = (tmp_path / "coefficients_label_noise.csv").read_text().splitlines()
         assert lines[0] == "step,j,r,i,gamma,rho_bar,rho_under"
         # one row per (j, r, i)
         assert len(lines) - 1 == 2 * 3 * 8
+        expected = [
+            ",".join(["20", str(j), str(r), str(i), fmt_float(gamma[b, r]),
+                      fmt_float(rho_bar[b, r, i]), fmt_float(rho_under[b, r, i])])
+            for b, j in ((0, 1), (1, -1)) for r in range(3) for i in range(8)
+        ]
+        assert lines[1:] == expected
+        assert "20,-1,2,7," in lines[-1] and lines[-1].endswith(",-0")

@@ -6,15 +6,13 @@ import pytest
 from lngd.data import Dataset, Sample, SignalSpec
 from lngd.decomposition import (
     CoefficientState,
-    iota,
     iota_all,
     projection_check,
     ratio_summary,
     reconstruct_weights,
-    sign_pattern_report,
 )
 from lngd.network import Network, init_network
-from lngd.training import LabelNoiseSpec, OracleReplay, run_training
+from lngd.training import Arm, LabelNoiseSpec, OracleReplay, run_training
 
 
 def one_sample_setup():
@@ -28,17 +26,17 @@ def one_sample_setup():
 
 
 def one_engine_step(net, ds, eta):
-    """One standard-GD step of the coefficient engine; returns the state."""
-    _, state = run_training(net, ds, ds, eta=eta, steps=1, noise=LabelNoiseSpec.none(),
-                            log_stride=1)
-    return state
+    """One standard-GD step of the coefficient engine; returns the trained arm."""
+    [arm] = run_training(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=eta, steps=1,
+                         log_stride=1)
+    return arm
 
 
 class TestSingleStepHandValues:
     def test_gamma_and_rho_match_hand_evaluation(self):
         spec, ds, net = one_sample_setup()
         eta = 0.1
-        state = one_engine_step(net, ds, eta)
+        state = one_engine_step(net, ds, eta).state
 
         # Hand evaluation: <w_+, mu> = 0.6, <w_+, xi> = 0.4, <w_-, mu> = 0.2,
         # <w_-, xi> = -0.2, so f = (0.36 + 0.16) - 0.04 = 0.48 and
@@ -56,7 +54,7 @@ class TestSingleStepHandValues:
     def test_zero_network_context_is_a_fixed_point(self):
         spec, ds, _ = one_sample_setup()
         net = Network(np.zeros((2, 2)), 2)
-        state = one_engine_step(net, ds, 0.5)
+        state = one_engine_step(net, ds, 0.5).state
         assert not state.gamma.any()
         assert not state.rho_bar.any()
         assert not state.rho_under.any()
@@ -74,9 +72,10 @@ class TestReconstruction:
         # same multiplier stream.
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(1))
         noise = LabelNoiseSpec.flip(0.2)
-        trace, state = run_training(net, small_dataset, small_dataset, eta=0.05,
-                                    steps=40, noise=noise, log_stride=10,
-                                    noise_rng=np.random.default_rng(2))
+        [arm] = run_training(net, small_dataset, small_dataset,
+                             [Arm("lngd", noise, np.random.default_rng(2))], eta=0.05,
+                             steps=40, log_stride=10)
+        state = arm.state
         oracle = OracleReplay(2, 0.05, noise, np.random.default_rng(2))
         w = oracle.advance(40, state, small_dataset).weights
         wp, wm = reconstruct_weights(state, small_dataset)
@@ -87,10 +86,10 @@ class TestReconstruction:
         # eta carries through the update, so eta -> 0 reconstructs w0.
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(3))
         w0 = net.weights.copy()
-        state = one_engine_step(net, small_dataset, 0.0)
-        wp, wm = reconstruct_weights(state, small_dataset)
+        arm = one_engine_step(net, small_dataset, 0.0)
+        wp, wm = reconstruct_weights(arm.state, small_dataset)
         assert np.array_equal(np.hstack([wp, wm]), w0)
-        assert np.array_equal(net.weights, w0)
+        assert np.array_equal(arm.net.weights, w0)
 
 
 class TestProjectionCheck:
@@ -103,9 +102,10 @@ class TestProjectionCheck:
 
     def test_gamma_projection_is_exact_after_training(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(5))
-        _, state = run_training(net, small_dataset, small_dataset, eta=0.05, steps=30,
-                                noise=LabelNoiseSpec.none(), log_stride=10)
-        report = projection_check(net, state, small_dataset)
+        [arm] = run_training(net, small_dataset, small_dataset,
+                             [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=30,
+                             log_stride=10)
+        report = projection_check(arm.net, arm.state, small_dataset)
         assert report["gamma_discrepancy_max"] <= 1e-9
         assert report["rho_within_bound_frac"] >= 0.99
 
@@ -114,7 +114,6 @@ class TestIota:
     def test_step_zero(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
         state = CoefficientState.zeros(small_dataset, net)
-        assert iota(state, small_dataset, 0) == 0.0
         assert not iota_all(state).any()
 
     def test_constant_coefficients(self, small_spec, small_dataset):
@@ -123,15 +122,9 @@ class TestIota:
         c = 0.7
         for i, label in enumerate(small_dataset.labels):
             j_idx = 0 if label == 1 else 1
-            state.rho_bar[j_idx, :, i] = c
-        assert iota(state, small_dataset, 0) == pytest.approx(c**2, rel=1e-12)
+            state.rho[j_idx, :, i] = c
+        assert iota_all(state)[0] == pytest.approx(c**2, rel=1e-12)
         assert iota_all(state) == pytest.approx(np.full(len(small_dataset), c**2))
-
-    def test_index_out_of_range(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
-        with pytest.raises(IndexError):
-            iota(state, small_dataset, len(small_dataset))
 
 
 class TestRatioSummary:
@@ -144,7 +137,7 @@ class TestRatioSummary:
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
         state = CoefficientState.zeros(small_dataset, net)
         state.gamma[0, 0] = 0.5
-        state.rho_bar[0, 1, 2] = 4.0
+        state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry
         assert ratio_summary(state) == pytest.approx(8.0)
         assert ratio_summary(state, aggregation="mean") > 0
 
@@ -153,14 +146,3 @@ class TestRatioSummary:
         state = CoefficientState.zeros(small_dataset, net)
         with pytest.raises(ValueError):
             ratio_summary(state, aggregation="median")
-
-
-def test_sign_pattern_report_counts(small_spec, small_dataset):
-    net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-    state = CoefficientState.zeros(small_dataset, net)
-    report = sign_pattern_report(state)
-    assert report["gamma_negative"] == 0
-    assert report["rho_bar_negative"] == 0
-    assert report["rho_under_positive"] == 0
-    state.gamma[0, 0] = -1e-3
-    assert sign_pattern_report(state)["gamma_negative"] == 1

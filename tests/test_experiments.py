@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
+from lngd.data import generate_dataset
 from lngd.experiments import (
     SweepGrid,
+    arm_noise_rng,
     axis_aligned_spec,
     run_dynamics,
     run_heatmap,
     run_noise_comparison,
     run_q_sweep,
 )
-from lngd.training import LabelNoiseSpec
+from lngd.network import init_network
+from lngd.streams import stream
+from lngd.training import Arm, LabelNoiseSpec, run_training
 
 SMALL = dict(n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20, log_stride=10, n_test=40)
 
@@ -144,6 +148,44 @@ class TestNoiseComparison:
         r0 = result["baseline"].trace.rows[0]
         r1 = result["arms"][0].trace.rows[0]
         assert r0.clean_train_loss == r1.clean_train_loss
+
+
+STACK_CASES = {
+    "eight_arms": (dict(SMALL), [
+        LabelNoiseSpec.flip(0.1), LabelNoiseSpec.flip(0.3), LabelNoiseSpec.flip(0.0),
+        LabelNoiseSpec.gaussian(1.0, 0.5), LabelNoiseSpec.gaussian(0.6, 1.0),
+        LabelNoiseSpec.uniform(-1.0, 2.0), LabelNoiseSpec.uniform(0.0, 2.0)]),
+    # The gaussian arm's outputs overflow at step 2; the standard arm runs on.
+    "one_arm_aborts": (dict(SMALL, n=8, eta=0.3), [LabelNoiseSpec.gaussian(0.0, 1e100)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACK_CASES))
+def test_stacked_arms_equal_solo_arms(tiny_spec, case):
+    shape, noise_list = STACK_CASES[case]
+    seed = 9
+    stacked = run_noise_comparison(tiny_spec, noise_list=noise_list, seed=seed, **shape)
+    arms = [stacked["baseline"], *stacked["arms"]]
+    assert len(arms) == len(noise_list) + 1
+    dataset = generate_dataset(tiny_spec, shape["n"], stream(seed, "data"))
+    test_dataset = generate_dataset(tiny_spec, shape["n_test"], stream(seed, "test"))
+    init = init_network(tiny_spec.d, shape["m"], shape["q"], shape["sigma_0"],
+                        stream(seed, "init"))
+    for idx, arm in enumerate(arms):
+        [solo] = run_training(init, dataset, test_dataset,
+                              [Arm(arm.label, arm.noise, arm_noise_rng(seed, idx, arm.noise))],
+                              eta=shape["eta"], steps=shape["steps"],
+                              log_stride=shape["log_stride"])
+        assert (arm.trace.aborted_at, arm.abort_reason) == (solo.trace.aborted_at,
+                                                            solo.abort_reason)
+        assert [(r.step, r.test_error_01) for r in arm.trace.rows] == \
+            [(r.step, r.test_error_01) for r in solo.trace.rows]
+        for ours, theirs in ((arm.state.gamma, solo.state.gamma),
+                             (arm.state.rho, solo.state.rho)):
+            assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
+    if case == "one_arm_aborts":
+        assert arms[1].trace.aborted_at == 2 and not arms[0].aborted
+        assert arms[0].trace.rows[-1].step == shape["steps"]
 
 
 class TestQSweep:

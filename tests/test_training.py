@@ -6,6 +6,7 @@ from lngd.experiments import axis_aligned_spec
 from lngd.network import full_batch_gradient, init_network
 from lngd.streams import stream
 from lngd.training import (
+    Arm,
     LabelNoiseSpec,
     RunAborted,
     TrainConfig,
@@ -89,9 +90,9 @@ class TestTrainStep:
         noise = LabelNoiseSpec.flip(0.1)
         eps = sample_multipliers(noise, 200, np.random.default_rng(7))
         train_step(oracle, ds, eps, 0.5, step=0)
-        run_training(engine, ds, ds, eta=0.5, steps=1, noise=noise, log_stride=1,
-                     noise_rng=np.random.default_rng(7))
-        rel = np.linalg.norm(engine.weights - oracle.weights) / np.linalg.norm(oracle.weights)
+        [arm] = run_training(engine, ds, ds, [Arm("lngd", noise, np.random.default_rng(7))],
+                             eta=0.5, steps=1, log_stride=1)
+        rel = np.linalg.norm(arm.net.weights - oracle.weights) / np.linalg.norm(oracle.weights)
         assert rel <= 1e-10
 
     def test_non_finite_abort(self, small_spec, small_dataset):
@@ -116,10 +117,9 @@ class TestRunTraining:
     def small_run(self, spec, ds, *, steps=30, noise=None, seed=4, eta=0.05):
         noise = noise or LabelNoiseSpec.none()
         net = init_network(spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        trace, state = run_training(net, ds, ds, eta=eta, steps=steps, noise=noise,
-                                    log_stride=10,
-                                    noise_rng=np.random.default_rng(seed))
-        return net, trace, state
+        [arm] = run_training(net, ds, ds, [Arm("arm", noise, np.random.default_rng(seed))],
+                             eta=eta, steps=steps, log_stride=10)
+        return arm.net, arm.trace, arm.state
 
     def test_zero_steps_logs_initial_row_only(self, small_spec, small_dataset):
         net, trace, state = self.small_run(small_spec, small_dataset, steps=0)
@@ -142,25 +142,28 @@ class TestRunTraining:
         _, trace, _ = self.small_run(small_spec, small_dataset, steps=50)
         assert trace.rho_bar_monotone_violations == 0
 
-    def test_abort_records_step_and_raises(self, small_spec, small_dataset):
+    def test_abort_records_step_and_reason(self, small_spec, small_dataset):
         # q = 4 with an absurd step size overflows the forward pass quickly.
         net = init_network(small_spec.d, 3, 4, 0.2, np.random.default_rng(9))
-        with pytest.raises(RunAborted) as info:
-            run_training(net, small_dataset, small_dataset, eta=1e80, steps=50,
-                         noise=LabelNoiseSpec.none(), log_stride=10)
-        assert info.value.trace.aborted_at == info.value.step
-        assert info.value.trace.aborted_at is not None
+        [arm] = run_training(net, small_dataset, small_dataset,
+                             [Arm("gd", LabelNoiseSpec.none())], eta=1e80, steps=50,
+                             log_stride=10)
+        assert arm.aborted
+        assert arm.trace.aborted_at is not None
+        assert arm.state.step == arm.trace.aborted_at
+        assert arm.abort_reason in ("non-finite network outputs",
+                                    "non-finite coefficient update")
 
     def test_non_finite_update_aborts_before_it_is_applied(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
         w0 = net.weights.copy()
-        with pytest.raises(RunAborted) as info:
-            run_training(net, small_dataset, small_dataset, eta=np.inf, steps=5,
-                         noise=LabelNoiseSpec.none(), log_stride=1)
-        assert info.value.step == 0
-        assert info.value.reason == "non-finite coefficient update"
-        assert not info.value.state.gamma.any()
-        assert np.array_equal(info.value.net.weights, w0)
+        [arm] = run_training(net, small_dataset, small_dataset,
+                             [Arm("gd", LabelNoiseSpec.none())], eta=np.inf, steps=5,
+                             log_stride=1)
+        assert arm.trace.aborted_at == 0
+        assert arm.abort_reason == "non-finite coefficient update"
+        assert not arm.state.gamma.any()
+        assert np.array_equal(arm.net.weights, w0)
 
     def test_flip_count_counts_negative_multipliers(self, small_spec, small_dataset):
         # Gaussian multipliers are never exactly -1; flip_count counts eps_i < 0.
@@ -175,8 +178,9 @@ class TestRunTraining:
     def test_noise_rng_required_for_stochastic_noise(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
         with pytest.raises(ValueError):
-            run_training(net, small_dataset, small_dataset, eta=0.1, steps=5,
-                         noise=LabelNoiseSpec.flip(0.5), log_stride=5)
+            run_training(net, small_dataset, small_dataset,
+                         [Arm("lngd", LabelNoiseSpec.flip(0.5))], eta=0.1, steps=5,
+                         log_stride=5)
 
 
 class TestTrainRun:
