@@ -118,8 +118,7 @@ def _emit_dynamics(result, config: FullConfig, sinks, args, command: str,
                    started: str) -> dict:
     artifacts = RunArtifactFiles(config=config, command=command, started_at=started)
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
-        if arm.trace is not None:
-            artifacts.traces[f"trace_{label}.csv"] = arm.trace
+        artifacts.traces[f"trace_{label}.csv"] = arm.trace
         if sinks.get(label):
             artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = sinks[label]
     artifacts.reports = {"dynamics": result.reports}
@@ -220,8 +219,7 @@ def _cmd_noise_compare(args) -> int:
     aborted = baseline.aborted
     for arm in result["arms"]:
         aborted = aborted or arm.aborted
-        if arm.trace is not None:
-            artifacts.traces[f"trace_{_slug(arm.label)}.csv"] = arm.trace
+        artifacts.traces[f"trace_{_slug(arm.label)}.csv"] = arm.trace
         rows.append({
             "noise": arm.label,
             "aborted": arm.aborted,
@@ -263,8 +261,7 @@ def _cmd_q_sweep(args) -> int:
     for q, res in results.items():
         for label, arm in (("standard", res.standard), ("label_noise", res.label_noise)):
             aborted = aborted or arm.aborted
-            if arm.trace is not None:
-                artifacts.traces[f"trace_q{q}_{label}.csv"] = arm.trace
+            artifacts.traces[f"trace_q{q}_{label}.csv"] = arm.trace
         entry = {
             "standard_accuracy": None if res.standard.aborted else res.standard.final_test_accuracy,
             "label_noise_accuracy": (None if res.label_noise.aborted
