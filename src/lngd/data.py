@@ -2,9 +2,9 @@
 
 Each sample carries two length-d patches: one equals ``label * mu`` (the
 signal), the other is a Gaussian noise vector drawn orthogonal to ``mu``.
-The noise is sampled by explicit projection of an isotropic Gaussian,
-which realizes the rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2)
-exactly at O(d) cost per draw.
+The noise is sampled by explicit projection of an isotropic Gaussian, in
+place, which realizes the rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2)
+exactly at O(d) cost per draw. A test set is drawn in 4 MiB row chunks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = [
     "SignalSpec",
     "Sample",
     "Dataset",
-    "sample_noise_vector",
+    "StreamedTestSet",
     "generate_dataset",
     "compute_snr",
     "dataset_to_json",
@@ -70,16 +70,23 @@ def compute_snr(spec: SignalSpec) -> float:
     return spec.mu_norm / (spec.sigma_p * np.sqrt(spec.d))
 
 
-def sample_noise_vector(spec: SignalSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one noise vector with covariance sigma_p^2 (I - mu mu^T / |mu|^2)."""
-    z = rng.standard_normal(spec.d)
-    return _project_noise(spec, z)
-
-
 def _project_noise(spec: SignalSpec, z: np.ndarray) -> np.ndarray:
-    """sigma_p * (z - mu <mu, z> / |mu|^2); works on (d,) or (n, d)."""
+    """z <- sigma_p * (z - mu <mu, z> / |mu|^2) in place, row by row: no (n, d) temporary.
+
+    Works on (d,) or (n, d); returns z.
+    """
     coeff = (z @ spec.mu) / spec.mu_norm_sq
-    return spec.sigma_p * (z - np.multiply.outer(coeff, spec.mu).reshape(z.shape))
+    for row, c in zip(np.atleast_2d(z), np.atleast_1d(coeff)):
+        row -= c * spec.mu
+    z *= spec.sigma_p
+    return z
+
+
+def _draw_labels_and_slots(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Rademacher labels, then uniform signal-patch slots: the first two draws of a set."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return np.where(rng.random(n) < 0.5, 1, -1), np.where(rng.random(n) < 0.5, 1, 2)
 
 
 @dataclass
@@ -108,31 +115,36 @@ class Sample:
 class Dataset:
     """Ordered collection of samples drawn from one SignalSpec.
 
-    ``noise_block``, when given, is the (n, d) array whose rows the samples'
-    noise vectors view; ``noise_matrix`` then returns it instead of a copy.
+    ``points`` (n + 1, d) holds xi_1..xi_n, then mu, so the training points'
+    products are one gemm with the noise rows (numpy computes X X^T alone
+    with syrk, whose last bits differ). ``generate_dataset`` draws into it.
     """
 
     samples: list[Sample]
     spec: SignalSpec
     seed_record: int
-    noise_block: np.ndarray | None = field(default=None, repr=False)
+    points: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.points is None:
+            self.points = np.vstack([s.noise_vector for s in self.samples] + [self.spec.mu])
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def noise_chunks(self):
+        """The noise block as one chunk: a Dataset read as a test set."""
+        return iter([self.noise_matrix])
 
     @cached_property
     def labels(self) -> np.ndarray:
         """(n,) vector of +/-1 labels."""
         return np.array([s.label for s in self.samples], dtype=np.float64)
 
-    @cached_property
+    @property
     def noise_matrix(self) -> np.ndarray:
         """(n, d) matrix whose rows are the per-sample noise vectors."""
-        if self.noise_block is not None:
-            return self.noise_block
-        if not self.samples:
-            return np.zeros((0, self.spec.d))
-        return np.ascontiguousarray(np.stack([s.noise_vector for s in self.samples]))
+        return self.points[:-1]
 
     @cached_property
     def xi_norms_sq(self) -> np.ndarray:
@@ -150,18 +162,40 @@ def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Data
     Draw order (labels, patch slots, noise block) is fixed; identical
     (spec, n, seed) inputs give bit-identical datasets.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    labels, slots = _draw_labels_and_slots(n, rng)
     seed_record = int(rng.bit_generator.seed_seq.entropy or 0)
-    labels = np.where(rng.random(n) < 0.5, 1, -1)
-    slots = np.where(rng.random(n) < 0.5, 1, 2)
-    noise = _project_noise(spec, rng.standard_normal((n, spec.d)))
+    points = np.empty((n + 1, spec.d))
+    noise = _project_noise(spec, rng.standard_normal(out=points[:n]))
+    points[n] = spec.mu
     samples = [
         Sample(label=int(labels[i]), signal_patch_index=int(slots[i]),
                noise_vector=noise[i], mu=spec.mu)
         for i in range(n)
     ]
-    return Dataset(samples=samples, spec=spec, seed_record=seed_record, noise_block=noise)
+    return Dataset(samples=samples, spec=spec, seed_record=seed_record, points=points)
+
+
+class StreamedTestSet:
+    """``generate_dataset(spec, n, rng)``'s points, the noise drawn for one pass in row chunks.
+
+    ``standard_normal`` fills sequentially, so the chunks hold the same
+    values and leave ``rng`` in the same state. Slots are drawn, then dropped.
+    """
+
+    CHUNK_VALUES = 2**19  # float64 values per chunk, 4 MiB; max(1, CHUNK_VALUES // d) rows
+
+    def __init__(self, spec: SignalSpec, n: int, rng: np.random.Generator):
+        self.labels = _draw_labels_and_slots(n, rng)[0].astype(np.float64)
+        rows = max(1, self.CHUNK_VALUES // spec.d)
+        self._chunks = (_project_noise(spec, rng.standard_normal((min(rows, n - a), spec.d)))
+                        for a in range(0, n, rows))  # lazy: draws on iteration
+
+    def noise_chunks(self):
+        """The projected noise rows as (k, d) blocks in draw order; a second call raises."""
+        chunks, self._chunks = self._chunks, None
+        if chunks is None:
+            raise RuntimeError("a streamed test set can be read only once")
+        return chunks
 
 
 # --- JSON serialization (run reproducibility) -------------------------------

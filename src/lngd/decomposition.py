@@ -142,12 +142,20 @@ class SpanProducts:
     span: np.ndarray  # (N, n + 1) <x, xi_i>/|xi_i|^2 in column i, <x, mu>/|mu|^2 in column n
 
     @classmethod
-    def of(cls, points: np.ndarray, dataset: Dataset, w0: np.ndarray) -> "SpanProducts":
+    def of(cls, chunks, rows: int, dataset: Dataset, w0: np.ndarray) -> "SpanProducts":
+        """Products of ``rows`` points, read one (k, d) block of ``chunks`` at a time."""
         spec = dataset.spec
-        span = np.empty((len(points), len(dataset) + 1))
-        np.divide(points @ dataset.noise_matrix.T, dataset.xi_norms_sq, out=span[:, :-1])
-        np.divide(points @ spec.mu, spec.mu_norm_sq, out=span[:, -1])
-        return cls(w0=points @ w0, span=span)
+        out = cls(w0=np.empty((rows, w0.shape[1])), span=np.empty((rows, len(dataset) + 1)))
+        start = 0
+        for x in chunks:
+            part = slice(start, start + len(x))
+            np.divide(x @ dataset.noise_matrix.T, dataset.xi_norms_sq, out=out.span[part, :-1])
+            np.divide(x @ spec.mu, spec.mu_norm_sq, out=out.span[part, -1])
+            np.matmul(x, w0, out=out.w0[part])
+            start = part.stop
+        if start != rows:
+            raise ValueError(f"chunks held {start} points, expected {rows}")
+        return out
 
     def preactivations(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(N, A, 2m) inner products <w_{j,r}, x> of every arm at the stacked ``coef``."""

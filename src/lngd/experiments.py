@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SignalSpec, generate_dataset
+from .data import Dataset, SignalSpec, StreamedTestSet, generate_dataset
 from .decomposition import iota_series
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
@@ -54,7 +54,6 @@ class DynamicsResult:
     standard: RunArtifacts
     label_noise: RunArtifacts
     dataset: Dataset
-    test_dataset: Dataset
     reports: dict = field(default_factory=dict)
 
 
@@ -66,19 +65,20 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
 def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
                  log_stride: int, n_test: int, observers: dict | None = None):
-    """Train one arm per noise spec on shared data/init/test; returns arms + data.
+    """Train one arm per noise spec on shared data/init/test; returns arms + dataset.
 
     The arms advance together in one ``run_training`` call; arm ``idx``
-    draws from its own multiplier stream.
+    draws from its own multiplier stream. The test set is streamed, not kept;
+    ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
     """
     dataset = generate_dataset(spec, n, stream(seed, "data"))
-    test_dataset = generate_dataset(spec, n_test, stream(seed, "test"))
+    test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
     init_net = init_network(spec.d, m, q, sigma_0, stream(seed, "init"))
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(noises)]
-    results = run_training(init_net, dataset, test_dataset, arms, eta=eta, steps=steps,
+    results = run_training(init_net, dataset, test_set, arms, eta=eta, steps=steps,
                            log_stride=log_stride)
-    return results, dataset, test_dataset
+    return results, dataset
 
 
 def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
@@ -86,7 +86,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                  n_test: int = 2000, epsilon: float = 0.05, c_test: float = 1.0,
                  observers: dict | None = None) -> DynamicsResult:
     """Standard GD and label-noise GD on identical data/init/test, with reports."""
-    arms, dataset, test_dataset = _paired_runs(
+    arms, dataset = _paired_runs(
         spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,
         noises=[("standard", LabelNoiseSpec.none()), ("label_noise", noise)],
         seed=seed, log_stride=log_stride, n_test=n_test, observers=observers,
@@ -116,7 +116,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
             }
         reports[arm.label] = entry
     return DynamicsResult(standard=standard, label_noise=label_noise, dataset=dataset,
-                          test_dataset=test_dataset, reports=reports)
+                          reports=reports)
 
 
 # --- SNR x n heatmap ----------------------------------------------------------
@@ -198,7 +198,7 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
     n = grid.n_values[col]
     spec = axis_aligned_spec(grid.mu_scale_for(snr), grid.sigma_p, grid.d)
     cell_seed = derive_seed(grid.master_seed, row, col, seed_index)
-    arms, _, _ = _paired_runs(
+    arms, _ = _paired_runs(
         spec, n=n, m=grid.m, q=grid.q, sigma_0=grid.sigma_0, eta=grid.eta,
         steps=grid.steps,
         noises=[("standard", LabelNoiseSpec.none()),
@@ -278,12 +278,11 @@ def run_noise_comparison(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: f
     """One label-noise arm per spec plus a standard-GD baseline, all matched."""
     noises = [("standard", LabelNoiseSpec.none())]
     noises += [(ns.describe(), ns) for ns in noise_list]
-    arms, dataset, test_dataset = _paired_runs(
+    arms, dataset = _paired_runs(
         spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps, noises=noises,
         seed=seed, log_stride=log_stride, n_test=n_test,
     )
-    return {"baseline": arms[0], "arms": arms[1:], "dataset": dataset,
-            "test_dataset": test_dataset}
+    return {"baseline": arms[0], "arms": arms[1:], "dataset": dataset}
 
 
 Q_SWEEP_DEFAULTS = {

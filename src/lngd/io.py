@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import copysign
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,6 +42,11 @@ def _fmt_value(x) -> str:
     return fmt_float(x)
 
 
+def _fmt_coef(x: float) -> str:
+    """fmt_float(x), with an exact +0.0 written as "0" without a format call."""
+    return "0" if x == 0.0 and copysign(1.0, x) > 0 else "%.17g" % x
+
+
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -62,17 +68,17 @@ def write_coefficients_csv(snapshots, path: Path) -> None:
 
     ``snapshots`` is a list of (step, gamma(2, m), rho_bar(2, m, n),
     rho_under(2, m, n)) tuples, typically strided more coarsely than the
-    trace to bound file size. Values are written as ``fmt_float`` writes them.
+    trace to bound file size. Values are written as ``fmt_float`` writes them,
+    gamma once per (j, r).
     """
-    row = "%d,%d,%d,%d,%.17g,%.17g,%.17g\n"
     with open(path, "w", newline="\n") as fh:
         fh.write("step,j,r,i,gamma,rho_bar,rho_under\n")
         for step, gamma, rho_bar, rho_under in snapshots:
-            shape = rho_bar.shape
-            b, r, i = np.indices(shape).reshape(3, -1)
-            columns = (np.full(b.size, step), 1 - 2 * b, r, i,
-                       np.repeat(gamma.ravel(), shape[2]), rho_bar.ravel(), rho_under.ravel())
-            fh.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))
+            for b, r in np.ndindex(gamma.shape):
+                head, g = f"{step},{1 - 2 * b},{r}", fmt_float(gamma[b, r])
+                pairs = zip(rho_bar[b, r].tolist(), rho_under[b, r].tolist())
+                fh.write("".join([f"{head},{i},{g},{_fmt_coef(x)},{_fmt_coef(y)}\n"
+                                  for i, (x, y) in enumerate(pairs)]))
 
 
 def write_coefficient_summary_csv(snapshots, path: Path) -> None:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SignalSpec, generate_dataset
+from .data import Dataset, SignalSpec, StreamedTestSet, generate_dataset
 from .decomposition import (
     LABEL_SIGN,
     CoefficientStack,
@@ -338,13 +338,15 @@ def _outputs(pre, signal_sum, label_rows, q, branch_sign, act=None):
     return f, r_q1
 
 
-def run_training(net: Network, dataset: Dataset, test_dataset: Dataset, arms: list[Arm], *,
-                 eta: float, steps: int, log_stride: int = 10) -> list[RunArtifacts]:
+def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTestSet,
+                 arms: list[Arm], *, eta: float, steps: int,
+                 log_stride: int = 10) -> list[RunArtifacts]:
     """Train every arm from ``net``'s weights; log a row every log_stride steps plus the final step.
 
-    The arms share the dataset, the init and the test set and advance as one
-    stacked coefficient state; each draws its multipliers from its own stream
-    and keeps its own trace, observer and state. The row at step t reflects
+    The arms share the dataset, the init and the test set (read once through
+    ``labels`` and ``noise_chunks()``) and advance as one stacked coefficient
+    state; each draws its multipliers from its own stream and keeps its own
+    trace, observer and state. The row at step t reflects
     the state after t updates and the multiplier vector drawn for step t (the
     loss the optimizer is about to descend). ``observer(step, state, dataset,
     row)`` runs at every logged step; one that needs weights rebuilds them
@@ -356,12 +358,11 @@ def run_training(net: Network, dataset: Dataset, test_dataset: Dataset, arms: li
     for arm in arms:
         if arm.noise.kind != "none" and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
-    # Inner products computed once: training points xi_1..xi_n and mu, then the test points.
-    points = np.vstack([dataset.noise_matrix, dataset.spec.mu])
-    train = SpanProducts.of(points, dataset, net.weights)
-    test = SpanProducts.of(test_dataset.noise_matrix, dataset, net.weights)
-    labels, test_labels = dataset.labels, test_dataset.labels
     q, n, m = net.q, len(dataset), net.m
+    # Inner products computed once: training points xi_1..xi_n and mu, then the test points.
+    train = SpanProducts.of([dataset.points], n + 1, dataset, net.weights)
+    test = SpanProducts.of(test_set.noise_chunks(), len(test_set.labels), dataset, net.weights)
+    labels, test_labels = dataset.labels, test_set.labels
     stack = CoefficientStack(dataset, net.weights, len(arms))
     sign = stack.branch_sign
     traces = [TrainTrace(n=n, d=dataset.spec.d, noise_kind=arm.noise.kind) for arm in arms]
@@ -437,9 +438,9 @@ def train_run(config: TrainConfig, spec: SignalSpec, n: int, m: int, q: int,
     noise_rng = stream(config.seed, "label_noise")
     test_rng = stream(config.seed, "test")
     dataset = generate_dataset(spec, n, data_rng)
-    test_dataset = generate_dataset(spec, config.n_test, test_rng)
+    test_set = StreamedTestSet(spec, config.n_test, test_rng)
     net = init_network(spec.d, m, q, sigma_0, init_rng)
-    [arm] = run_training(net, dataset, test_dataset,
+    [arm] = run_training(net, dataset, test_set,
                          [Arm("train", config.noise, noise_rng, observer)],
                          eta=config.eta, steps=config.steps, log_stride=config.log_stride)
     if arm.aborted:

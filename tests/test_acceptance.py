@@ -43,6 +43,7 @@ from lngd.theory import (
     coefficient_envelope_monitor,
     stage2_boundedness_check,
 )
+from lngd.streams import stream
 from lngd.training import LabelNoiseSpec, OracleReplay
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -104,12 +105,13 @@ def test_engine_agrees_with_weight_space_oracle(section5_runs):
     worst = 0.0
     mismatched = []
     for seed, (res, checks) in section5_runs.items():
+        test_dataset = generate_dataset(spec5(), S5["n_test"], stream(seed, "test"))
         for arm in (res.standard, res.label_noise):
             oracle = checks[arm.label]["oracle"]
             rel = (np.linalg.norm(arm.net.weights - oracle.weights)
                    / np.linalg.norm(oracle.weights))
             worst = max(worst, rel)
-            if arm.trace.final.test_error_01 != zero_one_error(oracle, res.test_dataset):
+            if arm.trace.final.test_error_01 != zero_one_error(oracle, test_dataset):
                 mismatched.append((seed, arm.label))
     assert worst <= 1e-12, f"worst relative weight gap {worst:.3e}"
     assert not mismatched, f"final test error differs from the oracle's: {mismatched}"

@@ -3,13 +3,14 @@ import pytest
 
 from lngd.data import (
     SignalSpec,
+    StreamedTestSet,
     compute_snr,
     dataset_from_json,
     dataset_to_json,
     generate_dataset,
-    sample_noise_vector,
 )
 from lngd.data import _project_noise
+from lngd.decomposition import SpanProducts
 from lngd.experiments import axis_aligned_spec
 
 
@@ -44,7 +45,7 @@ class TestNoiseVector:
         spec = SignalSpec(mu=np.array([1.0, 2.0, -0.5]), sigma_p=2.0, d=3)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            xi = sample_noise_vector(spec, rng)
+            xi = _project_noise(spec, rng.standard_normal(spec.d))
             assert abs(xi @ spec.mu) <= 1e-9 * spec.mu_norm * np.linalg.norm(xi)
 
     def test_norm_concentration_at_scale(self):
@@ -110,6 +111,40 @@ class TestGenerateDataset:
         assert np.array_equal(ds.noise_matrix, noise)
         assert ds.noise_matrix.flags.c_contiguous
         assert all(np.shares_memory(ds.noise_matrix, s.noise_vector) for s in ds.samples)
+
+    @pytest.mark.parametrize("d, n_test", [(60, 1), (60, 50), (2000, 600), (100_000, 13)],
+                             ids=["one_point", "under_one_chunk", "ragged_last_chunk",
+                                  "few_rows_per_chunk"])
+    def test_streamed_test_set_matches_one_block_draw(self, d, n_test):
+        # The streamed draw reads the same points from the same stream as
+        # generate_dataset, in chunks of at most CHUNK_VALUES // d rows. Row
+        # blocks can change which BLAS kernel computes a row, so the span
+        # coordinates are held to 1e-12. The init projections are held to
+        # identity at the width of the reference configs (m = 20); at 2m <= 6
+        # and d >= 2000 their last bits can differ as well.
+        spec = axis_aligned_spec(1.5, 0.5, d)
+        train = generate_dataset(spec, 6, np.random.default_rng(3))
+        w0 = np.random.default_rng(4).standard_normal((d, 40))
+        block_rng, stream_rng = np.random.default_rng(8), np.random.default_rng(8)
+        block = generate_dataset(spec, n_test, block_rng)
+        streamed = StreamedTestSet(spec, n_test, stream_rng)
+        sizes = []
+
+        def counted(chunks):
+            for x in chunks:
+                sizes.append(len(x))
+                yield x
+
+        got = SpanProducts.of(counted(streamed.noise_chunks()), n_test, train, w0)
+        want = SpanProducts.of(block.noise_chunks(), n_test, train, w0)
+        rows = max(1, StreamedTestSet.CHUNK_VALUES // d)
+        assert sum(sizes) == n_test and max(sizes) == min(n_test, rows)
+        assert np.array_equal(streamed.labels, block.labels)
+        assert np.array_equal(got.w0, want.w0)
+        assert np.abs(got.span - want.span).max() <= 1e-12 * np.abs(want.span).max()
+        assert stream_rng.random() == block_rng.random()
+        with pytest.raises(RuntimeError):
+            streamed.noise_chunks()
 
     def test_pairwise_overlap_concentration(self):
         # |<xi_i, xi_j>| <= 2 sigma_p^2 sqrt(d log(4 n^2 / delta)) in >= 99%
