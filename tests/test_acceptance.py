@@ -36,6 +36,7 @@ from lngd.experiments import (
 from lngd.io import RunArtifactFiles, emit_outputs
 from lngd.network import full_batch_gradient, init_network, logistic_loss, zero_one_error
 from lngd.network import _batch_outputs
+from lngd.streams import stream
 from lngd.theory import (
     concentration_suite,
     estimate_stage_times,
@@ -43,7 +44,6 @@ from lngd.theory import (
     coefficient_envelope_monitor,
     stage2_boundedness_check,
 )
-from lngd.streams import stream
 from lngd.training import LabelNoiseSpec, OracleReplay
 
 SEEDS = (1, 2, 3, 4, 5)
