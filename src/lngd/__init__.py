@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .data import (
     Dataset,
-    Sample,
     SignalSpec,
     compute_snr,
     generate_dataset,
@@ -21,8 +20,6 @@ from .network import (
     Network,
     activation,
     activation_derivative,
-    clean_batch_loss,
-    forward,
     full_batch_gradient,
     init_network,
     logistic_loss,
@@ -41,18 +38,15 @@ from .theory import (
 from .training import (
     LabelNoiseSpec,
     RunAborted,
-    TrainConfig,
     TrainTrace,
     TraceRow,
     sample_multipliers,
-    train_run,
     train_step,
 )
 
 __all__ = [
     "__version__",
     "Dataset",
-    "Sample",
     "SignalSpec",
     "compute_snr",
     "generate_dataset",
@@ -65,8 +59,6 @@ __all__ = [
     "Network",
     "activation",
     "activation_derivative",
-    "clean_batch_loss",
-    "forward",
     "full_batch_gradient",
     "init_network",
     "logistic_loss",
@@ -81,10 +73,8 @@ __all__ = [
     "empirical_verdicts",
     "LabelNoiseSpec",
     "RunAborted",
-    "TrainConfig",
     "TrainTrace",
     "TraceRow",
     "sample_multipliers",
-    "train_run",
     "train_step",
 ]

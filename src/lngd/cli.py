@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,7 @@ def _make_snapshot_observers(config: FullConfig):
     return sinks, {label: make(label) for label in sinks}
 
 
-def _cmd_check(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
+def _cmd_check(args, config: FullConfig) -> int:
     report = check_assumptions(_spec_of(config), config.n, config.m, config.eta,
                                config.sigma_0, config.p)
     print(f"assumption report for {args.config} (all_passed={report.all_passed})")
@@ -114,28 +114,33 @@ def _cmd_check(args) -> int:
     return EXIT_OK  # report-only by contract, even when items fail
 
 
-def _emit_dynamics(result, config: FullConfig, sinks, args, command: str,
-                   started: str) -> dict:
+# The run commands return (files to emit, whether an arm aborted, the
+# --assert failure message or None); _run_command emits and picks the exit code.
+
+
+def _paired_dynamics(config: FullConfig, observers: dict):
+    return run_dynamics(
+        _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
+        eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
+        log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
+        c_test=config.c_test, observers=observers,
+    )
+
+
+def _dynamics_files(result, config: FullConfig, sinks, command: str,
+                    started: str) -> RunArtifactFiles:
     artifacts = RunArtifactFiles(config=config, command=command, started_at=started)
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         artifacts.traces[f"trace_{label}.csv"] = arm.trace
         if sinks.get(label):
             artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = sinks[label]
     artifacts.reports = {"dynamics": result.reports}
-    return emit_outputs(artifacts, _out_dir(args, config), force=args.force)
+    return artifacts
 
 
-def _cmd_dynamics(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
-    started = now_utc()
+def _cmd_dynamics(config: FullConfig, started: str):
     sinks, observers = _make_snapshot_observers(config)
-    result = run_dynamics(
-        _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
-        eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
-        log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
-        c_test=config.c_test, observers=observers,
-    )
-    _emit_dynamics(result, config, sinks, args, "dynamics", started)
+    result = _paired_dynamics(config, observers)
     aborted = result.standard.aborted or result.label_noise.aborted
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         if arm.aborted:
@@ -143,22 +148,15 @@ def _cmd_dynamics(args) -> int:
         else:
             print(f"{label}: final clean loss {arm.final_clean_loss:.4f}, "
                   f"test accuracy {arm.final_test_accuracy:.4f}")
-    if aborted:
-        return EXIT_ABORTED
-    if args.assert_:
-        verdicts = [result.reports[label]["verdicts"]["passed"]
-                    for label in ("standard", "label_noise")]
-        if not all(verdicts):
-            print("assert: empirical verdicts failed", file=sys.stderr)
-            return EXIT_ASSERT
-    return EXIT_OK
+    failed = not aborted and not all(result.reports[label]["verdicts"]["passed"]
+                                     for label in ("standard", "label_noise"))
+    return (_dynamics_files(result, config, sinks, "dynamics", started), aborted,
+            "empirical verdicts failed" if failed else None)
 
 
-def _cmd_heatmap(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
+def _cmd_heatmap(config: FullConfig, started: str):
     if config.grid is None:
         raise ConfigError("heatmap requires a 'grid' section in the config")
-    started = now_utc()
     grid = SweepGrid(
         snr_values=tuple(config.grid["snr_values"]),
         n_values=tuple(config.grid["n_values"]),
@@ -169,8 +167,7 @@ def _cmd_heatmap(args) -> int:
         sigma_p=config.sigma_p, p=config.p, n_test=config.n_test,
         master_seed=config.seed,
     )
-    workers = args.workers if args.workers else config.workers
-    result = run_heatmap(grid, workers=workers)
+    result = run_heatmap(grid, workers=config.workers)
     cells = sorted(result.cells.items())
     worst_gap = min(
         (c.label_noise_mean - c.standard_mean for _, c in cells if c.standard_accuracies),
@@ -187,26 +184,19 @@ def _cmd_heatmap(args) -> int:
             for _, c in cells
         ],
     }
-    artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
-                                 reports={"heatmap": report}, heatmap=result)
-    emit_outputs(artifacts, _out_dir(args, config), force=args.force)
     for _, c in cells:
         print(f"snr={c.snr:g} n={c.n}: standard {c.standard_mean:.4f} "
               f"label_noise {c.label_noise_mean:.4f}")
-    if any(c.errors for _, c in cells):
-        return EXIT_ABORTED
-    if args.assert_ and not (worst_gap >= -0.02):
-        print(f"assert: label-noise GD worse than standard GD by {-worst_gap:.4f} "
-              "in some cell", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
+                                 reports={"heatmap": report}, heatmap=result)
+    return (artifacts, any(c.errors for _, c in cells),
+            None if worst_gap >= -0.02 else
+            f"label-noise GD worse than standard GD by {-worst_gap:.4f} in some cell")
 
 
-def _cmd_noise_compare(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
+def _cmd_noise_compare(config: FullConfig, started: str):
     if not config.noise_list:
         raise ConfigError("noise-compare requires a 'noise_list' section in the config")
-    started = now_utc()
     result = run_noise_comparison(
         _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
         eta=config.eta, steps=config.steps, noise_list=list(config.noise_list),
@@ -226,34 +216,20 @@ def _cmd_noise_compare(args) -> int:
             "final_test_accuracy": None if arm.aborted else arm.final_test_accuracy,
             "final_clean_loss": None if arm.aborted else arm.final_clean_loss,
         })
-    report = {
-        "baseline_accuracy": None if baseline.aborted else baseline.final_test_accuracy,
-        "arms": rows,
-    }
-    artifacts.reports = {"noise_compare": report}
-    emit_outputs(artifacts, _out_dir(args, config), force=args.force)
-    print(f"standard baseline: accuracy "
-          f"{report['baseline_accuracy'] if report['baseline_accuracy'] is not None else 'aborted'}")
+    base = None if baseline.aborted else baseline.final_test_accuracy
+    artifacts.reports = {"noise_compare": {"baseline_accuracy": base, "arms": rows}}
+    print(f"standard baseline: accuracy {base if base is not None else 'aborted'}")
     for row in rows:
         print(f"  {row['noise']}: accuracy {row['final_test_accuracy']}")
-    if aborted:
-        return EXIT_ABORTED
-    if args.assert_:
-        base = report["baseline_accuracy"]
-        if any(row["final_test_accuracy"] < base - 0.02 for row in rows):
-            print("assert: a label-noise arm trails the baseline by more than 0.02",
-                  file=sys.stderr)
-            return EXIT_ASSERT
-    return EXIT_OK
+    trails = not aborted and any(row["final_test_accuracy"] < base - 0.02 for row in rows)
+    return (artifacts, aborted,
+            "a label-noise arm trails the baseline by more than 0.02" if trails else None)
 
 
-def _cmd_q_sweep(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
-    qs = config.q_list or (2, 3, 4)
-    started = now_utc()
-    results = run_q_sweep(qs, d=config.d, sigma_0=config.sigma_0, steps=config.steps,
-                          p=config.p, seed=config.seed, log_stride=config.log_stride,
-                          n_test=config.n_test)
+def _cmd_q_sweep(config: FullConfig, started: str):
+    results = run_q_sweep(config.q_list or (2, 3, 4), d=config.d, sigma_0=config.sigma_0,
+                          steps=config.steps, p=config.p, seed=config.seed,
+                          log_stride=config.log_stride, n_test=config.n_test)
     artifacts = RunArtifactFiles(config=config, command="q-sweep", started_at=started)
     report = {}
     aborted = False
@@ -274,21 +250,14 @@ def _cmd_q_sweep(args) -> int:
         print(f"q={q}: standard {entry['standard_accuracy']} "
               f"label_noise {entry['label_noise_accuracy']}")
     artifacts.reports = {"q_sweep": report}
-    emit_outputs(artifacts, _out_dir(args, config), force=args.force)
-    if aborted:
-        return EXIT_ABORTED
-    if args.assert_ and not ordering_ok:
-        print("assert: label-noise GD lost the ordering in some q", file=sys.stderr)
-        return EXIT_ASSERT
-    return EXIT_OK
+    return (artifacts, aborted,
+            None if ordering_ok else "label-noise GD lost the ordering in some q")
 
 
-def _cmd_concentration(args) -> int:
-    config = parse_config(args.config, overrides={"seed": args.seed})
-    trials = args.trials if args.trials else config.trials
+def _cmd_concentration(args, config: FullConfig) -> int:
     report = concentration_suite(
         _spec_of(config), n=config.n, m=config.m, sigma_0=config.sigma_0, p=config.p,
-        trials=trials, delta=config.delta, seed=config.seed,
+        trials=config.trials, delta=config.delta, seed=config.seed,
     )
     for name in ("noise_geometry", "init_inner_products", "flip_count_per_step",
                  "flip_count_per_sample"):
@@ -328,22 +297,13 @@ def _cmd_decompose(args) -> int:
 
         return observer
 
-    result = run_dynamics(
-        _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
-        eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
-        log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
-        c_test=config.c_test,
-        observers={label: recon_observer(idx, label, noise)
-                   for idx, (label, noise) in enumerate(arms)},
-    )
+    result = _paired_dynamics(config, {label: recon_observer(idx, label, noise)
+                                       for idx, (label, noise) in enumerate(arms)})
     # Re-emit into a scratch area to compare digests against the manifest.
-    import tempfile
-
+    files = _dynamics_files(result, config, sinks, manifest.get("command", "dynamics"),
+                            now_utc())
     with tempfile.TemporaryDirectory() as tmp:
-        inventory = _emit_dynamics(result, config, sinks,
-                                   argparse.Namespace(out=tmp, force=True,
-                                                      command="decompose"),
-                                   manifest.get("command", "dynamics"), now_utc())
+        inventory = emit_outputs(files, tmp, force=True)
     recorded = manifest.get("files", {})
     matches = {
         name: recorded.get(name) == digest
@@ -372,15 +332,31 @@ def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
-_HANDLERS = {
-    "check": _cmd_check,
+_RUNS = {
     "dynamics": _cmd_dynamics,
     "heatmap": _cmd_heatmap,
     "noise-compare": _cmd_noise_compare,
     "q-sweep": _cmd_q_sweep,
-    "concentration": _cmd_concentration,
-    "decompose": _cmd_decompose,
 }
+_REPORTS = {"check": _cmd_check, "concentration": _cmd_concentration}
+
+
+def _run_command(args) -> int:
+    if args.command == "decompose":
+        return _cmd_decompose(args)
+    config = parse_config(args.config, overrides={
+        "seed": args.seed, "trials": getattr(args, "trials", None),
+        "workers": getattr(args, "workers", None)})
+    if args.command in _REPORTS:
+        return _REPORTS[args.command](args, config)
+    files, aborted, failure = _RUNS[args.command](config, now_utc())
+    emit_outputs(files, _out_dir(args, config), force=args.force)
+    if aborted:
+        return EXIT_ABORTED
+    if args.assert_ and failure:
+        print(f"assert: {failure}", file=sys.stderr)
+        return EXIT_ASSERT
+    return EXIT_OK
 
 
 def main_cli(argv=None) -> int:
@@ -395,7 +371,7 @@ def main_cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return _run_command(args)
     except (ConfigError, EmitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,15 +1,17 @@
-"""Two-patch signal-noise data model.
+"""Two-patch signal-noise data model, held as arrays.
 
-Each sample carries two length-d patches: one equals ``label * mu`` (the
-signal), the other is a Gaussian noise vector drawn orthogonal to ``mu``.
-The noise is sampled by explicit projection of an isotropic Gaussian, in
-place, which realizes the rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2)
-exactly at O(d) cost per draw. A test set is drawn in 4 MiB row chunks.
+A data point has two length-d patches: ``label * mu`` (the signal) and a
+Gaussian noise vector xi drawn orthogonal to ``mu``. The network sums over
+both patches with shared filters, so a point is fully described by its
+label and its noise row: a ``Dataset`` is the (n,) labels and the
+(n + 1, d) block of noise rows followed by mu. The noise is sampled by
+explicit projection of an isotropic Gaussian, in place, which realizes the
+rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2) exactly at O(d) cost
+per draw. A test set is drawn in 4 MiB row chunks.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -17,17 +19,14 @@ import numpy as np
 
 __all__ = [
     "SignalSpec",
-    "Sample",
     "Dataset",
     "StreamedTestSet",
     "generate_dataset",
     "compute_snr",
-    "dataset_to_json",
-    "dataset_from_json",
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignalSpec:
     """Generative model parameters: signal direction, noise strength, dimension."""
 
@@ -55,15 +54,6 @@ class SignalSpec:
     def mu_norm_sq(self) -> float:
         return float(self.mu @ self.mu)
 
-    def __eq__(self, other):
-        if not isinstance(other, SignalSpec):
-            return NotImplemented
-        return (
-            self.d == other.d
-            and self.sigma_p == other.sigma_p
-            and np.array_equal(self.mu, other.mu)
-        )
-
 
 def compute_snr(spec: SignalSpec) -> float:
     """Signal-to-noise ratio |mu| / (sigma_p * sqrt(d))."""
@@ -82,68 +72,43 @@ def _project_noise(spec: SignalSpec, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _draw_labels_and_slots(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Rademacher labels, then uniform signal-patch slots: the first two draws of a set."""
+def _draw_labels(n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n,) Rademacher labels, the first draw of a set.
+
+    The second draw, which patch holds the signal, is made and dropped:
+    the network sums both patches with shared filters, so the order carries
+    no information, but the draw keeps every later value of the stream.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return np.where(rng.random(n) < 0.5, 1, -1), np.where(rng.random(n) < 0.5, 1, 2)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    rng.random(n)
+    return labels
 
 
-@dataclass
-class Sample:
-    """One data point. The signal patch is computed from (label, mu) on access."""
-
-    label: int
-    signal_patch_index: int  # 1 or 2
-    noise_vector: np.ndarray
-    mu: np.ndarray = field(repr=False)
-
-    @property
-    def signal_patch(self) -> np.ndarray:
-        return self.label * self.mu
-
-    @property
-    def patch1(self) -> np.ndarray:
-        return self.signal_patch if self.signal_patch_index == 1 else self.noise_vector
-
-    @property
-    def patch2(self) -> np.ndarray:
-        return self.signal_patch if self.signal_patch_index == 2 else self.noise_vector
-
-
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Ordered collection of samples drawn from one SignalSpec.
+    """n points drawn from one SignalSpec: labels (n,) and the (n + 1, d) ``points`` block.
 
-    ``points`` (n + 1, d) holds xi_1..xi_n, then mu, so the training points'
-    products are one gemm with the noise rows (numpy computes X X^T alone
-    with syrk, whose last bits differ). ``generate_dataset`` draws into it.
+    ``points`` holds xi_1..xi_n, then mu, so the training points' products
+    are one gemm with the noise rows (numpy computes X X^T alone with syrk,
+    whose last bits differ). ``generate_dataset`` draws into it.
     """
 
-    samples: list[Sample]
+    labels: np.ndarray
+    points: np.ndarray = field(repr=False)
     spec: SignalSpec
-    seed_record: int
-    points: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.points is None:
-            self.points = np.vstack([s.noise_vector for s in self.samples] + [self.spec.mu])
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
     def noise_chunks(self):
         """The noise block as one chunk: a Dataset read as a test set."""
         return iter([self.noise_matrix])
 
-    @cached_property
-    def labels(self) -> np.ndarray:
-        """(n,) vector of +/-1 labels."""
-        return np.array([s.label for s in self.samples], dtype=np.float64)
-
     @property
     def noise_matrix(self) -> np.ndarray:
-        """(n, d) matrix whose rows are the per-sample noise vectors."""
+        """(n, d) matrix whose rows are the per-point noise vectors."""
         return self.points[:-1]
 
     @cached_property
@@ -151,41 +116,31 @@ class Dataset:
         """(n,) squared norms |xi_i|^2."""
         return np.einsum("ij,ij->i", self.noise_matrix, self.noise_matrix)
 
-    @cached_property
-    def patch_index(self) -> np.ndarray:
-        return np.array([s.signal_patch_index for s in self.samples], dtype=np.int64)
-
 
 def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Dataset:
-    """Draw n samples: Rademacher labels, uniform patch order, projected noise.
+    """Draw n points: Rademacher labels, then projected noise.
 
     Draw order (labels, patch slots, noise block) is fixed; identical
     (spec, n, seed) inputs give bit-identical datasets.
     """
-    labels, slots = _draw_labels_and_slots(n, rng)
-    seed_record = int(rng.bit_generator.seed_seq.entropy or 0)
+    labels = _draw_labels(n, rng)
     points = np.empty((n + 1, spec.d))
-    noise = _project_noise(spec, rng.standard_normal(out=points[:n]))
+    _project_noise(spec, rng.standard_normal(out=points[:n]))
     points[n] = spec.mu
-    samples = [
-        Sample(label=int(labels[i]), signal_patch_index=int(slots[i]),
-               noise_vector=noise[i], mu=spec.mu)
-        for i in range(n)
-    ]
-    return Dataset(samples=samples, spec=spec, seed_record=seed_record, points=points)
+    return Dataset(labels=labels, points=points, spec=spec)
 
 
 class StreamedTestSet:
     """``generate_dataset(spec, n, rng)``'s points, the noise drawn for one pass in row chunks.
 
     ``standard_normal`` fills sequentially, so the chunks hold the same
-    values and leave ``rng`` in the same state. Slots are drawn, then dropped.
+    values and leave ``rng`` in the same state.
     """
 
     CHUNK_VALUES = 2**19  # float64 values per chunk, 4 MiB; max(1, CHUNK_VALUES // d) rows
 
     def __init__(self, spec: SignalSpec, n: int, rng: np.random.Generator):
-        self.labels = _draw_labels_and_slots(n, rng)[0].astype(np.float64)
+        self.labels = _draw_labels(n, rng)
         rows = max(1, self.CHUNK_VALUES // spec.d)
         self._chunks = (_project_noise(spec, rng.standard_normal((min(rows, n - a), spec.d)))
                         for a in range(0, n, rows))  # lazy: draws on iteration
@@ -196,48 +151,3 @@ class StreamedTestSet:
         if chunks is None:
             raise RuntimeError("a streamed test set can be read only once")
         return chunks
-
-
-# --- JSON serialization (run reproducibility) -------------------------------
-# Layout: {"format": "lngd-dataset-v1", "spec": {...}, "seed_record": int,
-#          "samples": [{"label", "signal_patch_index", "noise_vector"}]}
-
-_DATASET_FORMAT = "lngd-dataset-v1"
-
-
-def dataset_to_json(ds: Dataset) -> str:
-    payload = {
-        "format": _DATASET_FORMAT,
-        "spec": {"mu": ds.spec.mu.tolist(), "sigma_p": ds.spec.sigma_p, "d": ds.spec.d},
-        "seed_record": ds.seed_record,
-        "samples": [
-            {
-                "label": s.label,
-                "signal_patch_index": s.signal_patch_index,
-                "noise_vector": s.noise_vector.tolist(),
-            }
-            for s in ds.samples
-        ],
-    }
-    return json.dumps(payload)
-
-
-def dataset_from_json(text: str) -> Dataset:
-    payload = json.loads(text)
-    if payload.get("format") != _DATASET_FORMAT:
-        raise ValueError(f"unsupported dataset format: {payload.get('format')!r}")
-    spec = SignalSpec(
-        mu=np.array(payload["spec"]["mu"], dtype=np.float64),
-        sigma_p=float(payload["spec"]["sigma_p"]),
-        d=int(payload["spec"]["d"]),
-    )
-    samples = [
-        Sample(
-            label=int(s["label"]),
-            signal_patch_index=int(s["signal_patch_index"]),
-            noise_vector=np.array(s["noise_vector"], dtype=np.float64),
-            mu=spec.mu,
-        )
-        for s in payload["samples"]
-    ]
-    return Dataset(samples=samples, spec=spec, seed_record=int(payload["seed_record"]))

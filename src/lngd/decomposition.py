@@ -209,13 +209,12 @@ def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
     return bad
 
 
-def reconstruct_weights(state: CoefficientState, dataset: Dataset, mu: np.ndarray | None = None):
+def reconstruct_weights(state: CoefficientState, dataset: Dataset):
     """Rebuild (w_plus, w_minus) from w0 and the coefficients.
 
     w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i rho_{j,r,i} xi_i/|xi_i|^2
     """
-    if mu is None:
-        mu = dataset.spec.mu
+    mu = dataset.spec.mu
     mu_unit = mu / (mu @ mu)
     m, n = state.m, state.n
     xi_scaled = dataset.noise_matrix / state.xi_norms_sq[:, None]  # (n, d)
@@ -225,9 +224,8 @@ def reconstruct_weights(state: CoefficientState, dataset: Dataset, mu: np.ndarra
     return w[:, :m], w[:, m:]
 
 
-def projection_check(net: Network, state: CoefficientState, dataset: Dataset,
-                     mu: np.ndarray | None = None, *, delta: float = 0.01,
-                     t_star: int | None = None) -> dict:
+def projection_check(net: Network, state: CoefficientState, dataset: Dataset, *,
+                     delta: float = 0.01, t_star: int | None = None) -> dict:
     """Compare coefficients against direct projections of the weight displacement.
 
     The gamma comparison <w - w0, j mu> - gamma_{j,r} is exact up to rounding
@@ -235,8 +233,7 @@ def projection_check(net: Network, state: CoefficientState, dataset: Dataset,
     cross-terms <xi_i, xi_i'> and is judged against the theoretical slack
     8 sqrt(log(4 n^2 / delta) / d) * n * alpha with alpha = 4 log(t_star).
     """
-    if mu is None:
-        mu = dataset.spec.mu
+    mu = dataset.spec.mu
     n, m = state.n, state.m
     disp = net.weights - state.w0  # (d, 2m)
     mu_proj = (mu @ disp).reshape(2, m) * _BRANCH_SIGN  # <w - w0, j mu>
@@ -272,19 +269,9 @@ def iota_series(trace) -> tuple[np.ndarray, np.ndarray]:
     return steps, iotas
 
 
-def ratio_summary(state: CoefficientState, aggregation: str = "max") -> float:
-    """Noise-memorization over signal-learning ratio.
+def ratio_summary(state: CoefficientState) -> float:
+    """Noise-memorization over signal-learning ratio: max rho_bar over max gamma.
 
-    Default is max over indices for both numerator and denominator; "mean"
-    aggregates over the defined coefficients instead. Returns 0 at step 0
-    when both sides are still zero.
+    Returns 0 at step 0 when both sides are still zero.
     """
-    if aggregation == "max":
-        num = float(state.rho_bar.max())
-        den = float(state.gamma.max())
-    elif aggregation == "mean":
-        num = float(state.rho_bar.sum() / (state.m * state.n))  # one defined j per (r, i)
-        den = float(state.gamma.mean())
-    else:
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    return num / max(den, RATIO_FLOOR)
+    return float(state.rho_bar.max()) / max(float(state.gamma.max()), RATIO_FLOOR)

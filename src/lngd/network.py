@@ -11,27 +11,20 @@ matmuls run as a single BLAS call; ``w_plus``/``w_minus`` are views.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset, Sample
+from .data import Dataset
 
 __all__ = [
     "Network",
     "init_network",
     "activation",
     "activation_derivative",
-    "forward",
     "logistic_loss",
     "loss_derivative",
-    "clean_batch_loss",
     "full_batch_gradient",
     "sign_error",
     "zero_one_error",
-    "network_to_json",
-    "network_from_json",
 ]
 
 
@@ -47,12 +40,6 @@ class Network:
             raise ValueError("weights must be finite")
         self._w = np.ascontiguousarray(weights, dtype=np.float64)
         self.q = int(q)
-
-    @classmethod
-    def from_branches(cls, w_plus: np.ndarray, w_minus: np.ndarray, q: int) -> "Network":
-        if w_plus.shape != w_minus.shape:
-            raise ValueError("branch shapes differ")
-        return cls(np.hstack([w_plus, w_minus]), q)
 
     @property
     def d(self) -> int:
@@ -78,11 +65,6 @@ class Network:
 
     def clone(self) -> "Network":
         return Network(self._w.copy(), self.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, Network):
-            return NotImplemented
-        return self.q == other.q and np.array_equal(self._w, other._w)
 
 
 def init_network(d: int, m: int, q: int, sigma_0: float, rng: np.random.Generator) -> Network:
@@ -114,26 +96,6 @@ def loss_derivative(z):
     return -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=np.float64)))
 
 
-def _as_patches(point) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(point, Sample):
-        return point.patch1, point.patch2
-    p1, p2 = point
-    return np.asarray(p1, dtype=np.float64), np.asarray(p2, dtype=np.float64)
-
-
-def forward(net: Network, point) -> float:
-    """Network output f = F_{+1} - F_{-1} on a Sample or a (patch1, patch2) pair."""
-    p1, p2 = _as_patches(point)
-    if p1.shape != (net.d,) or p2.shape != (net.d,):
-        raise ValueError(f"patch dimension mismatch: expected ({net.d},), got {p1.shape}, {p2.shape}")
-    pre = np.concatenate([p1 @ net._w, p2 @ net._w])  # (4m,): [p1|p1-, p2+|p2-]
-    act = activation(pre, net.q)
-    m = net.m
-    f_plus = (act[:m].sum() + act[2 * m : 3 * m].sum()) / m
-    f_minus = (act[m : 2 * m].sum() + act[3 * m :].sum()) / m
-    return float(f_plus - f_minus)
-
-
 def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of points with y != sign(f); sign(0) counts as an error."""
     return float(np.mean(np.sign(f) != labels))
@@ -149,14 +111,6 @@ def _batch_outputs(net: Network, dataset: Dataset) -> np.ndarray:
         act = (activation(np.multiply.outer(dataset.labels, mu_proj), q)
                + activation(noise_pre, q))
         return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
-
-
-def clean_batch_loss(net: Network, dataset: Dataset) -> float:
-    """Mean logistic loss with the true labels."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    f = _batch_outputs(net, dataset)
-    return float(np.mean(logistic_loss(dataset.labels * f)))
 
 
 def zero_one_error(net: Network, test_dataset: Dataset) -> float:
@@ -202,33 +156,3 @@ def full_batch_gradient(net: Network, dataset: Dataset, multipliers: np.ndarray)
     if not np.all(np.isfinite(multipliers)):
         raise ValueError("multipliers must be finite")
     return _forward_backward(net, dataset, multipliers)[4]
-
-
-# --- JSON checkpoint format --------------------------------------------------
-# {"format": "lngd-network-v1", "d": int, "m": int, "q": int,
-#  "w_plus": row-major flat list, "w_minus": row-major flat list}
-
-_NETWORK_FORMAT = "lngd-network-v1"
-
-
-def network_to_json(net: Network) -> str:
-    return json.dumps(
-        {
-            "format": _NETWORK_FORMAT,
-            "d": net.d,
-            "m": net.m,
-            "q": net.q,
-            "w_plus": net.w_plus.ravel().tolist(),
-            "w_minus": net.w_minus.ravel().tolist(),
-        }
-    )
-
-
-def network_from_json(text: str) -> Network:
-    payload = json.loads(text)
-    if payload.get("format") != _NETWORK_FORMAT:
-        raise ValueError(f"unsupported network format: {payload.get('format')!r}")
-    d, m = int(payload["d"]), int(payload["m"])
-    w_plus = np.array(payload["w_plus"], dtype=np.float64).reshape(d, m)
-    w_minus = np.array(payload["w_minus"], dtype=np.float64).reshape(d, m)
-    return Network.from_branches(w_plus, w_minus, int(payload["q"]))

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, SignalSpec, StreamedTestSet, generate_dataset
+from .data import Dataset, StreamedTestSet
 from .decomposition import (
     LABEL_SIGN,
     CoefficientStack,
@@ -31,12 +31,10 @@ from .decomposition import (
     reconstruct_weights,
     update_coefficients,
 )
-from .network import Network, _forward_backward, init_network, logistic_loss, sign_error
-from .streams import stream
+from .network import Network, _forward_backward, logistic_loss, sign_error
 
 __all__ = [
     "LabelNoiseSpec",
-    "TrainConfig",
     "TraceRow",
     "TrainTrace",
     "Arm",
@@ -45,7 +43,6 @@ __all__ = [
     "OracleReplay",
     "sample_multipliers",
     "train_step",
-    "train_run",
     "run_training",
 ]
 
@@ -132,26 +129,6 @@ def sample_multipliers(noise: LabelNoiseSpec, n: int, rng: np.random.Generator) 
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    eta: float
-    steps: int
-    noise: LabelNoiseSpec
-    seed: int
-    log_stride: int = 10
-    n_test: int = 2000
-
-    def __post_init__(self):
-        if not (self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
-        if self.log_stride < 1 or (self.steps > 0 and self.log_stride > self.steps):
-            raise ValueError(f"log_stride must be in [1, steps], got {self.log_stride}")
-        if self.n_test < 1:
-            raise ValueError(f"n_test must be >= 1, got {self.n_test}")
-
-
-@dataclass(frozen=True)
 class TraceRow:
     step: int
     clean_train_loss: float
@@ -184,9 +161,6 @@ class TrainTrace:
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
-
-    def rows_from(self, step: int) -> list[TraceRow]:
-        return [r for r in self.rows if r.step >= step]
 
 
 class Arm(NamedTuple):
@@ -226,15 +200,12 @@ class RunArtifacts:
 
 
 class RunAborted(RuntimeError):
-    """Raised when a step produces non-finite values; carries partial results."""
+    """Raised by the oracle step when it produces non-finite values."""
 
-    def __init__(self, step: int, reason: str, net=None, trace=None, state=None):
+    def __init__(self, step: int, reason: str):
         super().__init__(f"training aborted at step {step}: {reason}")
         self.step = step
         self.reason = reason
-        self.net = net
-        self.trace = trace
-        self.state = state
 
 
 def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: float,
@@ -245,9 +216,9 @@ def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: flo
         raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
     f, _, _, _, grad = _forward_backward(net, dataset, multipliers)
     if not np.all(np.isfinite(f)):
-        raise RunAborted(step, "non-finite network outputs", net=net)
+        raise RunAborted(step, "non-finite network outputs")
     if not np.all(np.isfinite(grad)):
-        raise RunAborted(step, "non-finite gradient", net=net)
+        raise RunAborted(step, "non-finite gradient")
     np.subtract(net.weights, eta * grad, out=net.weights)
 
 
@@ -423,27 +394,3 @@ def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTes
         stack.states[a].step = steps
     return [RunArtifacts(arm.label, arm.noise, _materialise(net, state, dataset), trace, state)
             for arm, trace, state in zip(arms, traces, stack.states)]
-
-
-def train_run(config: TrainConfig, spec: SignalSpec, n: int, m: int, q: int,
-              sigma_0: float, observer=None):
-    """Seed-derived end-to-end run: data, init, training, fixed test set.
-
-    Returns (final network, trace, final coefficient state) and raises
-    RunAborted on a non-finite step. All randomness comes from four named
-    sub-streams of config.seed (see streams.STREAM_IDS).
-    """
-    data_rng = stream(config.seed, "data")
-    init_rng = stream(config.seed, "init")
-    noise_rng = stream(config.seed, "label_noise")
-    test_rng = stream(config.seed, "test")
-    dataset = generate_dataset(spec, n, data_rng)
-    test_set = StreamedTestSet(spec, config.n_test, test_rng)
-    net = init_network(spec.d, m, q, sigma_0, init_rng)
-    [arm] = run_training(net, dataset, test_set,
-                         [Arm("train", config.noise, noise_rng, observer)],
-                         eta=config.eta, steps=config.steps, log_stride=config.log_stride)
-    if arm.aborted:
-        raise RunAborted(arm.trace.aborted_at, arm.abort_reason, net=arm.net,
-                         trace=arm.trace, state=arm.state)
-    return arm.net, arm.trace, arm.state

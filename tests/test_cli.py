@@ -120,6 +120,21 @@ def test_concentration_cli(config_file, tmp_path, capsys):
     assert (out_dir / "concentration_report.json").exists()
 
 
+def test_trials_override_is_validated(config_file, capsys):
+    assert main_cli(["concentration", "--config", str(config_file), "--trials", "5"]) == 1
+    assert "'trials' = 5 out of range; allowed: integer >= 100" in capsys.readouterr().err
+
+
+def test_workers_override_is_validated(tmp_path, capsys):
+    config = {**MINIMAL, "grid": {"snr_values": [0.05], "n_values": [8], "steps": 10}}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    assert main_cli(["heatmap", "--config", str(path), "--out", str(tmp_path / "hm"),
+                     "--workers", "0"]) == 1
+    assert "'workers' = 0 out of range; allowed: integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "hm").exists()
+
+
 def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0

@@ -38,6 +38,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[0, 1\]"):
             parse_config(data={**MINIMAL, "p": 1.5})
 
+    def test_run_parameters_validated(self):
+        # The run parameters every training command reads: eta > 0,
+        # log_stride in [1, steps], n_test >= 1.
+        for bad, match in (({"eta": 0.0}, "'eta'"), ({"steps": 10, "log_stride": 11},
+                           r"\[1, steps\]"), ({"n_test": 0}, "'n_test'")):
+            with pytest.raises(ConfigError, match=match):
+                parse_config(data={**MINIMAL, **bad})
+
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="missing required"):
             parse_config(data={"d": 50})

@@ -5,8 +5,6 @@ from lngd.data import (
     SignalSpec,
     StreamedTestSet,
     compute_snr,
-    dataset_from_json,
-    dataset_to_json,
     generate_dataset,
 )
 from lngd.data import _project_noise
@@ -71,12 +69,13 @@ class TestNoiseVector:
 
 class TestGenerateDataset:
     def test_each_sample_has_signal_and_noise_patch(self, spec2d):
+        # Point i's patches are labels[i] * mu (mu is the last row of points)
+        # and its noise row, which is orthogonal to mu.
         ds = generate_dataset(spec2d, 20, np.random.default_rng(0))
-        for s in ds.samples:
-            signal = s.patch1 if s.signal_patch_index == 1 else s.patch2
-            noise = s.patch2 if s.signal_patch_index == 1 else s.patch1
-            assert np.array_equal(signal, s.label * spec2d.mu)
-            assert noise is s.noise_vector
+        assert ds.points.shape == (21, 2)
+        assert np.array_equal(ds.points[-1], spec2d.mu)
+        assert set(ds.labels) == {1.0, -1.0}
+        assert np.abs(ds.noise_matrix @ spec2d.mu).max() <= 1e-12
 
     def test_empty_dataset(self, spec2d):
         ds = generate_dataset(spec2d, 0, np.random.default_rng(0))
@@ -86,31 +85,31 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(spec2d, -1, np.random.default_rng(0))
 
-    def test_label_and_patch_index_means(self, spec2d):
+    def test_label_mean(self, spec2d):
         ds = generate_dataset(spec2d, 10000, np.random.default_rng(1))
         assert abs(ds.labels.mean()) <= 0.05
-        assert abs(ds.patch_index.mean() - 1.5) <= 0.05
 
     def test_determinism(self, spec2d):
         a = generate_dataset(spec2d, 5, np.random.default_rng(99))
         b = generate_dataset(spec2d, 5, np.random.default_rng(99))
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.noise_matrix, b.noise_matrix)
-        assert np.array_equal(a.patch_index, b.patch_index)
 
     def test_noise_block_stored_once_in_draw_order(self, small_spec):
         # noise_matrix is the block the draw produced (no stacked copy), and
-        # the draw order labels, patch slots, noise block is unchanged.
-        ds = generate_dataset(small_spec, 6, np.random.default_rng(21))
+        # the draw order labels, patch slots (drawn, then dropped), noise
+        # block is unchanged.
         rng = np.random.default_rng(21)
-        labels = np.where(rng.random(6) < 0.5, 1, -1)
-        slots = np.where(rng.random(6) < 0.5, 1, 2)
-        noise = _project_noise(small_spec, rng.standard_normal((6, small_spec.d)))
+        ds = generate_dataset(small_spec, 6, rng)
+        replay = np.random.default_rng(21)
+        labels = np.where(replay.random(6) < 0.5, 1, -1)
+        replay.random(6)  # patch slots
+        noise = _project_noise(small_spec, replay.standard_normal((6, small_spec.d)))
         assert np.array_equal(ds.labels, labels)
-        assert np.array_equal(ds.patch_index, slots)
         assert np.array_equal(ds.noise_matrix, noise)
         assert ds.noise_matrix.flags.c_contiguous
-        assert all(np.shares_memory(ds.noise_matrix, s.noise_vector) for s in ds.samples)
+        assert np.shares_memory(ds.noise_matrix, ds.points)
+        assert rng.random() == replay.random()
 
     @pytest.mark.parametrize("d, n_test", [(60, 1), (60, 50), (2000, 600), (100_000, 13)],
                              ids=["one_point", "under_one_chunk", "ragged_last_chunk",
@@ -174,18 +173,3 @@ class TestSnr:
     def test_halving_under_doubled_sigma_p(self, spec2d):
         doubled = SignalSpec(mu=spec2d.mu, sigma_p=2 * spec2d.sigma_p, d=spec2d.d)
         assert compute_snr(doubled) == pytest.approx(compute_snr(spec2d) / 2)
-
-
-class TestSerialization:
-    def test_round_trip(self, spec2d):
-        ds = generate_dataset(spec2d, 4, np.random.default_rng(2))
-        back = dataset_from_json(dataset_to_json(ds))
-        assert back.spec == ds.spec
-        assert back.seed_record == ds.seed_record
-        assert np.array_equal(back.labels, ds.labels)
-        assert np.array_equal(back.noise_matrix, ds.noise_matrix)
-        assert np.array_equal(back.patch_index, ds.patch_index)
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            dataset_from_json('{"format": "something-else"}')

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lngd.data import Dataset, Sample, SignalSpec
+from lngd.data import Dataset, SignalSpec
 from lngd.decomposition import (
     CoefficientState,
     iota_all,
@@ -18,10 +18,8 @@ from lngd.training import Arm, LabelNoiseSpec, OracleReplay, run_training
 def one_sample_setup():
     """d=2, m=1, n=1, q=2 instance small enough to evaluate by hand."""
     spec = SignalSpec(mu=np.array([2.0, 0.0]), sigma_p=1.0, d=2)
-    sample = Sample(label=1, signal_patch_index=1, noise_vector=np.array([0.0, 1.0]),
-                    mu=spec.mu)
-    ds = Dataset(samples=[sample], spec=spec, seed_record=0)
-    net = Network.from_branches(np.array([[0.3], [0.4]]), np.array([[0.1], [-0.2]]), 2)
+    ds = Dataset(labels=np.array([1.0]), points=np.array([[0.0, 1.0], [2.0, 0.0]]), spec=spec)
+    net = Network(np.array([[0.3, 0.1], [0.4, -0.2]]), 2)
     return spec, ds, net
 
 
@@ -139,10 +137,3 @@ class TestRatioSummary:
         state.gamma[0, 0] = 0.5
         state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry
         assert ratio_summary(state) == pytest.approx(8.0)
-        assert ratio_summary(state, aggregation="mean") > 0
-
-    def test_unknown_aggregation(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
-        with pytest.raises(ValueError):
-            ratio_summary(state, aggregation="median")

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lngd.data import SignalSpec, generate_dataset
+from lngd.data import Dataset, SignalSpec, generate_dataset
 from lngd.experiments import axis_aligned_spec
 from lngd.network import (
     Network,
     activation,
     activation_derivative,
-    clean_batch_loss,
-    forward,
     full_batch_gradient,
     init_network,
     logistic_loss,
     loss_derivative,
-    network_from_json,
-    network_to_json,
     zero_one_error,
 )
 from lngd.network import _batch_outputs
+from lngd.training import Arm, LabelNoiseSpec, run_training
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -113,82 +110,84 @@ class TestInit:
         assert passes / trials >= 0.99
 
 
+def hand_dataset(spec2d):
+    """One point with y = +1: signal patch y mu = (2, 0), noise patch (0, 3)."""
+    return Dataset(labels=np.array([1.0]), points=np.array([[0.0, 3.0], [2.0, 0.0]]),
+                   spec=spec2d)
+
+
+def hand_network():
+    """m = 1, q = 2, w_plus = (0.5, 0.5), w_minus = (0.1, 0)."""
+    return Network(np.array([[0.5, 0.1], [0.5, 0.0]]), 2)
+
+
+def step0_clean_loss(net, ds):
+    """Clean training loss of the step-0 trace row (the state is the init)."""
+    [arm] = run_training(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=0.1, steps=0)
+    return arm.trace.rows[0].clean_train_loss
+
+
 class TestForward:
     def test_zero_network(self, spec2d):
         net = Network(np.zeros((2, 2)), 2)
-        assert forward(net, (np.array([1.0, 2.0]), np.array([3.0, 4.0]))) == 0.0
+        assert _batch_outputs(net, hand_dataset(spec2d))[0] == 0.0
 
-    def test_hand_example(self):
-        # m=1, q=2, w_plus=(0.5, 0.5), w_minus=(0.1, 0), patches (2,0), (0,3):
+    def test_hand_example(self, spec2d):
         # F_plus = sigma(1) + sigma(1.5) = 3.25, F_minus = sigma(0.2) = 0.04
-        net = Network.from_branches(np.array([[0.5], [0.5]]), np.array([[0.1], [0.0]]), 2)
-        f = forward(net, (np.array([2.0, 0.0]), np.array([0.0, 3.0])))
-        assert f == pytest.approx(3.21, rel=1e-12)
+        f = _batch_outputs(hand_network(), hand_dataset(spec2d))
+        assert f.shape == (1,)
+        assert f[0] == pytest.approx(3.21, rel=1e-12)
 
-    def test_dimension_mismatch_raises(self):
+    def test_dimension_mismatch_raises(self, spec2d):
         net = Network(np.zeros((3, 2)), 2)
         with pytest.raises(ValueError):
-            forward(net, (np.zeros(2), np.zeros(2)))
+            _batch_outputs(net, hand_dataset(spec2d))
 
     def test_perfect_signal_network(self, spec2d):
         # w_plus = mu/|mu|, w_minus = -mu/|mu| classifies every point by sign.
         unit = (spec2d.mu / spec2d.mu_norm)[:, None]
-        net = Network.from_branches(np.tile(unit, 3), np.tile(-unit, 3), 2)
+        net = Network(np.hstack([np.tile(unit, 3), np.tile(-unit, 3)]), 2)
         ds = generate_dataset(spec2d, 50, np.random.default_rng(4))
-        for s in ds.samples:
-            assert np.sign(forward(net, s)) == s.label
+        assert np.array_equal(np.sign(_batch_outputs(net, ds)), ds.labels)
         assert zero_one_error(net, ds) == 0.0
-
-    def test_patch_swap_symmetry(self, small_spec):
-        rng = np.random.default_rng(8)
-        net = init_network(small_spec.d, 4, 2, 0.3, rng)
-        p1, p2 = rng.standard_normal(small_spec.d), rng.standard_normal(small_spec.d)
-        assert forward(net, (p1, p2)) == pytest.approx(forward(net, (p2, p1)), rel=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=10.0), st.integers(min_value=2, max_value=4))
     @settings(max_examples=50, deadline=None)
     def test_homogeneity(self, c, q):
         rng = np.random.default_rng(15)
+        spec = SignalSpec(mu=rng.standard_normal(5), sigma_p=1.0, d=5)
+        ds = generate_dataset(spec, 4, rng)
         net = init_network(5, 3, q, 0.4, rng)
         scaled = Network(c * net.weights, q)
-        p1, p2 = rng.standard_normal(5), rng.standard_normal(5)
-        f = forward(net, (p1, p2))
-        assert forward(scaled, (p1, p2)) == pytest.approx(c**q * f, rel=1e-9, abs=1e-12)
+        f = _batch_outputs(net, ds)
+        assert _batch_outputs(scaled, ds) == pytest.approx(c**q * f, rel=1e-9, abs=1e-12)
 
 
 class TestBatchLoss:
     def test_zero_network_gives_log2(self, small_dataset):
         net = Network(np.zeros((small_dataset.spec.d, 4)), 2)
-        assert clean_batch_loss(net, small_dataset) == pytest.approx(math.log(2), rel=1e-12)
+        assert step0_clean_loss(net, small_dataset) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_empty_dataset_rejected(self, spec2d):
         ds = generate_dataset(spec2d, 0, np.random.default_rng(0))
         net = Network(np.zeros((2, 2)), 2)
         with pytest.raises(ValueError):
-            clean_batch_loss(net, ds)
-        with pytest.raises(ValueError):
             zero_one_error(net, ds)
 
     def test_single_sample_composed_value(self, spec2d):
         # forward hand example with y = +1: loss = log(1 + exp(-3.21))
-        from lngd.data import Dataset, Sample
-
-        net = Network.from_branches(np.array([[0.5], [0.5]]), np.array([[0.1], [0.0]]), 2)
-        sample = Sample(label=1, signal_patch_index=1, noise_vector=np.array([0.0, 3.0]),
-                        mu=spec2d.mu)
-        ds = Dataset(samples=[sample], spec=spec2d, seed_record=0)
         expected = math.log(1 + math.exp(-3.21))
-        assert clean_batch_loss(net, ds) == pytest.approx(expected, rel=1e-12)
+        assert step0_clean_loss(hand_network(), hand_dataset(spec2d)) == pytest.approx(
+            expected, rel=1e-12)
         assert expected == pytest.approx(0.0395, abs=1e-4)
 
     def test_order_invariance(self, small_spec):
-        from lngd.data import Dataset
-
         ds = generate_dataset(small_spec, 6, np.random.default_rng(3))
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(4))
-        shuffled = Dataset(samples=list(reversed(ds.samples)), spec=ds.spec,
-                           seed_record=ds.seed_record)
-        assert clean_batch_loss(net, ds) == pytest.approx(clean_batch_loss(net, shuffled),
+        shuffled = Dataset(labels=ds.labels[::-1].copy(),
+                           points=np.vstack([ds.noise_matrix[::-1], small_spec.mu]),
+                           spec=ds.spec)
+        assert step0_clean_loss(net, ds) == pytest.approx(step0_clean_loss(net, shuffled),
                                                           rel=1e-12)
 
 
@@ -204,9 +203,9 @@ class TestZeroOneError:
         train = generate_dataset(spec, 20, np.random.default_rng(31))
         cols = []
         for j in (1, -1):
-            w = np.stack([s.noise_vector * s.label * j for s in train.samples]).T
+            w = (train.noise_matrix * train.labels[:, None] * j).T
             cols.append(w / np.linalg.norm(w, axis=0, keepdims=True))
-        net = Network.from_branches(cols[0], cols[1], 2)
+        net = Network(np.hstack(cols), 2)
         assert zero_one_error(net, train) <= 0.1  # memorized training noise
         test = generate_dataset(spec, 2000, np.random.default_rng(32))
         assert zero_one_error(net, test) == pytest.approx(0.5, abs=0.05)
@@ -243,14 +242,3 @@ class TestGradient:
         net = init_network(small_dataset.spec.d, 3, 2, 0.2, np.random.default_rng(1))
         with pytest.raises(ValueError):
             full_batch_gradient(net, small_dataset, np.ones(3))
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        net = init_network(5, 3, 3, 0.7, np.random.default_rng(77))
-        back = network_from_json(network_to_json(net))
-        assert back == net
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            network_from_json('{"format": "nope"}')

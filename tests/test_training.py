@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from lngd.data import generate_dataset
-from lngd.experiments import axis_aligned_spec
+from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.network import full_batch_gradient, init_network
-from lngd.streams import stream
 from lngd.training import (
     Arm,
     LabelNoiseSpec,
     RunAborted,
-    TrainConfig,
     run_training,
     sample_multipliers,
-    train_run,
     train_step,
 )
 
@@ -102,17 +99,6 @@ class TestTrainStep:
             train_step(net, small_dataset, np.ones(len(small_dataset)), 0.1)
 
 
-class TestTrainConfig:
-    def test_validation(self):
-        noise = LabelNoiseSpec.none()
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.0, steps=10, noise=noise, seed=0)
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, steps=10, noise=noise, seed=0, log_stride=11)
-        with pytest.raises(ValueError):
-            TrainConfig(eta=0.1, steps=10, noise=noise, seed=0, n_test=0)
-
-
 class TestRunTraining:
     def small_run(self, spec, ds, *, steps=30, noise=None, seed=4, eta=0.05):
         noise = noise or LabelNoiseSpec.none()
@@ -184,30 +170,31 @@ class TestRunTraining:
 
 
 class TestTrainRun:
-    def config(self, steps=20, noise=None, seed=11):
-        return TrainConfig(eta=0.1, steps=steps, noise=noise or LabelNoiseSpec.flip(0.2),
-                           seed=seed, log_stride=10, n_test=50)
+    """Seed-derived runs through ``run_dynamics``, the entry point that draws data and init."""
+
+    def run(self, spec, steps=20, noise=None, seed=11):
+        return run_dynamics(spec, n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=steps,
+                            noise=noise or LabelNoiseSpec.flip(0.2), seed=seed,
+                            log_stride=10, n_test=50)
 
     def test_deterministic_traces(self, small_spec):
-        a = train_run(self.config(), small_spec, n=10, m=3, q=2, sigma_0=0.1)
-        b = train_run(self.config(), small_spec, n=10, m=3, q=2, sigma_0=0.1)
-        assert np.array_equal(a[0].weights, b[0].weights)
-        assert a[1].rows == b[1].rows
+        a, b = self.run(small_spec), self.run(small_spec)
+        for arm_a, arm_b in ((a.standard, b.standard), (a.label_noise, b.label_noise)):
+            assert np.array_equal(arm_a.net.weights, arm_b.net.weights)
+            assert arm_a.trace.rows == arm_b.trace.rows
 
     def test_changing_steps_preserves_dataset_stream(self, small_spec):
         # The data stream is independent of T: more steps, same dataset.
-        short = train_run(self.config(steps=10), small_spec, n=10, m=3, q=2, sigma_0=0.1)
-        long = train_run(self.config(steps=30), small_spec, n=10, m=3, q=2, sigma_0=0.1)
-        ds_short = generate_dataset(small_spec, 10, stream(11, "data"))
-        assert np.array_equal(ds_short.labels, ds_short.labels)
-        assert short[1].rows[0].clean_train_loss == long[1].rows[0].clean_train_loss
+        short = self.run(small_spec, steps=10)
+        long = self.run(small_spec, steps=30)
+        assert np.array_equal(short.dataset.labels, long.dataset.labels)
+        assert np.array_equal(short.dataset.points, long.dataset.points)
+        for arm_short, arm_long in ((short.standard, long.standard),
+                                    (short.label_noise, long.label_noise)):
+            assert arm_short.trace.rows[0] == arm_long.trace.rows[0]
 
     def test_standard_gd_run_with_ones_noise_matches_none(self, small_spec):
-        a = train_run(self.config(noise=LabelNoiseSpec.flip(0.0)), small_spec,
-                      n=10, m=3, q=2, sigma_0=0.1)
-        b = train_run(self.config(noise=LabelNoiseSpec.none()), small_spec,
-                      n=10, m=3, q=2, sigma_0=0.1)
-        assert np.array_equal(a[0].weights, b[0].weights)
-        for ra, rb in zip(a[1].rows, b[1].rows):
-            assert ra.clean_train_loss == rb.clean_train_loss
-            assert ra.test_error_01 == rb.test_error_01
+        a = self.run(small_spec, noise=LabelNoiseSpec.flip(0.0)).label_noise
+        b = self.run(small_spec, noise=LabelNoiseSpec.none()).label_noise
+        assert np.array_equal(a.net.weights, b.net.weights)
+        assert a.trace.rows == b.trace.rows
