@@ -29,7 +29,8 @@ from .experiments import (
     run_noise_comparison,
     run_q_sweep,
 )
-from .io import EmitError, RunArtifactFiles, emit_outputs, now_utc, write_json
+from .io import (EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite,
+                 write_json)
 from .theory import check_assumptions, concentration_suite
 from .training import LabelNoiseSpec, OracleReplay
 
@@ -349,8 +350,10 @@ def _run_command(args) -> int:
         "workers": getattr(args, "workers", None)})
     if args.command in _REPORTS:
         return _REPORTS[args.command](args, config)
+    out_dir = _out_dir(args, config)
+    refuse_overwrite(out_dir, args.force)  # before the run, not after it
     files, aborted, failure = _RUNS[args.command](config, now_utc())
-    emit_outputs(files, _out_dir(args, config), force=args.force)
+    emit_outputs(files, out_dir, force=args.force)
     if aborted:
         return EXIT_ABORTED
     if args.assert_ and failure:

@@ -141,16 +141,21 @@ def now_utc() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def refuse_overwrite(out_dir: str | Path, force: bool) -> None:
+    """Raise EmitError if ``out_dir`` holds a manifest and ``force`` is not set."""
+    manifest_path = Path(out_dir) / "manifest.json"
+    if manifest_path.exists() and not force:
+        raise EmitError(f"{manifest_path} already exists; pass force to overwrite")
+
+
 def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool = False) -> dict:
     """Write all run files plus a digested manifest.json; returns the inventory.
 
     Refuses to overwrite an existing manifest unless ``force`` is set.
     """
+    refuse_overwrite(out_dir, force)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise EmitError(f"{manifest_path} already exists; pass force to overwrite")
 
     inventory: dict[str, str] = {}
 
@@ -195,5 +200,5 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
         "finished_at": artifacts.finished_at or now_utc(),
         "files": inventory,
     }
-    write_json(manifest, manifest_path)
+    write_json(manifest, out / "manifest.json")
     return inventory

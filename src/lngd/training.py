@@ -162,6 +162,9 @@ class TrainTrace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
+    def rows_from(self, step: int) -> list[TraceRow]:
+        return [r for r in self.rows if r.step >= step]
+
 
 class Arm(NamedTuple):
     """One arm of a run: its name, its multiplier law and stream, its observer."""

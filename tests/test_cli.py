@@ -50,10 +50,14 @@ def test_dynamics_emits_run_directory(config_file, tmp_path, capsys):
     assert set(manifest["files"]) == names - {"manifest.json"}
 
 
-def test_dynamics_refuses_overwrite_then_forces(config_file, tmp_path):
+def test_dynamics_refuses_overwrite_then_forces(config_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
     assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 1
+    refused = capsys.readouterr()
+    assert refused.out == ""  # refused before the run, so no result lines
+    assert "already exists" in refused.err
     assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir),
                      "--force"]) == 0
 
