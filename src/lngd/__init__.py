@@ -39,7 +39,6 @@ from .training import (
     LabelNoiseSpec,
     RunAborted,
     TrainTrace,
-    TraceRow,
     sample_multipliers,
     train_step,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "LabelNoiseSpec",
     "RunAborted",
     "TrainTrace",
-    "TraceRow",
     "sample_multipliers",
     "train_step",
 ]

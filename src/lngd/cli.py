@@ -29,8 +29,8 @@ from .experiments import (
     run_noise_comparison,
     run_q_sweep,
 )
-from .io import (EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite,
-                 write_json)
+from .io import (CoefficientSnapshots, EmitError, RunArtifactFiles, emit_outputs, now_utc,
+                 refuse_overwrite, write_json)
 from .theory import check_assumptions, concentration_suite
 from .training import LabelNoiseSpec, OracleReplay
 
@@ -64,9 +64,11 @@ def _build_parser() -> _Parser:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--assert", dest="assert_", action="store_true",
-                       help="exit 3 if the command's verdicts fail")
-        p.add_argument("--force", action="store_true", help="overwrite existing outputs")
+        if name in _RUNS or name == "decompose":
+            p.add_argument("--assert", dest="assert_", action="store_true",
+                           help="exit 3 if the command's verdicts fail")
+        if name in _RUNS:
+            p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         if name == "heatmap":
             p.add_argument("--workers", type=int, default=None)
         if name == "concentration":
@@ -93,7 +95,7 @@ def _make_snapshot_observers(config: FullConfig):
 
         def observer(step, state, dataset, row):
             if step % config.coeff_stride == 0 or step == config.steps:
-                sink.append((step, state.gamma.copy(), state.rho_bar, state.rho_under))
+                sink.append((step, state.gamma.copy(), state.rho.copy()))
 
         return observer
 
@@ -134,7 +136,9 @@ def _dynamics_files(result, config: FullConfig, sinks, command: str,
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         artifacts.traces[f"trace_{label}.csv"] = arm.trace
         if sinks.get(label):
-            artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = sinks[label]
+            steps, gamma, rho = zip(*sinks[label])
+            artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = CoefficientSnapshots(
+                np.array(steps), np.stack(gamma), np.stack(rho), arm.state.same_class_mask)
     artifacts.reports = {"dynamics": result.reports}
     return artifacts
 
@@ -309,7 +313,7 @@ def _cmd_decompose(args) -> int:
     matches = {
         name: recorded.get(name) == digest
         for name, digest in inventory.items()
-        if name.startswith("trace_") and name in recorded
+        if name.endswith(".csv") and name in recorded
     }
     report = {
         "digests_match": matches,

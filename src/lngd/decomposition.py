@@ -14,10 +14,10 @@ asked for; projections onto mu / xi_i serve as cross-checks.
 
 Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1. rho is
 stored once, (2, m, n); its same-class entries (y_i = j) are the paper's
-rho_bar and its opposite-class entries (y_i = -j, nonpositive) rho_under.
-``CoefficientState.rho_bar``/``rho_under`` are read-only masked copies with
-zeros elsewhere. Arms that share a dataset and an init are advanced together
-by ``CoefficientStack``, whose per-arm states are views into its arrays.
+rho_bar and its opposite-class entries (y_i = -j, nonpositive) rho_under;
+``CoefficientState.same_class_mask`` tells them apart. Arms that share a
+dataset and an init are advanced together by ``CoefficientStack``, whose
+per-arm states are views into its arrays.
 """
 
 from __future__ import annotations
@@ -62,17 +62,6 @@ class CoefficientState:
         # (2, n) boolean: True where y_i == j for the branch on that row.
         self.same_class_mask = np.stack([self.labels == 1.0, self.labels == -1.0])
 
-    @classmethod
-    def zeros(cls, dataset: Dataset, net: Network) -> "CoefficientState":
-        m, n = net.m, len(dataset)
-        return cls(
-            gamma=np.zeros((2, m)),
-            rho=np.zeros((2, m, n)),
-            xi_norms_sq=dataset.xi_norms_sq.copy(),
-            w0=net.weights.copy(),
-            labels=dataset.labels.copy(),
-        )
-
     @property
     def m(self) -> int:
         return self.gamma.shape[1]
@@ -80,21 +69,6 @@ class CoefficientState:
     @property
     def n(self) -> int:
         return self.rho.shape[2]
-
-    def _masked(self, same_class: bool) -> np.ndarray:
-        out = np.where(self.same_class_mask[:, None, :] == same_class, self.rho, 0.0)
-        out.flags.writeable = False
-        return out
-
-    @property
-    def rho_bar(self) -> np.ndarray:
-        """(2, m, n) same-class coefficients, zero elsewhere (a read-only copy)."""
-        return self._masked(True)
-
-    @property
-    def rho_under(self) -> np.ndarray:
-        """(2, m, n) opposite-class coefficients, zero elsewhere (a read-only copy)."""
-        return self._masked(False)
 
 
 class CoefficientStack:
@@ -264,14 +238,14 @@ def iota_all(state: CoefficientState) -> np.ndarray:
 
 def iota_series(trace) -> tuple[np.ndarray, np.ndarray]:
     """(steps, iotas) arrays from a TrainTrace; iotas has shape (rows, n)."""
-    steps = np.array([s for s, _ in trace.iota_history], dtype=np.int64)
-    iotas = np.stack([v for _, v in trace.iota_history]) if trace.iota_history else np.zeros((0, 0))
-    return steps, iotas
+    return trace.rows.step, trace.iota_history
 
 
 def ratio_summary(state: CoefficientState) -> float:
     """Noise-memorization over signal-learning ratio: max rho_bar over max gamma.
 
-    Returns 0 at step 0 when both sides are still zero.
+    rho_bar counts as 0 at the opposite-class entries, so the ratio is never
+    negative; it is 0 at step 0, when both sides are still zero.
     """
-    return float(state.rho_bar.max()) / max(float(state.gamma.max()), RATIO_FLOOR)
+    rho_bar = np.where(state.same_class_mask[:, None, :], state.rho, 0.0)
+    return float(rho_bar.max()) / max(float(state.gamma.max()), RATIO_FLOOR)

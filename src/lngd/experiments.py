@@ -105,7 +105,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
             "verdicts": empirical_verdicts(arm.trace, epsilon=epsilon, c_test=c_test),
         }
         t1 = stage.T1
-        if not math.isnan(t1) and arm.trace.rows[-1].step >= t1:
+        if not math.isnan(t1) and arm.trace.final.step >= t1:
             steps_arr, iotas = iota_series(arm.trace)
             p_arg = noise.p if (arm.label == "label_noise" and noise.kind == "flip") else None
             bd = stage2_boundedness_check(steps_arr, iotas, t1, p=p_arg)
@@ -181,11 +181,6 @@ class HeatmapResult:
     grid: SweepGrid
     cells: dict  # (row, col) -> CellResult
     long_rows: list  # (snr, n, seed_index, algorithm, accuracy)
-
-    def cell(self, snr: float, n: int) -> CellResult:
-        row = self.grid.snr_values.index(snr)
-        col = self.grid.n_values.index(n)
-        return self.cells[(row, col)]
 
 
 def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):

@@ -14,6 +14,7 @@ from math import copysign
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .config import FullConfig, config_to_dict
 from .streams import STREAM_IDS, derive_seed
 from .training import TRACE_COLUMNS, TrainTrace
 
-__all__ = ["EmitError", "fmt_float", "sha256_file", "write_trace_csv",
+__all__ = ["EmitError", "CoefficientSnapshots", "fmt_float", "sha256_file", "write_trace_csv",
            "write_coefficients_csv", "write_heatmap_csv", "emit_outputs"]
 
 
@@ -59,35 +60,49 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def write_trace_csv(trace: TrainTrace, path: Path) -> None:
-    rows = [[getattr(r, col) for col in TRACE_COLUMNS] for r in trace.rows]
-    _write_csv(path, TRACE_COLUMNS, rows)
+    _write_csv(path, TRACE_COLUMNS, trace.rows.tolist())
 
 
-def write_coefficients_csv(snapshots, path: Path) -> None:
+class CoefficientSnapshots(NamedTuple):
+    """One arm's coefficients at k steps, typically strided more coarsely than the trace."""
+
+    steps: np.ndarray  # (k,)
+    gamma: np.ndarray  # (k, 2, m)
+    rho: np.ndarray  # (k, 2, m, n)
+    same_class_mask: np.ndarray  # (2, n): True where y_i == j
+
+
+def write_coefficients_csv(snaps: CoefficientSnapshots, path: Path) -> None:
     """Long-form coefficient dump: one row per (step, j, r, i).
 
-    ``snapshots`` is a list of (step, gamma(2, m), rho_bar(2, m, n),
-    rho_under(2, m, n)) tuples, typically strided more coarsely than the
-    trace to bound file size. Values are written as ``fmt_float`` writes them,
-    gamma once per (j, r).
+    rho is written in the rho_bar column at same-class entries (y_i = j) and
+    in the rho_under column at opposite-class ones; the other column holds
+    the zero fill "0". Values are written as ``fmt_float`` writes them, gamma
+    once per (j, r).
     """
+    same = snaps.same_class_mask.tolist()
     with open(path, "w", newline="\n") as fh:
         fh.write("step,j,r,i,gamma,rho_bar,rho_under\n")
-        for step, gamma, rho_bar, rho_under in snapshots:
+        for step, gamma, rho in zip(snaps.steps.tolist(), snaps.gamma, snaps.rho):
             for b, r in np.ndindex(gamma.shape):
                 head, g = f"{step},{1 - 2 * b},{r}", fmt_float(gamma[b, r])
-                pairs = zip(rho_bar[b, r].tolist(), rho_under[b, r].tolist())
-                fh.write("".join([f"{head},{i},{g},{_fmt_coef(x)},{_fmt_coef(y)}\n"
-                                  for i, (x, y) in enumerate(pairs)]))
+                values = zip(same[b], map(_fmt_coef, rho[b, r].tolist()))
+                fh.write("".join([f"{head},{i},{g},{x},0\n" if s else f"{head},{i},{g},0,{x}\n"
+                                  for i, (s, x) in enumerate(values)]))
 
 
-def write_coefficient_summary_csv(snapshots, path: Path) -> None:
-    """Compact per-step companion to the long-form coefficient dump."""
+def write_coefficient_summary_csv(snaps: CoefficientSnapshots, path: Path) -> None:
+    """Compact per-step companion to the long-form coefficient dump.
+
+    rho_bar and rho_under are zero-filled outside their entries, as in the dump.
+    """
+    same = snaps.same_class_mask[:, None, :]
     header = ["step", "max_gamma", "mean_gamma", "max_rho_bar", "min_rho_under"]
-    rows = [
-        (step, gamma.max(), gamma.mean(), rho_bar.max(), rho_under.min())
-        for step, gamma, rho_bar, rho_under in snapshots
-    ]
+    rows = zip(snaps.steps.tolist(),
+               snaps.gamma.max(axis=(1, 2)).tolist(),
+               snaps.gamma.mean(axis=(1, 2)).tolist(),
+               np.where(same, snaps.rho, 0.0).max(axis=(1, 2, 3)).tolist(),
+               np.where(same, 0.0, snaps.rho).min(axis=(1, 2, 3)).tolist())
     _write_csv(path, header, rows)
 
 
@@ -130,7 +145,7 @@ class RunArtifactFiles:
     config: FullConfig
     command: str
     traces: dict = field(default_factory=dict)  # filename -> TrainTrace
-    coefficient_snapshots: dict = field(default_factory=dict)  # filename -> snapshots
+    coefficient_snapshots: dict = field(default_factory=dict)  # filename -> CoefficientSnapshots
     reports: dict = field(default_factory=dict)  # merged into reports.json
     heatmap: object = None  # HeatmapResult
     started_at: str = ""

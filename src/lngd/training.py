@@ -15,7 +15,7 @@ oracle the engine is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,7 +35,7 @@ from .network import Network, _forward_backward, logistic_loss, sign_error
 
 __all__ = [
     "LabelNoiseSpec",
-    "TraceRow",
+    "TRACE_DTYPE",
     "TrainTrace",
     "Arm",
     "RunArtifacts",
@@ -61,6 +61,8 @@ TRACE_COLUMNS = [
     "iota_max",
     "flip_count",
 ]
+TRACE_DTYPE = np.dtype([(col, np.int64 if col in ("step", "flip_count") else np.float64)
+                        for col in TRACE_COLUMNS])
 
 
 @dataclass(frozen=True)
@@ -128,29 +130,17 @@ def sample_multipliers(noise: LabelNoiseSpec, n: int, rng: np.random.Generator) 
     return rng.uniform(noise.lo, noise.hi, n)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    step: int
-    clean_train_loss: float
-    noisy_train_loss: float
-    test_error_01: float
-    max_gamma: float
-    mean_gamma: float
-    max_rho_bar: float
-    mean_rho_bar: float
-    min_rho_under: float
-    ratio_rho_over_gamma: float
-    iota_mean: float
-    iota_max: float
-    flip_count: int
-
-
 @dataclass
 class TrainTrace:
-    """Logged rows plus run-level diagnostics and per-sample iota history."""
+    """Logged rows plus run-level diagnostics and per-sample iota history.
 
-    rows: list[TraceRow] = field(default_factory=list)
-    iota_history: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    ``rows`` is a record array of ``TRACE_DTYPE``, one record per logged
+    step (``rows.step``, ``rows[-1].test_error_01``); ``iota_history``
+    (rows, n) holds each logged step's per-sample iota.
+    """
+
+    rows: np.recarray
+    iota_history: np.ndarray
     aborted_at: int | None = None
     abort_reason: str = ""
     rho_bar_monotone_violations: int = 0
@@ -159,11 +149,11 @@ class TrainTrace:
     noise_kind: str = "none"
 
     @property
-    def final(self) -> TraceRow:
+    def final(self) -> np.record:
         return self.rows[-1]
 
-    def rows_from(self, step: int) -> list[TraceRow]:
-        return [r for r in self.rows if r.step >= step]
+    def rows_from(self, step: int) -> np.recarray:
+        return self.rows[self.rows.step >= step]
 
 
 class Arm(NamedTuple):
@@ -255,27 +245,26 @@ class OracleReplay:
         return self.net
 
 
-def _trace_row(step, f, eps, state, labels, test_error, iotas) -> TraceRow:
+def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
+    """Fill record ``k`` of ``rows`` from one arm's outputs, multipliers and state."""
     margins = labels * f
-    clean = float(np.mean(logistic_loss(margins)))
-    noisy = float(np.mean(logistic_loss(eps * margins)))
     same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
     rho_bar_defined = state.rho[same]
     rho_under_defined = state.rho[~same]
-    return TraceRow(
-        step=step,
-        clean_train_loss=clean,
-        noisy_train_loss=noisy,
-        test_error_01=test_error,
-        max_gamma=float(state.gamma.max()),
-        mean_gamma=float(state.gamma.mean()),
-        max_rho_bar=float(rho_bar_defined.max()),
-        mean_rho_bar=float(rho_bar_defined.mean()),
-        min_rho_under=float(rho_under_defined.min()),
-        ratio_rho_over_gamma=ratio_summary(state),
-        iota_mean=float(iotas.mean()),
-        iota_max=float(iotas.max()),
-        flip_count=int(np.sum(eps < 0)),
+    rows[k] = (
+        step,
+        np.mean(logistic_loss(margins)),
+        np.mean(logistic_loss(eps * margins)),
+        test_error,
+        state.gamma.max(),
+        state.gamma.mean(),
+        rho_bar_defined.max(),
+        rho_bar_defined.mean(),
+        rho_under_defined.min(),
+        ratio_summary(state),
+        iotas.mean(),
+        iotas.max(),
+        np.sum(eps < 0),
     )
 
 
@@ -339,7 +328,10 @@ def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTes
     labels, test_labels = dataset.labels, test_set.labels
     stack = CoefficientStack(dataset, net.weights, len(arms))
     sign = stack.branch_sign
-    traces = [TrainTrace(n=n, d=dataset.spec.d, noise_kind=arm.noise.kind) for arm in arms]
+    logs = -(-steps // log_stride) + 1  # steps 0, log_stride, 2 log_stride, ... and steps
+    traces = [TrainTrace(np.recarray(logs, dtype=TRACE_DTYPE), np.empty((logs, n)), n=n,
+                         d=dataset.spec.d, noise_kind=arm.noise.kind) for arm in arms]
+    logged = 0  # rows filled in every live arm's trace
     live = np.ones(len(arms), dtype=bool)
     monotone = [a for a, arm in enumerate(arms) if arm.noise.kind == "none"]
     # rho_bar is nondecreasing exactly when no same-class increment is below 0.
@@ -352,19 +344,19 @@ def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTes
         f_test, _ = _outputs(test.preactivations(stack.coef), signal_sum,
                              (test_labels < 0).astype(np.intp), q, sign)
         for a in np.flatnonzero(live):
-            state = stack.states[a]
+            state, trace = stack.states[a], traces[a]
             state.step = t
-            iotas = iota_all(state)
-            row = _trace_row(t, f[:, a], eps[:, a], state, labels,
-                             sign_error(f_test[:, a], test_labels), iotas)
-            traces[a].rows.append(row)
-            traces[a].iota_history.append((t, iotas))
+            trace.iota_history[logged] = iota_all(state)
+            _trace_row(trace.rows, logged, t, f[:, a], eps[:, a], state, labels,
+                       sign_error(f_test[:, a], test_labels), trace.iota_history[logged])
             if arms[a].observer is not None:
-                arms[a].observer(t, state, dataset, row)
+                arms[a].observer(t, state, dataset, trace.rows[logged])
 
     def abort(failed, t: int, reason: str):
         for a in np.flatnonzero(failed):
-            traces[a].aborted_at, traces[a].abort_reason = t, reason
+            trace = traces[a]
+            trace.aborted_at, trace.abort_reason = t, reason
+            trace.rows, trace.iota_history = trace.rows[:logged], trace.iota_history[:logged]
             stack.states[a].step = t
             live[a] = False
 
@@ -384,6 +376,7 @@ def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTes
             break
         if t % log_stride == 0 or t == steps:
             log_at(t, f, signal_sum)
+            logged += 1
         if t == steps:
             break
         failed = update_coefficients(stack, eps, f, s_q1, r_q1, live, eta=eta, q=q,

@@ -124,6 +124,16 @@ def test_concentration_cli(config_file, tmp_path, capsys):
     assert (out_dir / "concentration_report.json").exists()
 
 
+def test_report_commands_refuse_run_flags(config_file, tmp_path, capsys):
+    # --assert and --force would be ignored by check and concentration.
+    for command in ("check", "concentration"):
+        for flag in ("--assert", "--force"):
+            assert main_cli([command, "--config", str(config_file), "--out",
+                             str(tmp_path / command), flag]) == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("check*")) and not list(tmp_path.glob("concentration*"))
+
+
 def test_trials_override_is_validated(config_file, capsys):
     assert main_cli(["concentration", "--config", str(config_file), "--trials", "5"]) == 1
     assert "'trials' = 5 out of range; allowed: integer >= 100" in capsys.readouterr().err
@@ -145,6 +155,8 @@ def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     assert main_cli(["decompose", "--run", str(out_dir), "--assert"]) == 0
     report = json.loads((out_dir / "decompose_reports.json").read_text())
     assert report["all_digests_match"]
+    assert report["digests_match"]["coefficients_label_noise.csv"]
+    assert report["digests_match"]["coefficients_label_noise_summary.csv"]
     assert report["max_reconstruction_error"] <= 1e-8
 
 

@@ -1,10 +1,13 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
 from lngd.config import ConfigError, config_to_dict, parse_config
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.io import (
+    CoefficientSnapshots,
     EmitError,
     RunArtifactFiles,
     emit_outputs,
@@ -12,7 +15,7 @@ from lngd.io import (
     sha256_file,
     write_trace_csv,
 )
-from lngd.training import TRACE_COLUMNS, LabelNoiseSpec
+from lngd.training import TRACE_COLUMNS, TRACE_DTYPE, LabelNoiseSpec
 
 MINIMAL = {"d": 50, "n": 10, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1,
            "eta": 0.5, "steps": 20, "seed": 3}
@@ -148,26 +151,47 @@ class TestEmitOutputs:
         inv_b = emit_outputs(artifacts_for(tiny_run(), config), tmp_path / "b")
         assert inv_a == inv_b
 
+    def test_trace_csv_round_trips_the_record_array(self, tmp_path):
+        trace = tiny_run().label_noise.trace
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        with open(path, newline="") as fh:
+            header, *lines = csv.reader(fh)
+        assert header == TRACE_COLUMNS
+        assert [col for col in header if TRACE_DTYPE[col] == np.int64] == ["step", "flip_count"]
+        # int() refuses "3.0": the int columns carry no decimal point.
+        parsed = np.array([tuple(int(v) if TRACE_DTYPE[col].kind == "i" else float(v)
+                                 for col, v in zip(header, line)) for line in lines],
+                          dtype=TRACE_DTYPE)
+        assert parsed.tobytes() == trace.rows.tobytes()
+
     def test_coefficient_csv_emitted(self, tmp_path):
         config = parse_config(data=MINIMAL)
         result = tiny_run()
         art = artifacts_for(result, config)
-        gamma = result.label_noise.state.gamma
-        rho_bar = result.label_noise.state.rho_bar
-        rho_under = result.label_noise.state.rho_under.copy()
-        rho_under[1, 2, 7] = -0.0  # the sign of a zero survives
-        art.coefficient_snapshots["coefficients_label_noise.csv"] = [
-            (20, gamma, rho_bar, rho_under)]
+        gamma, same = result.label_noise.state.gamma, result.label_noise.state.same_class_mask
+        rho = result.label_noise.state.rho.copy()
+        i_opp = np.flatnonzero(~same[1])[-1]
+        rho[1, 2, i_opp] = -0.0  # an opposite-class entry: the sign of a zero survives
+        art.coefficient_snapshots["coefficients_label_noise.csv"] = CoefficientSnapshots(
+            np.array([20]), gamma[None], rho[None], same)
         inventory = emit_outputs(art, tmp_path)
         assert "coefficients_label_noise.csv" in inventory
         lines = (tmp_path / "coefficients_label_noise.csv").read_text().splitlines()
         assert lines[0] == "step,j,r,i,gamma,rho_bar,rho_under"
-        # one row per (j, r, i)
+        # one row per (j, r, i); the column a rho entry does not belong to holds 0
         assert len(lines) - 1 == 2 * 3 * 8
         expected = [
             ",".join(["20", str(j), str(r), str(i), fmt_float(gamma[b, r]),
-                      fmt_float(rho_bar[b, r, i]), fmt_float(rho_under[b, r, i])])
+                      fmt_float(rho[b, r, i] if same[b, i] else 0.0),
+                      fmt_float(0.0 if same[b, i] else rho[b, r, i])])
             for b, j in ((0, 1), (1, -1)) for r in range(3) for i in range(8)
         ]
         assert lines[1:] == expected
-        assert "20,-1,2,7," in lines[-1] and lines[-1].endswith(",-0")
+        assert lines[1 + 5 * 8 + i_opp] == f"20,-1,2,{i_opp},{fmt_float(gamma[1, 2])},0,-0"
+        summary = (tmp_path / "coefficients_label_noise_summary.csv").read_text().splitlines()
+        rho_bar = np.where(same[:, None, :], rho, 0.0)
+        rho_under = np.where(same[:, None, :], 0.0, rho)
+        assert summary == ["step,max_gamma,mean_gamma,max_rho_bar,min_rho_under",
+                           ",".join(["20", *map(fmt_float, (gamma.max(), gamma.mean(),
+                                                            rho_bar.max(), rho_under.min()))])]

@@ -5,7 +5,7 @@ import pytest
 
 from lngd.data import Dataset, SignalSpec
 from lngd.decomposition import (
-    CoefficientState,
+    CoefficientStack,
     iota_all,
     projection_check,
     ratio_summary,
@@ -45,23 +45,22 @@ class TestSingleStepHandValues:
         drho_bar_plus = -eta * lprime * (2 * 0.4) * 1.0
         assert state.gamma[0, 0] == pytest.approx(dgamma_plus, rel=1e-12)
         assert state.gamma[1, 0] == pytest.approx(dgamma_minus, rel=1e-12)
-        assert state.rho_bar[0, 0, 0] == pytest.approx(drho_bar_plus, rel=1e-12)
+        assert state.rho[0, 0, 0] == pytest.approx(drho_bar_plus, rel=1e-12)
         # sigma'(<w_-, xi>) = sigma'(-0.2) = 0: no opposite-class update
-        assert state.rho_under[1, 0, 0] == 0.0
+        assert state.rho[1, 0, 0] == 0.0
 
     def test_zero_network_context_is_a_fixed_point(self):
         spec, ds, _ = one_sample_setup()
         net = Network(np.zeros((2, 2)), 2)
         state = one_engine_step(net, ds, 0.5).state
         assert not state.gamma.any()
-        assert not state.rho_bar.any()
-        assert not state.rho_under.any()
+        assert not state.rho.any()
 
 
 class TestReconstruction:
     def test_step_zero_returns_w0(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(0))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         wp, wm = reconstruct_weights(state, small_dataset)
         assert np.array_equal(np.hstack([wp, wm]), net.weights)
 
@@ -93,7 +92,7 @@ class TestReconstruction:
 class TestProjectionCheck:
     def test_step_zero_all_zero(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(4))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         report = projection_check(net, state, small_dataset)
         assert report["gamma_discrepancy_max"] == 0.0
         assert report["rho_discrepancy_max"] == 0.0
@@ -111,12 +110,12 @@ class TestProjectionCheck:
 class TestIota:
     def test_step_zero(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         assert not iota_all(state).any()
 
     def test_constant_coefficients(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         c = 0.7
         for i, label in enumerate(small_dataset.labels):
             j_idx = 0 if label == 1 else 1
@@ -128,12 +127,12 @@ class TestIota:
 class TestRatioSummary:
     def test_step_zero_returns_zero(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         assert ratio_summary(state) == 0.0
 
     def test_max_aggregation(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientState.zeros(small_dataset, net)
+        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
         state.gamma[0, 0] = 0.5
         state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry
         assert ratio_summary(state) == pytest.approx(8.0)

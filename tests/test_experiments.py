@@ -34,18 +34,18 @@ class TestRunDynamics:
 
     def test_zero_flip_rate_arms_identical(self, tiny_spec):
         result = run_dynamics(tiny_spec, noise=LabelNoiseSpec.flip(0.0), seed=5, **SMALL)
-        assert result.standard.trace.rows == result.label_noise.trace.rows
+        assert np.array_equal(result.standard.trace.rows, result.label_noise.trace.rows)
         assert np.array_equal(result.standard.net.weights, result.label_noise.net.weights)
 
     def test_degenerate_gaussian_equals_standard(self, tiny_spec):
         result = run_dynamics(tiny_spec, noise=LabelNoiseSpec.gaussian(1.0, 0.0), seed=5,
                               **SMALL)
-        assert result.standard.trace.rows == result.label_noise.trace.rows
+        assert np.array_equal(result.standard.trace.rows, result.label_noise.trace.rows)
 
     def test_rerun_identical(self, tiny_spec):
         a = run_dynamics(tiny_spec, noise=LabelNoiseSpec.flip(0.3), seed=6, **SMALL)
         b = run_dynamics(tiny_spec, noise=LabelNoiseSpec.flip(0.3), seed=6, **SMALL)
-        assert a.label_noise.trace.rows == b.label_noise.trace.rows
+        assert np.array_equal(a.label_noise.trace.rows, b.label_noise.trace.rows)
 
     def test_reports_attached(self, tiny_spec):
         result = run_dynamics(tiny_spec, noise=LabelNoiseSpec.flip(0.2), seed=7, **SMALL)
@@ -74,7 +74,7 @@ class TestHeatmap:
         result = run_heatmap(self.grid())
         assert len(result.cells) == 2
         assert len(result.long_rows) == 2 * 1 * 2 * 2  # snr * n * seeds * algorithms
-        cell = result.cell(0.05, 8)
+        cell = result.cells[(0, 0)]
         assert len(cell.standard_accuracies) == 2
         assert 0.0 <= cell.standard_mean <= 1.0
 
@@ -94,7 +94,7 @@ class TestHeatmap:
 
         grid = self.grid(snr_values=(0.05,), n_values=(8,), seeds_per_cell=1)
         result = run_heatmap(grid)
-        cell = result.cell(0.05, 8)
+        cell = result.cells[(0, 0)]
         spec = axis_aligned_spec(grid.mu_scale_for(0.05), grid.sigma_p, grid.d)
         direct = run_dynamics(spec, n=8, m=grid.m, q=grid.q, sigma_0=grid.sigma_0,
                               eta=grid.eta, steps=grid.steps,
@@ -114,7 +114,7 @@ class TestHeatmap:
 
         monkeypatch.setattr(experiments, "_run_heatmap_unit", failing_unit)
         result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
-        errors = result.cell(0.05, 8).errors
+        errors = result.cells[(0, 0)].errors
         assert len(errors) == 2  # both arms of the failed unit
         for err in errors:
             assert "ValueError('boom in unit 0,0,0')" in err

@@ -76,7 +76,7 @@ def test_iota_matches_direct_projections(reference_run):
     iota_state = iota_all(arm.state)
     diff = np.abs(iota_proj - iota_state)
     # |a^2 - b^2| <= |a - b| (|a| + |b|) with |a - b| within the slack
-    slack = report["rho_bound"] * (np.abs(same_class).mean(axis=1)
-                                   + np.abs(arm.state.rho_bar).max())
+    rho_bar = np.where(arm.state.same_class_mask[:, None, :], arm.state.rho, 0.0)
+    slack = report["rho_bound"] * (np.abs(same_class).mean(axis=1) + np.abs(rho_bar).max())
     assert np.all(diff <= slack)
     assert np.median(diff) <= 0.3 * np.median(iota_state)

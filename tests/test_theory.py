@@ -14,7 +14,7 @@ from lngd.theory import (
     empirical_verdicts,
 )
 from lngd.theory import _drift_balance
-from lngd.training import TraceRow, TrainTrace
+from lngd.training import TRACE_COLUMNS, TRACE_DTYPE, TrainTrace
 
 
 def ref_spec():
@@ -22,7 +22,8 @@ def ref_spec():
 
 
 def make_trace(rows, noise_kind="none", n=200, d=2000):
-    return TrainTrace(rows=rows, n=n, d=d, noise_kind=noise_kind)
+    return TrainTrace(rows=np.rec.array(np.stack(rows)), iota_history=np.zeros((len(rows), n)),
+                      n=n, d=d, noise_kind=noise_kind)
 
 
 def row(step, **kw):
@@ -31,7 +32,7 @@ def row(step, **kw):
                 mean_rho_bar=1.0, min_rho_under=-0.1, ratio_rho_over_gamma=2.0,
                 iota_mean=1.0, iota_max=2.0, flip_count=0)
     base.update(kw)
-    return TraceRow(**base)
+    return np.array(tuple(base[col] for col in TRACE_COLUMNS), dtype=TRACE_DTYPE)
 
 
 class TestCheckAssumptions:
