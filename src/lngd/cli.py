@@ -280,6 +280,10 @@ def _cmd_decompose(args) -> int:
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
     manifest = json.loads(manifest_path.read_text())
+    command = manifest.get("command")
+    if command != "dynamics":
+        raise ConfigError(f"decompose replays dynamics runs only; {run_dir} holds a "
+                          f"{command!r} run")
     config = parse_config(data=manifest["config"])
     sinks, observers = _make_snapshot_observers(config)
     recon_errors = {"standard": [], "label_noise": []}
@@ -305,8 +309,7 @@ def _cmd_decompose(args) -> int:
     result = _paired_dynamics(config, {label: recon_observer(idx, label, noise)
                                        for idx, (label, noise) in enumerate(arms)})
     # Re-emit into a scratch area to compare digests against the manifest.
-    files = _dynamics_files(result, config, sinks, manifest.get("command", "dynamics"),
-                            now_utc())
+    files = _dynamics_files(result, config, sinks, command, now_utc())
     with tempfile.TemporaryDirectory() as tmp:
         inventory = emit_outputs(files, tmp, force=True)
     recorded = manifest.get("files", {})

@@ -102,10 +102,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def noise_chunks(self):
-        """The noise block as one chunk: a Dataset read as a test set."""
-        return iter([self.noise_matrix])
-
     @property
     def noise_matrix(self) -> np.ndarray:
         """(n, d) matrix whose rows are the per-point noise vectors."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, SignalSpec, StreamedTestSet, generate_dataset
-from .decomposition import iota_series
+from .decomposition import SpanProducts, iota_series
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
 from .theory import (
@@ -64,21 +64,25 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
 
 def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
-                 log_stride: int, n_test: int, observers: dict | None = None):
-    """Train one arm per noise spec on shared data/init/test; returns arms + dataset.
+                 log_stride: int, n_test: int,
+                 observers: dict | None = None) -> list[RunArtifacts]:
+    """Train one arm per noise spec on shared data/init/test; each arm carries the dataset.
 
-    The arms advance together in one ``run_training`` call; arm ``idx``
-    draws from its own multiplier stream. The test set is streamed, not kept;
+    This is where points become products: the (train, test) span products
+    of the init are computed here, once, and the arms advance together on
+    them in one ``run_training`` call; arm ``idx`` draws from its own
+    multiplier stream. The test set is streamed, not kept;
     ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
     """
     dataset = generate_dataset(spec, n, stream(seed, "data"))
     test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
-    init_net = init_network(spec.d, m, q, sigma_0, stream(seed, "init"))
+    w0 = init_network(spec.d, m, q, sigma_0, stream(seed, "init")).weights
+    products = (SpanProducts.of([dataset.points], n + 1, dataset, w0),
+                SpanProducts.of(test_set.noise_chunks(), n_test, dataset, w0))
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(noises)]
-    results = run_training(init_net, dataset, test_set, arms, eta=eta, steps=steps,
-                           log_stride=log_stride)
-    return results, dataset
+    return run_training(w0, q, dataset, products, test_set.labels, arms, eta=eta, steps=steps,
+                        log_stride=log_stride)
 
 
 def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
@@ -86,7 +90,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                  n_test: int = 2000, epsilon: float = 0.05, c_test: float = 1.0,
                  observers: dict | None = None) -> DynamicsResult:
     """Standard GD and label-noise GD on identical data/init/test, with reports."""
-    arms, dataset = _paired_runs(
+    arms = _paired_runs(
         spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,
         noises=[("standard", LabelNoiseSpec.none()), ("label_noise", noise)],
         seed=seed, log_stride=log_stride, n_test=n_test, observers=observers,
@@ -115,7 +119,7 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                          "median_gap")
             }
         reports[arm.label] = entry
-    return DynamicsResult(standard=standard, label_noise=label_noise, dataset=dataset,
+    return DynamicsResult(standard=standard, label_noise=label_noise, dataset=standard.dataset,
                           reports=reports)
 
 
@@ -193,7 +197,7 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
     n = grid.n_values[col]
     spec = axis_aligned_spec(grid.mu_scale_for(snr), grid.sigma_p, grid.d)
     cell_seed = derive_seed(grid.master_seed, row, col, seed_index)
-    arms, _ = _paired_runs(
+    arms = _paired_runs(
         spec, n=n, m=grid.m, q=grid.q, sigma_0=grid.sigma_0, eta=grid.eta,
         steps=grid.steps,
         noises=[("standard", LabelNoiseSpec.none()),
@@ -273,11 +277,11 @@ def run_noise_comparison(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: f
     """One label-noise arm per spec plus a standard-GD baseline, all matched."""
     noises = [("standard", LabelNoiseSpec.none())]
     noises += [(ns.describe(), ns) for ns in noise_list]
-    arms, dataset = _paired_runs(
+    arms = _paired_runs(
         spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps, noises=noises,
         seed=seed, log_stride=log_stride, n_test=n_test,
     )
-    return {"baseline": arms[0], "arms": arms[1:], "dataset": dataset}
+    return {"baseline": arms[0], "arms": arms[1:]}
 
 
 Q_SWEEP_DEFAULTS = {

@@ -5,8 +5,8 @@ sigma(<w_{j,r}, x^(p)>) with sigma(z) = max(0, z)^q, and the network output
 is f = F_{+1} - F_{-1}. Gradients are computed in closed form; the
 architecture is fixed and tiny, so no autodiff framework is involved.
 
-Internally the two branches live in one (d, 2m) array so the per-step
-matmuls run as a single BLAS call; ``w_plus``/``w_minus`` are views.
+Internally the two branches live in one (d, 2m) array, [+1 branch | -1
+branch], so the per-step matmuls run as a single BLAS call.
 """
 
 from __future__ import annotations
@@ -42,29 +42,13 @@ class Network:
         self.q = int(q)
 
     @property
-    def d(self) -> int:
-        return self._w.shape[0]
-
-    @property
     def m(self) -> int:
         return self._w.shape[1] // 2
-
-    @property
-    def w_plus(self) -> np.ndarray:
-        """(d, m) filters of the +1 branch (view; writes mutate the network)."""
-        return self._w[:, : self.m]
-
-    @property
-    def w_minus(self) -> np.ndarray:
-        return self._w[:, self.m :]
 
     @property
     def weights(self) -> np.ndarray:
         """(d, 2m) backing array: [+1 branch | -1 branch]."""
         return self._w
-
-    def clone(self) -> "Network":
-        return Network(self._w.copy(), self.q)
 
 
 def init_network(d: int, m: int, q: int, sigma_0: float, rng: np.random.Generator) -> Network:

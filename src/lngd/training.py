@@ -16,11 +16,12 @@ oracle the engine is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, StreamedTestSet
+from .data import Dataset
 from .decomposition import (
     LABEL_SIGN,
     CoefficientStack,
@@ -167,13 +168,19 @@ class Arm(NamedTuple):
 
 @dataclass
 class RunArtifacts:
-    """One trained arm: final network, trace, coefficient state, metadata."""
+    """One trained arm: trace, coefficient state, the dataset it trained on, metadata."""
 
     label: str
     noise: LabelNoiseSpec
-    net: Network
     trace: TrainTrace
     state: CoefficientState
+    dataset: Dataset
+    q: int
+
+    @cached_property
+    def net(self) -> Network:
+        """The final network, its weights rebuilt from the coefficients on first read."""
+        return Network(np.hstack(reconstruct_weights(self.state, self.dataset)), self.q)
 
     @property
     def aborted(self) -> bool:
@@ -268,13 +275,6 @@ def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
     )
 
 
-def _materialise(net: Network, state: CoefficientState, dataset: Dataset) -> Network:
-    """A copy of ``net`` holding the weights the coefficients stand for."""
-    out = net.clone()
-    out.w_plus[...], out.w_minus[...] = reconstruct_weights(state, dataset)
-    return out
-
-
 def _relu_q1(z: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """r = max(z, 0), written over z, and r^(q-1)."""
     r = np.maximum(z, 0.0, out=z)
@@ -301,32 +301,32 @@ def _outputs(pre, signal_sum, label_rows, q, branch_sign, act=None):
     return f, r_q1
 
 
-def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTestSet,
+def run_training(w0: np.ndarray, q: int, dataset: Dataset,
+                 products: tuple[SpanProducts, SpanProducts], test_labels: np.ndarray,
                  arms: list[Arm], *, eta: float, steps: int,
                  log_stride: int = 10) -> list[RunArtifacts]:
-    """Train every arm from ``net``'s weights; log a row every log_stride steps plus the final step.
+    """Train every arm from the init ``w0``; log a row every log_stride steps plus the final step.
 
-    The arms share the dataset, the init and the test set (read once through
-    ``labels`` and ``noise_chunks()``) and advance as one stacked coefficient
-    state; each draws its multipliers from its own stream and keeps its own
-    trace, observer and state. The row at step t reflects
-    the state after t updates and the multiplier vector drawn for step t (the
-    loss the optimizer is about to descend). ``observer(step, state, dataset,
-    row)`` runs at every logged step; one that needs weights rebuilds them
-    with ``reconstruct_weights``. A non-finite output or coefficient update
-    aborts that arm alone: it keeps its partial trace, the reason and the
-    state before the failed update. Each arm's ``net`` is a copy of ``net``
-    holding its final weights.
+    ``products`` holds the (train, test) ``SpanProducts`` of the init: the
+    training rows xi_1..xi_n then mu, and the test noise rows, whose labels
+    are ``test_labels``. No point is read: ``dataset`` supplies the labels,
+    |xi_i|^2, |mu|^2 and d, and is passed to the observers. The arms advance
+    as one stacked coefficient state; each draws its multipliers from its
+    own stream and keeps its own trace, observer and state. The row at step
+    t reflects the state after t updates and the multiplier vector drawn for
+    step t (the loss the optimizer is about to descend). ``observer(step,
+    state, dataset, row)`` runs at every logged step; one that needs weights
+    rebuilds them with ``reconstruct_weights``. A non-finite output or
+    coefficient update aborts that arm alone: it keeps its partial trace,
+    the reason and the state before the failed update.
     """
     for arm in arms:
         if arm.noise.kind != "none" and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
-    q, n, m = net.q, len(dataset), net.m
-    # Inner products computed once: training points xi_1..xi_n and mu, then the test points.
-    train = SpanProducts.of([dataset.points], n + 1, dataset, net.weights)
-    test = SpanProducts.of(test_set.noise_chunks(), len(test_set.labels), dataset, net.weights)
-    labels, test_labels = dataset.labels, test_set.labels
-    stack = CoefficientStack(dataset, net.weights, len(arms))
+    n, m = len(dataset), w0.shape[1] // 2
+    train, test = products
+    labels = dataset.labels
+    stack = CoefficientStack(dataset, w0, len(arms))
     sign = stack.branch_sign
     logs = -(-steps // log_stride) + 1  # steps 0, log_stride, 2 log_stride, ... and steps
     traces = [TrainTrace(np.recarray(logs, dtype=TRACE_DTYPE), np.empty((logs, n)), n=n,
@@ -388,5 +388,5 @@ def run_training(net: Network, dataset: Dataset, test_set: Dataset | StreamedTes
                 traces[a].rho_bar_monotone_violations += np.count_nonzero(stack.drho[:, a] < floor)
     for a in np.flatnonzero(live):
         stack.states[a].step = steps
-    return [RunArtifacts(arm.label, arm.noise, _materialise(net, state, dataset), trace, state)
+    return [RunArtifacts(arm.label, arm.noise, trace, state, dataset, q)
             for arm, trace, state in zip(arms, traces, stack.states)]

@@ -160,6 +160,18 @@ def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     assert report["max_reconstruction_error"] <= 1e-8
 
 
+def test_decompose_refuses_a_run_it_cannot_replay(tmp_path, capsys):
+    # decompose replays dynamics runs; any other recorded command is a usage
+    # error raised before anything is replayed or written.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    manifest = {"command": "heatmap", "config": MINIMAL, "files": {"heatmap.csv": "0" * 64}}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert main_cli(["decompose", "--run", str(run_dir), "--assert"]) == 1
+    assert "'heatmap'" in capsys.readouterr().err
+    assert not (run_dir / "decompose_reports.json").exists()
+
+
 def test_aborted_run_exits_2(tmp_path, capsys):
     config = {**MINIMAL, "q": 4, "eta": 1e80}
     path = tmp_path / "blowup.json"

@@ -135,7 +135,7 @@ class TestGenerateDataset:
                 yield x
 
         got = SpanProducts.of(counted(streamed.noise_chunks()), n_test, train, w0)
-        want = SpanProducts.of(block.noise_chunks(), n_test, train, w0)
+        want = SpanProducts.of([block.noise_matrix], n_test, train, w0)
         rows = max(1, StreamedTestSet.CHUNK_VALUES // d)
         assert sum(sizes) == n_test and max(sizes) == min(n_test, rows)
         assert np.array_equal(streamed.labels, block.labels)

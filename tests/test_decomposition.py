@@ -12,7 +12,9 @@ from lngd.decomposition import (
     reconstruct_weights,
 )
 from lngd.network import Network, init_network
-from lngd.training import Arm, LabelNoiseSpec, OracleReplay, run_training
+from lngd.training import Arm, LabelNoiseSpec, OracleReplay
+
+from helpers import train_on_points
 
 
 def one_sample_setup():
@@ -25,8 +27,8 @@ def one_sample_setup():
 
 def one_engine_step(net, ds, eta):
     """One standard-GD step of the coefficient engine; returns the trained arm."""
-    [arm] = run_training(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=eta, steps=1,
-                         log_stride=1)
+    [arm] = train_on_points(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=eta, steps=1,
+                            log_stride=1)
     return arm
 
 
@@ -69,9 +71,9 @@ class TestReconstruction:
         # same multiplier stream.
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(1))
         noise = LabelNoiseSpec.flip(0.2)
-        [arm] = run_training(net, small_dataset, small_dataset,
-                             [Arm("lngd", noise, np.random.default_rng(2))], eta=0.05,
-                             steps=40, log_stride=10)
+        [arm] = train_on_points(net, small_dataset, small_dataset,
+                                [Arm("lngd", noise, np.random.default_rng(2))], eta=0.05,
+                                steps=40, log_stride=10)
         state = arm.state
         oracle = OracleReplay(2, 0.05, noise, np.random.default_rng(2))
         w = oracle.advance(40, state, small_dataset).weights
@@ -99,9 +101,9 @@ class TestProjectionCheck:
 
     def test_gamma_projection_is_exact_after_training(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(5))
-        [arm] = run_training(net, small_dataset, small_dataset,
-                             [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=30,
-                             log_stride=10)
+        [arm] = train_on_points(net, small_dataset, small_dataset,
+                                [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=30,
+                                log_stride=10)
         report = projection_check(arm.net, arm.state, small_dataset)
         assert report["gamma_discrepancy_max"] <= 1e-9
         assert report["rho_within_bound_frac"] >= 0.99

@@ -13,7 +13,9 @@ from lngd.experiments import (
 )
 from lngd.network import init_network
 from lngd.streams import stream
-from lngd.training import Arm, LabelNoiseSpec, run_training
+from lngd.training import Arm, LabelNoiseSpec
+
+from helpers import train_on_points
 
 SMALL = dict(n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20, log_stride=10, n_test=40)
 
@@ -106,6 +108,18 @@ class TestHeatmap:
         assert cell.label_noise_accuracies[0] == pytest.approx(
             direct.label_noise.final_test_accuracy)
 
+    def test_units_never_rebuild_weights(self, monkeypatch):
+        # A unit reads only the final test accuracies, so no weights are built.
+        import lngd.training as training
+
+        calls = []
+        rebuild = training.reconstruct_weights
+        monkeypatch.setattr(training, "reconstruct_weights",
+                            lambda *args: calls.append(args) or rebuild(*args))
+        result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
+        assert len(result.long_rows) == 2
+        assert not calls
+
     def test_failed_unit_keeps_traceback(self, monkeypatch):
         import lngd.experiments as experiments
 
@@ -172,10 +186,10 @@ def test_stacked_arms_equal_solo_arms(tiny_spec, case):
     init = init_network(tiny_spec.d, shape["m"], shape["q"], shape["sigma_0"],
                         stream(seed, "init"))
     for idx, arm in enumerate(arms):
-        [solo] = run_training(init, dataset, test_dataset,
-                              [Arm(arm.label, arm.noise, arm_noise_rng(seed, idx, arm.noise))],
-                              eta=shape["eta"], steps=shape["steps"],
-                              log_stride=shape["log_stride"])
+        [solo] = train_on_points(init, dataset, test_dataset,
+                                 [Arm(arm.label, arm.noise, arm_noise_rng(seed, idx, arm.noise))],
+                                 eta=shape["eta"], steps=shape["steps"],
+                                 log_stride=shape["log_stride"])
         assert (arm.trace.aborted_at, arm.abort_reason) == (solo.trace.aborted_at,
                                                             solo.abort_reason)
         assert [(r.step, r.test_error_01) for r in arm.trace.rows] == \

@@ -18,7 +18,9 @@ from lngd.network import (
     zero_one_error,
 )
 from lngd.network import _batch_outputs
-from lngd.training import Arm, LabelNoiseSpec, run_training
+from lngd.training import Arm, LabelNoiseSpec
+
+from helpers import train_on_points
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
@@ -123,7 +125,7 @@ def hand_network():
 
 def step0_clean_loss(net, ds):
     """Clean training loss of the step-0 trace row (the state is the init)."""
-    [arm] = run_training(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=0.1, steps=0)
+    [arm] = train_on_points(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=0.1, steps=0)
     return arm.trace.rows[0].clean_train_loss
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from lngd.data import generate_dataset
+from lngd.decomposition import reconstruct_weights
 from lngd.experiments import axis_aligned_spec, run_dynamics
-from lngd.network import full_batch_gradient, init_network
+from lngd.network import Network, full_batch_gradient, init_network
 from lngd.training import (
     Arm,
     LabelNoiseSpec,
@@ -12,6 +13,8 @@ from lngd.training import (
     sample_multipliers,
     train_step,
 )
+
+from helpers import point_products, train_on_points
 
 
 class TestLabelNoiseSpec:
@@ -83,12 +86,12 @@ class TestTrainStep:
         spec = axis_aligned_spec(2.0, 0.5, 2000)
         ds = generate_dataset(spec, 200, np.random.default_rng(5))
         oracle = init_network(spec.d, 20, 2, 0.01, np.random.default_rng(6))
-        engine = oracle.clone()
+        engine = Network(oracle.weights.copy(), oracle.q)
         noise = LabelNoiseSpec.flip(0.1)
         eps = sample_multipliers(noise, 200, np.random.default_rng(7))
         train_step(oracle, ds, eps, 0.5, step=0)
-        [arm] = run_training(engine, ds, ds, [Arm("lngd", noise, np.random.default_rng(7))],
-                             eta=0.5, steps=1, log_stride=1)
+        [arm] = train_on_points(engine, ds, ds, [Arm("lngd", noise, np.random.default_rng(7))],
+                                eta=0.5, steps=1, log_stride=1)
         rel = np.linalg.norm(arm.net.weights - oracle.weights) / np.linalg.norm(oracle.weights)
         assert rel <= 1e-10
 
@@ -103,8 +106,8 @@ class TestRunTraining:
     def small_run(self, spec, ds, *, steps=30, noise=None, seed=4, eta=0.05):
         noise = noise or LabelNoiseSpec.none()
         net = init_network(spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        [arm] = run_training(net, ds, ds, [Arm("arm", noise, np.random.default_rng(seed))],
-                             eta=eta, steps=steps, log_stride=10)
+        [arm] = train_on_points(net, ds, ds, [Arm("arm", noise, np.random.default_rng(seed))],
+                                eta=eta, steps=steps, log_stride=10)
         return arm.net, arm.trace, arm.state
 
     def test_zero_steps_logs_initial_row_only(self, small_spec, small_dataset):
@@ -131,9 +134,9 @@ class TestRunTraining:
     def test_abort_records_step_and_reason(self, small_spec, small_dataset):
         # q = 4 with an absurd step size overflows the forward pass quickly.
         net = init_network(small_spec.d, 3, 4, 0.2, np.random.default_rng(9))
-        [arm] = run_training(net, small_dataset, small_dataset,
-                             [Arm("gd", LabelNoiseSpec.none())], eta=1e80, steps=50,
-                             log_stride=10)
+        [arm] = train_on_points(net, small_dataset, small_dataset,
+                                [Arm("gd", LabelNoiseSpec.none())], eta=1e80, steps=50,
+                                log_stride=10)
         assert arm.aborted
         assert arm.trace.aborted_at is not None
         assert arm.state.step == arm.trace.aborted_at
@@ -143,13 +146,51 @@ class TestRunTraining:
     def test_non_finite_update_aborts_before_it_is_applied(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
         w0 = net.weights.copy()
-        [arm] = run_training(net, small_dataset, small_dataset,
-                             [Arm("gd", LabelNoiseSpec.none())], eta=np.inf, steps=5,
-                             log_stride=1)
+        [arm] = train_on_points(net, small_dataset, small_dataset,
+                                [Arm("gd", LabelNoiseSpec.none())], eta=np.inf, steps=5,
+                                log_stride=1)
         assert arm.trace.aborted_at == 0
         assert arm.abort_reason == "non-finite coefficient update"
         assert not arm.state.gamma.any()
         assert np.array_equal(arm.net.weights, w0)
+
+    def test_training_reads_no_point(self, small_spec):
+        # The products carry all a step and a test evaluation read: with every
+        # point overwritten by NaN once they are built, the rows are those of
+        # a run on the points, bit for bit.
+        ds = generate_dataset(small_spec, 8, np.random.default_rng(7))
+        test = generate_dataset(small_spec, 30, np.random.default_rng(8))
+        w0 = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9)).weights
+
+        def run(products):
+            arms = [Arm("gd", LabelNoiseSpec.none()),
+                    Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
+            return run_training(w0, 2, ds, products, test.labels, arms, eta=0.05, steps=50,
+                                log_stride=10)
+
+        want = run(point_products(w0, ds, test))
+        products = point_products(w0, ds, test)
+        ds.points[...] = np.nan
+        test.points[...] = np.nan
+        got = run(products)
+        for ours, theirs in zip(got, want):
+            assert np.isfinite(ours.trace.rows.test_error_01).all()
+            assert np.array_equal(ours.trace.rows, theirs.trace.rows)
+
+    def test_weights_built_on_first_read(self, small_spec, small_dataset, monkeypatch):
+        import lngd.training as training
+
+        calls = []
+        monkeypatch.setattr(training, "reconstruct_weights",
+                            lambda *args: calls.append(args) or reconstruct_weights(*args))
+        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
+        [arm] = train_on_points(net, small_dataset, small_dataset,
+                                [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=20)
+        assert not calls
+        assert np.array_equal(arm.net.weights,
+                              np.hstack(reconstruct_weights(arm.state, small_dataset)))
+        assert arm.net is arm.net and len(calls) == 1
+        assert arm.net.q == 2
 
     def test_flip_count_counts_negative_multipliers(self, small_spec, small_dataset):
         # Gaussian multipliers are never exactly -1; flip_count counts eps_i < 0.
@@ -164,9 +205,9 @@ class TestRunTraining:
     def test_noise_rng_required_for_stochastic_noise(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
         with pytest.raises(ValueError):
-            run_training(net, small_dataset, small_dataset,
-                         [Arm("lngd", LabelNoiseSpec.flip(0.5))], eta=0.1, steps=5,
-                         log_stride=5)
+            train_on_points(net, small_dataset, small_dataset,
+                            [Arm("lngd", LabelNoiseSpec.flip(0.5))], eta=0.1, steps=5,
+                            log_stride=5)
 
 
 class TestTrainRun:
