@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, FullConfig, parse_config
+from .cores import blas_threads, usable_cores
 from .data import SignalSpec
 from .decomposition import reconstruct_weights
 from .experiments import (
@@ -172,6 +173,12 @@ def _cmd_heatmap(config: FullConfig, started: str):
         sigma_p=config.sigma_p, p=config.p, n_test=config.n_test,
         master_seed=config.seed,
     )
+    cores = usable_cores()
+    blas = blas_threads(cores)
+    if config.workers > 1 and config.workers * blas > cores:
+        print(f"note: {config.workers} workers x {blas} BLAS threads exceed the {cores} "
+              "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
+              file=sys.stderr)
     result = run_heatmap(grid, workers=config.workers)
     cells = sorted(result.cells.items())
     worst_gap = min(
@@ -279,11 +286,18 @@ def _cmd_decompose(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise ConfigError(f"no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{manifest_path} is not a JSON object")
     command = manifest.get("command")
     if command != "dynamics":
         raise ConfigError(f"decompose replays dynamics runs only; {run_dir} holds a "
                           f"{command!r} run")
+    if "config" not in manifest:
+        raise ConfigError(f"{manifest_path} has no 'config' key")
     config = parse_config(data=manifest["config"])
     sinks, observers = _make_snapshot_observers(config)
     recon_errors = {"standard": [], "label_noise": []}

@@ -10,10 +10,12 @@ inputs, same report.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cores import worker_budget
 from .data import SignalSpec, compute_snr, generate_dataset
 from .network import init_network
 from .streams import substream
@@ -225,8 +227,21 @@ def stage2_boundedness_check(iota_steps: np.ndarray, iota_values: np.ndarray, t1
     return report
 
 
-def _trial_rngs(seed: int, trials: int, tag: int):
-    return (substream(seed, tag, t) for t in range(trials))
+_BLOCK = 25  # trials per pool task: 40 tasks at the default 1000 trials
+
+
+def _count_passes(pool: ThreadPoolExecutor, trials: int, trial) -> list[int]:
+    """Sum ``trial(t)``, a tuple of bools, over t < trials, one pool task per block of trials.
+
+    Each trial draws only from its own substream, so the sums do not depend
+    on the pool size or on which thread ran which block. An exception in a
+    trial propagates.
+    """
+    def block(start: int) -> list[int]:
+        stop = min(start + _BLOCK, trials)
+        return [sum(col) for col in zip(*(trial(t) for t in range(start, stop)))]
+
+    return [sum(col) for col in zip(*pool.map(block, range(0, trials, _BLOCK)))]
 
 
 def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: float,
@@ -234,7 +249,13 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
                         t_b4: int = 2000, delta_b34: float = 0.05) -> dict:
     """Monte Carlo pass rates for the four high-probability events the
     analysis relies on: noise norms/overlaps, init inner products, per-step
-    flip counts, and per-sample flip counts over time."""
+    flip counts, and per-sample flip counts over time.
+
+    Trial t of suite k draws from ``substream(seed, k, t)``. The trials run
+    in blocks on ``cores.worker_budget()`` threads (numpy releases the GIL
+    while it fills and multiplies arrays); the report is the same for every
+    thread count.
+    """
     if trials < 100:
         raise ValueError(f"trials must be >= 100, got {trials}")
     d, sp = spec.d, spec.sigma_p
@@ -243,17 +264,14 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
 
     # Noise norms in [sp^2 d / 2, 3 sp^2 d / 2]; pairwise overlaps bounded.
     overlap_bound = 2.0 * sp**2 * math.sqrt(d * math.log(4.0 * n * n / delta))
-    passes = 0
-    for rng in _trial_rngs(seed, trials, 1):
-        ds = generate_dataset(spec, n, rng)
+
+    def noise_geometry(t: int) -> tuple[bool]:
+        ds = generate_dataset(spec, n, substream(seed, 1, t))
         norms = ds.xi_norms_sq
         gram = ds.noise_matrix @ ds.noise_matrix.T
         off = gram[~np.eye(n, dtype=bool)]
         ok = np.all((norms >= sp2d / 2) & (norms <= 1.5 * sp2d))
-        ok = ok and np.all(np.abs(off) <= overlap_bound)
-        passes += bool(ok)
-    report["noise_geometry"] = {"pass_rate": passes / trials, "overlap_bound": overlap_bound,
-                                "norm_range": [sp2d / 2, 1.5 * sp2d]}
+        return (bool(ok and np.all(np.abs(off) <= overlap_bound)),)
 
     # Init inner products: two-sided bounds on <w0, mu> and <w0, xi_i>,
     # including the max-over-filters anti-concentration side.
@@ -262,8 +280,9 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
     xi_hi = 2.0 * math.sqrt(math.log(8.0 * m * n / delta)) * sigma_0 * sp * math.sqrt(d)
     xi_lo = sigma_0 * sp * math.sqrt(d) / 4.0
     jsigns = np.array([1.0, -1.0])
-    passes = 0
-    for rng in _trial_rngs(seed, trials, 2):
+
+    def init_inner_products(t: int) -> tuple[bool]:
+        rng = substream(seed, 2, t)
         ds = generate_dataset(spec, n, rng)
         net = init_network(d, m, 2, sigma_0, rng)
         mu_proj = (spec.mu @ net.weights).reshape(2, m)  # rows: j=+1, j=-1
@@ -273,37 +292,41 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
         ok = ok and np.all((max_mu >= mu_lo) & (max_mu <= mu_hi))
         ok = ok and np.all(np.abs(xi_proj) <= xi_hi)
         max_xi = (jsigns[None, :, None] * xi_proj).max(axis=2)  # (n, 2)
-        ok = ok and np.all((max_xi >= xi_lo) & (max_xi <= xi_hi))
-        passes += bool(ok)
-    report["init_inner_products"] = {"pass_rate": passes / trials,
-                                     "mu_bounds": [mu_lo, mu_hi]}
+        return (bool(ok and np.all((max_xi >= xi_lo) & (max_xi <= xi_hi))),)
 
     # Per-step flip counts concentrate: |S_- - pn| within the Hoeffding band.
     tau = math.sqrt(n / 2.0 * math.log(4.0 / delta_b34))
     noise = LabelNoiseSpec.flip(p)
-    passes = 0
-    for rng in _trial_rngs(seed, trials, 3):
-        eps = sample_multipliers(noise, n, rng)
+
+    def flip_count_per_step(t: int) -> tuple[bool]:
+        eps = sample_multipliers(noise, n, substream(seed, 3, t))
         n_minus = int(np.sum(eps == -1.0))
-        ok = abs(n_minus - p * n) <= tau and abs((n - n_minus) - (1 - p) * n) <= tau
-        passes += bool(ok)
-    report["flip_count_per_step"] = {"pass_rate": passes / trials, "tau": tau,
-                                     "expected_flips": p * n}
+        return (abs(n_minus - p * n) <= tau and abs((n - n_minus) - (1 - p) * n) <= tau,)
 
     # Per-sample flip counts over t steps: Hoeffding band, plus the interval
     # form [pt/2, 3pt/2] once t >= 2 log(4n/delta) / p^2.
     tau_t = math.sqrt(t_b4 / 2.0 * math.log(4.0 * n / delta_b34))
     interval_applies = p > 0 and t_b4 >= 2.0 * math.log(4.0 * n / delta_b34) / p**2
-    passes = 0
-    interval_passes = 0
-    for rng in _trial_rngs(seed, trials, 4):
-        flips = int(np.sum(rng.random(t_b4) < p))
+
+    def flip_count_per_sample(t: int) -> tuple[bool, bool]:
+        flips = int(np.sum(substream(seed, 4, t).random(t_b4) < p))
         ok = abs(flips - p * t_b4) <= tau_t and abs((t_b4 - flips) - (1 - p) * t_b4) <= tau_t
-        passes += bool(ok)
-        if interval_applies:
-            interval_passes += bool(p * t_b4 / 2.0 <= flips <= 1.5 * p * t_b4)
+        return ok, bool(interval_applies and p * t_b4 / 2.0 <= flips <= 1.5 * p * t_b4)
+
+    workers = min(worker_budget(), math.ceil(trials / _BLOCK))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        (geometry,) = _count_passes(pool, trials, noise_geometry)
+        (inner,) = _count_passes(pool, trials, init_inner_products)
+        (per_step,) = _count_passes(pool, trials, flip_count_per_step)
+        per_sample, interval_passes = _count_passes(pool, trials, flip_count_per_sample)
+    report["noise_geometry"] = {"pass_rate": geometry / trials, "overlap_bound": overlap_bound,
+                                "norm_range": [sp2d / 2, 1.5 * sp2d]}
+    report["init_inner_products"] = {"pass_rate": inner / trials,
+                                     "mu_bounds": [mu_lo, mu_hi]}
+    report["flip_count_per_step"] = {"pass_rate": per_step / trials, "tau": tau,
+                                     "expected_flips": p * n}
     report["flip_count_per_sample"] = {
-        "pass_rate": passes / trials,
+        "pass_rate": per_sample / trials,
         "t": t_b4,
         "tau": tau_t,
         "interval_applies": bool(interval_applies),

@@ -172,6 +172,42 @@ def test_decompose_refuses_a_run_it_cannot_replay(tmp_path, capsys):
     assert not (run_dir / "decompose_reports.json").exists()
 
 
+@pytest.mark.parametrize("text, reason", [
+    (json.dumps({"command": "dynamics"}), "has no 'config' key"),
+    ('{"command": "dynamics", ', "is not valid JSON"),
+])
+def test_decompose_refuses_a_broken_manifest(tmp_path, capsys, text, reason):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "manifest.json").write_text(text)
+    assert main_cli(["decompose", "--run", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(run_dir / "manifest.json") in err
+    assert reason in err
+    assert not (run_dir / "decompose_reports.json").exists()
+
+
+def test_heatmap_notes_workers_beyond_the_cores(tmp_path, monkeypatch, capsys):
+    # Advisory only: the note changes neither the exit code nor the outputs.
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    config = {**MINIMAL, "grid": {"snr_values": [0.05], "n_values": [8], "steps": 10,
+                                  "seeds_per_cell": 2}}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    csv = {}
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"hm{workers}"
+        assert main_cli(["heatmap", "--config", str(path), "--out", str(out_dir),
+                         "--workers", workers]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        assert len(notes) == (workers == "2")
+        csv[workers] = (out_dir / "heatmap.csv").read_bytes()
+    assert "OPENBLAS_NUM_THREADS=1" in notes[0]
+    assert csv["1"] == csv["2"]
+
+
 def test_aborted_run_exits_2(tmp_path, capsys):
     config = {**MINIMAL, "q": 4, "eta": 1e80}
     path = tmp_path / "blowup.json"

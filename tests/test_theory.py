@@ -1,8 +1,13 @@
 import math
+import os
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lngd import theory
+from lngd.cores import worker_budget
 from lngd.experiments import axis_aligned_spec
 from lngd.theory import (
     check_assumptions,
@@ -198,6 +203,83 @@ class TestConcentrationSuite:
         b = concentration_suite(ref_spec(), n=20, m=20, sigma_0=0.01, p=0.1,
                                 trials=100, seed=5)
         assert a == b
+
+    def test_report_independent_of_pool_size(self, pool_sizes, monkeypatch):
+        # 137 trials end in a partial block; every trial of every suite runs once.
+        real = theory.substream
+        drawn = []
+        monkeypatch.setattr(theory, "substream",
+                            lambda seed, *indices: drawn.append(indices) or real(seed, *indices))
+        reports = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost update
+        try:
+            for size in (1, 2, 3):
+                drawn.clear()
+                pool_sizes.force(size)
+                reports.append(concentration_suite(ref_spec(), n=20, m=20, sigma_0=0.01,
+                                                   p=0.1, trials=137, seed=6))
+                assert sorted(drawn) == [(k, t) for k in (1, 2, 3, 4) for t in range(137)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_sizes.used == [1, 2, 3]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_pool_capped_at_block_count(self, pool_sizes):
+        pool_sizes.force(64)
+        concentration_suite(ref_spec(), n=20, m=20, sigma_0=0.01, p=0.1, trials=100, seed=6)
+        assert pool_sizes.used == [math.ceil(100 / theory._BLOCK)]
+
+    def test_trial_exception_propagates(self, pool_sizes, monkeypatch):
+        real = theory.substream
+
+        def substream(seed, *indices):
+            if indices == (3, 50):
+                raise RuntimeError("trial 50 failed")
+            return real(seed, *indices)
+
+        monkeypatch.setattr(theory, "substream", substream)
+        pool_sizes.force(2)
+        with pytest.raises(RuntimeError, match="trial 50 failed"):
+            concentration_suite(ref_spec(), n=20, m=20, sigma_0=0.01, p=0.1, trials=100,
+                                seed=6)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Force the suite's worker budget and record the size of each pool it opens."""
+    used = []
+
+    class RecordingPool(theory.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            used.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    def force(size):
+        monkeypatch.setattr(theory, "worker_budget", lambda: size)
+
+    monkeypatch.setattr(theory, "ThreadPoolExecutor", RecordingPool)
+    return SimpleNamespace(force=force, used=used)
+
+
+class TestWorkerBudget:
+    @pytest.mark.parametrize("env, cores, budget", [
+        ({}, 4, 1),  # unpinned BLAS counts as using every core
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),  # never below one worker
+        ({"OMP_NUM_THREADS": "1"}, 4, 4),
+        ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "2"}, 4, 2),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 4, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+    ])
+    def test_cores_over_blas_threads(self, monkeypatch, env, cores, budget):
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        assert worker_budget() == budget
 
 
 class TestTheoremVerdicts:
