@@ -79,7 +79,7 @@ class CoefficientStack:
     product with ``SpanProducts.span``. ``gamma`` (A, 2m) holds the signal
     coefficients themselves; ``states[a]`` is arm a's CoefficientState, whose
     arrays are views into these. ``drho`` (n, A, 2m) receives each step's rho
-    increment.
+    increment. Every state's ``w0`` is the caller's array, not a copy.
     """
 
     def __init__(self, dataset: Dataset, w0: np.ndarray, arms: int):
@@ -94,7 +94,6 @@ class CoefficientStack:
         self.gamma = np.zeros((arms, two_m))
         self.coef = np.zeros((n + 1, arms, two_m))
         self.drho = np.zeros((n, arms, two_m))
-        w0 = w0.copy()
         self.states = [
             CoefficientState(gamma=self.gamma[a].reshape(2, m),
                              rho=self.coef[:n, a].T.reshape(2, m, n),
@@ -117,13 +116,18 @@ class SpanProducts:
 
     @classmethod
     def of(cls, chunks, rows: int, dataset: Dataset, w0: np.ndarray) -> "SpanProducts":
-        """Products of ``rows`` points, read one (k, d) block of ``chunks`` at a time."""
+        """Products of ``rows`` points, read one (k, d) block of ``chunks`` at a time.
+
+        Each block is done with before the next is drawn, so ``chunks`` may
+        reuse one buffer.
+        """
         spec = dataset.spec
         out = cls(w0=np.empty((rows, w0.shape[1])), span=np.empty((rows, len(dataset) + 1)))
         start = 0
         for x in chunks:
             part = slice(start, start + len(x))
-            np.divide(x @ dataset.noise_matrix.T, dataset.xi_norms_sq, out=out.span[part, :-1])
+            gram = np.matmul(x, dataset.noise_matrix.T, out=out.span[part, :-1])
+            gram /= dataset.xi_norms_sq
             np.divide(x @ spec.mu, spec.mu_norm_sq, out=out.span[part, -1])
             np.matmul(x, w0, out=out.w0[part])
             start = part.stop

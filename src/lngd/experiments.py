@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +76,7 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     dataset = generate_dataset(spec, n, stream(seed, "data"))
     test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
     w0 = init_network(spec.d, m, q, sigma_0, stream(seed, "init")).weights
+    w0.flags.writeable = False  # every arm's state holds this array
     products = (SpanProducts.of([dataset.points], n + 1, dataset, w0),
                 SpanProducts.of(test_set.noise_chunks(), n_test, dataset, w0))
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
@@ -238,6 +238,8 @@ def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
 
     results = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(u, pool.submit(_run_heatmap_unit, grid, *u)) for u in units]
             for u, fut in futures:

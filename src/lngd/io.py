@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from math import copysign
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,13 +42,13 @@ def _fmt_value(x) -> str:
     return fmt_float(x)
 
 
-def _fmt_coef(x: float) -> str:
-    """fmt_float(x), with an exact +0.0 written as "0" without a format call."""
-    return "0" if x == 0.0 and copysign(1.0, x) > 0 else "%.17g" % x
-
-
 def sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """Hex sha256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -78,17 +77,21 @@ def write_coefficients_csv(snaps: CoefficientSnapshots, path: Path) -> None:
     rho is written in the rho_bar column at same-class entries (y_i = j) and
     in the rho_under column at opposite-class ones; the other column holds
     the zero fill "0". Values are written as ``fmt_float`` writes them, gamma
-    once per (j, r).
+    once per (j, r). Each (step, j, r) block is one ``%`` over a row template
+    of its branch, built once per file with the i column and the fill.
     """
-    same = snaps.same_class_mask.tolist()
+    head, gamma_col = "\x00", "\x01"  # stand for "step,j,r," and ",gamma,"
+    # "%.17g" % x == fmt_float(x) for every float, -0.0, inf and nan included.
+    templates = ["".join(f"{head}{i}{gamma_col}%.17g,0\n" if s
+                         else f"{head}{i}{gamma_col}0,%.17g\n" for i, s in enumerate(same))
+                 for same in snaps.same_class_mask.tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("step,j,r,i,gamma,rho_bar,rho_under\n")
         for step, gamma, rho in zip(snaps.steps.tolist(), snaps.gamma, snaps.rho):
             for b, r in np.ndindex(gamma.shape):
-                head, g = f"{step},{1 - 2 * b},{r}", fmt_float(gamma[b, r])
-                values = zip(same[b], map(_fmt_coef, rho[b, r].tolist()))
-                fh.write("".join([f"{head},{i},{g},{x},0\n" if s else f"{head},{i},{g},0,{x}\n"
-                                  for i, (s, x) in enumerate(values)]))
+                block = templates[b].replace(head, f"{step},{1 - 2 * b},{r},")
+                block = block.replace(gamma_col, f",{fmt_float(gamma[b, r])},")
+                fh.write(block % tuple(rho[b, r].tolist()))
 
 
 def write_coefficient_summary_csv(snaps: CoefficientSnapshots, path: Path) -> None:

@@ -57,7 +57,9 @@ def init_network(d: int, m: int, q: int, sigma_0: float, rng: np.random.Generato
         raise ValueError("d and m must be >= 1")
     if not (sigma_0 >= 0):
         raise ValueError(f"sigma_0 must be nonnegative, got {sigma_0}")
-    return Network(sigma_0 * rng.standard_normal((d, 2 * m)), q)
+    w = rng.standard_normal((d, 2 * m))
+    w *= sigma_0
+    return Network(w, q)
 
 
 def activation(z, q: int):

@@ -173,6 +173,8 @@ class TestEmitOutputs:
         rho = result.label_noise.state.rho.copy()
         i_opp = np.flatnonzero(~same[1])[-1]
         rho[1, 2, i_opp] = -0.0  # an opposite-class entry: the sign of a zero survives
+        i_same = np.flatnonzero(same[0])[0]
+        rho[0, 0, i_same], rho[0, 1, i_same], rho[1, 0, i_opp] = np.inf, np.nan, -np.inf
         art.coefficient_snapshots["coefficients_label_noise.csv"] = CoefficientSnapshots(
             np.array([20]), gamma[None], rho[None], same)
         inventory = emit_outputs(art, tmp_path)
@@ -189,6 +191,9 @@ class TestEmitOutputs:
         ]
         assert lines[1:] == expected
         assert lines[1 + 5 * 8 + i_opp] == f"20,-1,2,{i_opp},{fmt_float(gamma[1, 2])},0,-0"
+        assert lines[1 + i_same].endswith(",inf,0")
+        assert lines[1 + 8 + i_same].endswith(",nan,0")
+        assert lines[1 + 3 * 8 + i_opp].endswith(",0,-inf")
         summary = (tmp_path / "coefficients_label_noise_summary.csv").read_text().splitlines()
         rho_bar = np.where(same[:, None, :], rho, 0.0)
         rho_under = np.where(same[:, None, :], 0.0, rho)
