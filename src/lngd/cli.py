@@ -94,7 +94,7 @@ def _make_snapshot_observers(config: FullConfig):
     def make(label):
         sink = sinks[label]
 
-        def observer(step, state, dataset, row):
+        def observer(step, state, dataset):
             if step % config.coeff_stride == 0 or step == config.steps:
                 sink.append((step, state.gamma.copy(), state.rho.copy()))
 
@@ -310,8 +310,8 @@ def _cmd_decompose(args) -> int:
         oracle = OracleReplay(config.q, config.eta, noise,
                               arm_noise_rng(config.seed, idx, noise))
 
-        def observer(step, state, dataset, row):
-            base(step, state, dataset, row)
+        def observer(step, state, dataset):
+            base(step, state, dataset)
             w = oracle.advance(step, state, dataset).weights
             w_plus, w_minus = reconstruct_weights(state, dataset)
             err = (np.linalg.norm(np.hstack([w_plus, w_minus]) - w)

@@ -24,7 +24,8 @@ from .theory import (
     stage2_boundedness_check,
     empirical_verdicts,
 )
-from .training import Arm, LabelNoiseSpec, RunArtifacts, run_training
+from .recorder import start_recorder
+from .training import Arm, LabelNoiseSpec, RunArtifacts, log_count, run_training
 
 __all__ = [
     "RunArtifacts",
@@ -63,12 +64,14 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
 
 def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
-                 log_stride: int, n_test: int,
-                 observers: dict | None = None) -> list[RunArtifacts]:
+                 log_stride: int, n_test: int, observers: dict | None = None,
+                 fork_recorder: bool = True) -> list[RunArtifacts]:
     """Train one arm per noise spec on shared data/init/test; each arm carries the dataset.
 
-    This is where points become products: the (train, test) span products
-    of the init are computed here, once, and the arms advance together on
+    This is where points become products. The test set's products are
+    built by the trace recorder (``lngd.recorder``), in a child process when
+    ``fork_recorder`` and a second core allow it; the training products are
+    computed here, after the recorder starts. The arms advance together on
     them in one ``run_training`` call; arm ``idx`` draws from its own
     multiplier stream. The test set is streamed, not kept;
     ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
@@ -77,12 +80,16 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
     w0 = init_network(spec.d, m, q, sigma_0, stream(seed, "init")).weights
     w0.flags.writeable = False  # every arm's state holds this array
-    products = (SpanProducts.of([dataset.points], n + 1, dataset, w0),
-                SpanProducts.of(test_set.noise_chunks(), n_test, dataset, w0))
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(noises)]
-    return run_training(w0, q, dataset, products, test_set.labels, arms, eta=eta, steps=steps,
-                        log_stride=log_stride)
+    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, w0, q,
+                              len(arms), log_count(steps, log_stride), may_fork=fork_recorder)
+    try:
+        products = SpanProducts.of([dataset.points], n + 1, dataset, w0)
+        return run_training(w0, q, dataset, products, recorder, arms, eta=eta, steps=steps,
+                            log_stride=log_stride)
+    finally:
+        recorder.close()
 
 
 def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
@@ -187,11 +194,13 @@ class HeatmapResult:
     long_rows: list  # (snr, n, seed_index, algorithm, accuracy)
 
 
-def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
+def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int,
+                      fork_recorder: bool = True):
     """One (snr, n, seed) unit: paired standard/label-noise runs.
 
     Streams derive from (master, row, col, seed_index), so scheduling cannot
-    affect the numbers.
+    affect the numbers. A pool worker passes ``fork_recorder=False``: the
+    pool already has a process per core.
     """
     snr = grid.snr_values[row]
     n = grid.n_values[col]
@@ -202,7 +211,7 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int):
         steps=grid.steps,
         noises=[("standard", LabelNoiseSpec.none()),
                 ("label_noise", LabelNoiseSpec.flip(grid.p))],
-        seed=cell_seed, log_stride=grid.steps, n_test=grid.n_test,
+        seed=cell_seed, log_stride=grid.steps, n_test=grid.n_test, fork_recorder=fork_recorder,
     )
     out = {}
     for arm in arms:
@@ -241,7 +250,7 @@ def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(u, pool.submit(_run_heatmap_unit, grid, *u)) for u in units]
+            futures = [(u, pool.submit(_run_heatmap_unit, grid, *u, False)) for u in units]
             for u, fut in futures:
                 try:
                     results.append(fut.result())

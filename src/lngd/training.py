@@ -8,7 +8,8 @@ pre-activations from inner products computed once per dataset and init, so
 a step costs O(n^2 m) whatever d is. The arms of a run, which share the
 dataset and the init and differ in their multipliers, advance as one stacked
 state: one matrix product and one pass of each elementwise operation per
-step serve them all. The weight-space step ``train_step``
+step serve them all. The test error and the trace rows of each logged step
+are left to a recorder (``lngd.recorder``). The weight-space step ``train_step``
 (closed-form gradient, certified by finite differences) is kept as the
 oracle the engine is tested against.
 """
@@ -27,12 +28,11 @@ from .decomposition import (
     CoefficientStack,
     CoefficientState,
     SpanProducts,
-    iota_all,
     ratio_summary,
     reconstruct_weights,
     update_coefficients,
 )
-from .network import Network, _forward_backward, logistic_loss, sign_error
+from .network import Network, _forward_backward, logistic_loss
 
 __all__ = [
     "LabelNoiseSpec",
@@ -44,6 +44,7 @@ __all__ = [
     "OracleReplay",
     "sample_multipliers",
     "train_step",
+    "log_count",
     "run_training",
 ]
 
@@ -301,38 +302,44 @@ def _outputs(pre, signal_sum, label_rows, q, branch_sign, act=None):
     return f, r_q1
 
 
-def run_training(w0: np.ndarray, q: int, dataset: Dataset,
-                 products: tuple[SpanProducts, SpanProducts], test_labels: np.ndarray,
+def log_count(steps: int, log_stride: int) -> int:
+    """Rows a run of ``steps`` steps logs: steps 0, log_stride, 2 log_stride, ... and steps."""
+    return -(-steps // log_stride) + 1
+
+
+def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProducts, recorder,
                  arms: list[Arm], *, eta: float, steps: int,
                  log_stride: int = 10) -> list[RunArtifacts]:
     """Train every arm from the init ``w0``; log a row every log_stride steps plus the final step.
 
-    ``products`` holds the (train, test) ``SpanProducts`` of the init: the
-    training rows xi_1..xi_n then mu, and the test noise rows, whose labels
-    are ``test_labels``. No point is read: ``dataset`` supplies the labels,
+    ``products`` are the training ``SpanProducts`` of the init: the rows
+    xi_1..xi_n, then mu. No point is read: ``dataset`` supplies the labels,
     |xi_i|^2, |mu|^2 and d, and is passed to the observers. The arms advance
     as one stacked coefficient state; each draws its multipliers from its
-    own stream and keeps its own trace, observer and state. The row at step
-    t reflects the state after t updates and the multiplier vector drawn for
-    step t (the loss the optimizer is about to descend). ``observer(step,
-    state, dataset, row)`` runs at every logged step; one that needs weights
-    rebuilds them with ``reconstruct_weights``. A non-finite output or
-    coefficient update aborts that arm alone: it keeps its partial trace,
-    the reason and the state before the failed update.
+    own stream and keeps its own trace, observer and state. At each logged
+    step the state goes to ``recorder`` (``lngd.recorder``), which evaluates
+    the test error and fills the trace rows; it is made for ``len(arms)``
+    arms and ``log_count(steps, log_stride)`` rows, and the traces are read
+    from it when the run ends. The row at step t reflects the state after t
+    updates and the multiplier vector drawn for step t (the loss the
+    optimizer is about to descend).
+    ``observer(step, state, dataset)`` runs at every logged step; one that
+    needs weights rebuilds them with ``reconstruct_weights``. A non-finite
+    output or coefficient update aborts that arm alone: it keeps the rows
+    logged before, the reason and the state before the failed update.
     """
     for arm in arms:
         if arm.noise.kind != "none" and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
     n, m = len(dataset), w0.shape[1] // 2
-    train, test = products
     labels = dataset.labels
     stack = CoefficientStack(dataset, w0, len(arms))
     sign = stack.branch_sign
-    logs = -(-steps // log_stride) + 1  # steps 0, log_stride, 2 log_stride, ... and steps
-    traces = [TrainTrace(np.recarray(logs, dtype=TRACE_DTYPE), np.empty((logs, n)), n=n,
-                         d=dataset.spec.d, noise_kind=arm.noise.kind) for arm in arms]
-    logged = 0  # rows filled in every live arm's trace
+    logged = 0  # rows recorded for every live arm
     live = np.ones(len(arms), dtype=bool)
+    stopped = {}  # arm -> (step, reason, rows logged) of an aborted arm
+    violations = [0] * len(arms)
+    drawn = [a for a, arm in enumerate(arms) if arm.noise.kind != "none"]  # the rest stay ones
     monotone = [a for a, arm in enumerate(arms) if arm.noise.kind == "none"]
     # rho_bar is nondecreasing exactly when no same-class increment is below 0.
     floor = np.where(np.equal.outer(labels, sign), 0.0, -np.inf)  # (n, 2m)
@@ -340,31 +347,18 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset,
     pre = np.empty((n + 1, len(arms), 2 * m))  # rows: xi_1..xi_n, then mu
     act = np.empty((n, len(arms), 2 * m))
 
-    def log_at(t: int, f, signal_sum):
-        f_test, _ = _outputs(test.preactivations(stack.coef), signal_sum,
-                             (test_labels < 0).astype(np.intp), q, sign)
-        for a in np.flatnonzero(live):
-            state, trace = stack.states[a], traces[a]
-            state.step = t
-            trace.iota_history[logged] = iota_all(state)
-            _trace_row(trace.rows, logged, t, f[:, a], eps[:, a], state, labels,
-                       sign_error(f_test[:, a], test_labels), trace.iota_history[logged])
-            if arms[a].observer is not None:
-                arms[a].observer(t, state, dataset, trace.rows[logged])
-
     def abort(failed, t: int, reason: str):
         for a in np.flatnonzero(failed):
-            trace = traces[a]
-            trace.aborted_at, trace.abort_reason = t, reason
-            trace.rows, trace.iota_history = trace.rows[:logged], trace.iota_history[:logged]
+            stopped[a] = (t, reason, logged)
             stack.states[a].step = t
             live[a] = False
 
     for t in range(steps + 1):
         # The extra draw at t = steps keeps every row's (state, eps) pairing uniform.
-        for a in np.flatnonzero(live):
-            eps[:, a] = sample_multipliers(arms[a].noise, n, arms[a].noise_rng)
-        train.preactivations(stack.coef, out=pre)
+        for a in drawn:
+            if live[a]:
+                eps[:, a] = sample_multipliers(arms[a].noise, n, arms[a].noise_rng)
+        products.preactivations(stack.coef, out=pre)
         s, s_q1 = _relu_q1(np.multiply.outer(LABEL_SIGN, pre[n]), q)  # signal patches y mu
         with np.errstate(over="ignore", invalid="ignore"):
             signal_sum = ((s_q1 * s).reshape(-1, 2 * m) @ sign).reshape(2, -1)
@@ -375,8 +369,12 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset,
         if not live.any():
             break
         if t % log_stride == 0 or t == steps:
-            log_at(t, f, signal_sum)
+            recorder.record(t, live, stack.coef, stack.gamma, f, eps, signal_sum)
             logged += 1
+            for a in np.flatnonzero(live):
+                stack.states[a].step = t
+                if arms[a].observer is not None:
+                    arms[a].observer(t, stack.states[a], dataset)
         if t == steps:
             break
         failed = update_coefficients(stack, eps, f, s_q1, r_q1, live, eta=eta, q=q,
@@ -385,8 +383,14 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset,
             abort(failed, t, "non-finite coefficient update")
         for a in monotone:
             if live[a]:
-                traces[a].rho_bar_monotone_violations += np.count_nonzero(stack.drho[:, a] < floor)
+                violations[a] += np.count_nonzero(stack.drho[:, a] < floor)
     for a in np.flatnonzero(live):
         stack.states[a].step = steps
-    return [RunArtifacts(arm.label, arm.noise, trace, state, dataset, q)
-            for arm, trace, state in zip(arms, traces, stack.states)]
+    rows, iota = recorder.finish()
+    out = []
+    for a, (arm, state) in enumerate(zip(arms, stack.states)):
+        aborted_at, reason, kept = stopped.get(a, (None, "", logged))
+        trace = TrainTrace(rows[a][:kept], iota[a][:kept], aborted_at, reason, violations[a],
+                           n=n, d=dataset.spec.d, noise_kind=arm.noise.kind)
+        out.append(RunArtifacts(arm.label, arm.noise, trace, state, dataset, q))
+    return out

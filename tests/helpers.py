@@ -1,16 +1,24 @@
-"""Training on explicit points: the products ``run_training`` reads, built as in ``_paired_runs``."""
+"""Training on explicit points: the products and the recorder ``run_training`` reads, built as in
+``_paired_runs``."""
 
 from lngd.decomposition import SpanProducts
-from lngd.training import run_training
+from lngd.recorder import Recorder
+from lngd.training import log_count, run_training
 
 
-def point_products(w0, dataset, test):
-    """(train, test) span products of the init ``w0`` on ``dataset`` and ``test``'s noise rows."""
-    return (SpanProducts.of([dataset.points], len(dataset) + 1, dataset, w0),
-            SpanProducts.of([test.noise_matrix], len(test), dataset, w0))
+def train_products(w0, dataset):
+    """Training span products of the init ``w0`` on ``dataset``."""
+    return SpanProducts.of([dataset.points], len(dataset) + 1, dataset, w0)
 
 
-def train_on_points(net, dataset, test, arms, **kwargs):
+def point_recorder(w0, q, dataset, test, arms, steps, log_stride=10):
+    """An in-process recorder of ``arms`` arms, evaluating on ``test``'s points."""
+    return Recorder(test.labels, [test.noise_matrix], dataset, w0, q, arms,
+                    log_count(steps, log_stride))
+
+
+def train_on_points(net, dataset, test, arms, *, steps, log_stride=10, **kwargs):
     """``run_training`` from ``net``'s weights on ``dataset``, evaluated on ``test``'s points."""
-    return run_training(net.weights, net.q, dataset, point_products(net.weights, dataset, test),
-                        test.labels, arms, **kwargs)
+    recorder = point_recorder(net.weights, net.q, dataset, test, len(arms), steps, log_stride)
+    return run_training(net.weights, net.q, dataset, train_products(net.weights, dataset),
+                        recorder, arms, steps=steps, log_stride=log_stride, **kwargs)

@@ -75,7 +75,7 @@ def section5_runs():
         checks = {label: {"recon": 0.0, "gamma": 0.0} for label, _ in arms}
 
         def make_observer(rec, oracle):
-            def observer(step, state, dataset, row):
+            def observer(step, state, dataset):
                 net = oracle.advance(step, state, dataset)
                 wp, wm = reconstruct_weights(state, dataset)
                 rel = (np.linalg.norm(np.hstack([wp, wm]) - net.weights)

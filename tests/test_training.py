@@ -14,7 +14,7 @@ from lngd.training import (
     train_step,
 )
 
-from helpers import point_products, train_on_points
+from helpers import point_recorder, train_on_points, train_products
 
 
 class TestLabelNoiseSpec:
@@ -162,17 +162,17 @@ class TestRunTraining:
         test = generate_dataset(small_spec, 30, np.random.default_rng(8))
         w0 = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9)).weights
 
-        def run(products):
+        def run(products, recorder):
             arms = [Arm("gd", LabelNoiseSpec.none()),
                     Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
-            return run_training(w0, 2, ds, products, test.labels, arms, eta=0.05, steps=50,
+            return run_training(w0, 2, ds, products, recorder, arms, eta=0.05, steps=50,
                                 log_stride=10)
 
-        want = run(point_products(w0, ds, test))
-        products = point_products(w0, ds, test)
+        want = run(train_products(w0, ds), point_recorder(w0, 2, ds, test, 2, 50))
+        products, recorder = train_products(w0, ds), point_recorder(w0, 2, ds, test, 2, 50)
         ds.points[...] = np.nan
         test.points[...] = np.nan
-        got = run(products)
+        got = run(products, recorder)
         for ours, theirs in zip(got, want):
             assert np.isfinite(ours.trace.rows.test_error_01).all()
             assert np.array_equal(ours.trace.rows, theirs.trace.rows)
@@ -191,6 +191,21 @@ class TestRunTraining:
                               np.hstack(reconstruct_weights(arm.state, small_dataset)))
         assert arm.net is arm.net and len(calls) == 1
         assert arm.net.q == 2
+
+    def test_standard_arm_draws_no_multipliers(self, small_spec, small_dataset, monkeypatch):
+        # A "none" arm's multipliers stay the ones they start as; only the noisy arm draws.
+        import lngd.training as training
+
+        kinds = []
+        real = training.sample_multipliers
+        monkeypatch.setattr(training, "sample_multipliers",
+                            lambda noise, n, rng: kinds.append(noise.kind) or real(noise, n, rng))
+        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
+        arms = [Arm("gd", LabelNoiseSpec.none()),
+                Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
+        gd, _ = train_on_points(net, small_dataset, small_dataset, arms, eta=0.05, steps=20)
+        assert kinds == ["flip"] * 21
+        assert not gd.trace.rows.flip_count.any()
 
     def test_flip_count_counts_negative_multipliers(self, small_spec, small_dataset):
         # Gaussian multipliers are never exactly -1; flip_count counts eps_i < 0.
