@@ -20,8 +20,8 @@ from . import __version__
 from .config import ConfigError, FullConfig, parse_config
 from .cores import blas_threads, usable_cores
 from .data import SignalSpec
-from .decomposition import reconstruct_weights
 from .experiments import (
+    Q_SWEEP_DEFAULTS,
     SweepGrid,
     arm_noise_rng,
     axis_aligned_spec,
@@ -32,8 +32,9 @@ from .experiments import (
 )
 from .io import (CoefficientSnapshots, EmitError, RunArtifactFiles, emit_outputs, now_utc,
                  refuse_overwrite, write_json)
+from .network import OracleReplay, reconstruct_weights
 from .theory import check_assumptions, concentration_suite
-from .training import LabelNoiseSpec, OracleReplay
+from .training import LabelNoiseSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +64,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--run", required=True, help="directory of a saved run")
         else:
             p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--seed", type=int, default=None, help="override config seed")
+            p.add_argument("--out", default=None, help="output directory")
         if name in _RUNS or name == "decompose":
             p.add_argument("--assert", dest="assert_", action="store_true",
                            help="exit 3 if the command's verdicts fail")
@@ -239,7 +240,13 @@ def _cmd_noise_compare(config: FullConfig, started: str):
 
 
 def _cmd_q_sweep(config: FullConfig, started: str):
-    results = run_q_sweep(config.q_list or (2, 3, 4), d=config.d, sigma_0=config.sigma_0,
+    qs = config.q_list or tuple(Q_SWEEP_DEFAULTS)
+    unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
+    if unknown:
+        raise ConfigError(f"q_list: no reference hyperparameters for "
+                          f"{', '.join(f'q={q}' for q in unknown)}; "
+                          f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
+    results = run_q_sweep(qs, d=config.d, sigma_0=config.sigma_0,
                           steps=config.steps, p=config.p, seed=config.seed,
                           log_stride=config.log_stride, n_test=config.n_test)
     artifacts = RunArtifactFiles(config=config, command="q-sweep", started_at=started)

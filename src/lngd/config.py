@@ -64,11 +64,12 @@ _DEFAULTS = {
 _REQUIRED = ("d", "n", "mu_scale", "sigma_p", "p", "eta", "steps", "seed")
 _KNOWN = set(_REQUIRED) | set(_DEFAULTS)
 
+# Each noise kind's LabelNoiseSpec fields, in the order a config lists them.
 _NOISE_KEYS = {
-    "none": set(),
-    "flip": {"p"},
-    "gaussian": {"mean", "std"},
-    "uniform": {"lo", "hi"},
+    "none": (),
+    "flip": ("p",),
+    "gaussian": ("mean", "std"),
+    "uniform": ("lo", "hi"),
 }
 
 
@@ -83,20 +84,15 @@ def _parse_noise(obj, where: str) -> LabelNoiseSpec:
     if kind not in _NOISE_KEYS:
         raise ConfigError(f"{where}: unknown noise kind {kind!r}; "
                           f"allowed: {sorted(_NOISE_KEYS)}")
-    extra = set(obj) - {"kind"} - _NOISE_KEYS[kind]
+    keys = _NOISE_KEYS[kind]
+    extra = set(obj) - {"kind", *keys}
     if extra:
         raise ConfigError(f"{where}: unknown noise keys {sorted(extra)} for kind {kind!r}")
-    missing = _NOISE_KEYS[kind] - set(obj)
+    missing = set(keys) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing noise keys {sorted(missing)} for kind {kind!r}")
     try:
-        if kind == "none":
-            return LabelNoiseSpec.none()
-        if kind == "flip":
-            return LabelNoiseSpec.flip(float(obj["p"]))
-        if kind == "gaussian":
-            return LabelNoiseSpec.gaussian(float(obj["mean"]), float(obj["std"]))
-        return LabelNoiseSpec.uniform(float(obj["lo"]), float(obj["hi"]))
+        return LabelNoiseSpec(kind, **{key: float(obj[key]) for key in keys})
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -232,13 +228,7 @@ def _validate_grid(obj) -> dict:
 
 
 def _noise_to_dict(noise: LabelNoiseSpec) -> dict:
-    if noise.kind == "none":
-        return {"kind": "none"}
-    if noise.kind == "flip":
-        return {"kind": "flip", "p": noise.p}
-    if noise.kind == "gaussian":
-        return {"kind": "gaussian", "mean": noise.mean, "std": noise.std}
-    return {"kind": "uniform", "lo": noise.lo, "hi": noise.hi}
+    return {"kind": noise.kind, **{key: getattr(noise, key) for key in _NOISE_KEYS[noise.kind]}}
 
 
 def config_to_dict(config: FullConfig) -> dict:

@@ -9,8 +9,8 @@ with a signal coefficient gamma_{j,r} per filter and noise coefficients
 rho_{j,r,i} per (filter, sample) pair. Training advances (gamma, rho) with
 the recurrence in ``update_coefficients``; ``SpanProducts`` turns them into
 pre-activations from inner products computed once, so a step does no work
-that scales with d. Weights are rebuilt by ``reconstruct_weights`` only when
-asked for; projections onto mu / xi_i serve as cross-checks.
+that scales with d. No weights are rebuilt here: ``lngd.network``, the one
+module that owns weights, rebuilds them and checks them against projections.
 
 Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1. rho is
 stored once, (2, m, n); its same-class entries (y_i = j) are the paper's
@@ -27,15 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .network import Network, loss_derivative
 
 __all__ = [
     "CoefficientState",
     "CoefficientStack",
     "SpanProducts",
     "update_coefficients",
-    "reconstruct_weights",
-    "projection_check",
+    "logistic_loss",
+    "loss_derivative",
+    "sign_error",
     "iota_all",
     "iota_series",
     "ratio_summary",
@@ -147,6 +147,21 @@ class SpanProducts:
         return out
 
 
+def logistic_loss(z):
+    """log(1 + exp(-z)), overflow-free for any margin."""
+    return np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
+
+
+def loss_derivative(z):
+    """d/dz log(1 + exp(-z)) = -1 / (1 + exp(z)), computed without overflow."""
+    return -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=np.float64)))
+
+
+def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of points with y != sign(f); sign(0) counts as an error."""
+    return float(np.mean(np.sign(f) != labels))
+
+
 def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
                         signal_q1: np.ndarray, noise_q1: np.ndarray, live: np.ndarray, *,
                         eta: float, q: int, mu_norm_sq: float) -> np.ndarray:
@@ -185,52 +200,6 @@ def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
     stack.gamma += dgamma
     np.multiply(stack.gamma, stack.branch_sign, out=stack.coef[n])
     return bad
-
-
-def reconstruct_weights(state: CoefficientState, dataset: Dataset):
-    """Rebuild (w_plus, w_minus) from w0 and the coefficients.
-
-    w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i rho_{j,r,i} xi_i/|xi_i|^2
-    """
-    mu = dataset.spec.mu
-    mu_unit = mu / (mu @ mu)
-    m, n = state.m, state.n
-    xi_scaled = dataset.noise_matrix / state.xi_norms_sq[:, None]  # (n, d)
-    w = state.w0.copy()
-    w += np.multiply.outer(mu_unit, (state.gamma * _BRANCH_SIGN).ravel())  # j gamma_{j,r}
-    w += (state.rho.reshape(2 * m, n) @ xi_scaled).T
-    return w[:, :m], w[:, m:]
-
-
-def projection_check(net: Network, state: CoefficientState, dataset: Dataset, *,
-                     delta: float = 0.01, t_star: int | None = None) -> dict:
-    """Compare coefficients against direct projections of the weight displacement.
-
-    The gamma comparison <w - w0, j mu> - gamma_{j,r} is exact up to rounding
-    because every xi_i is orthogonal to mu. The rho comparison picks up
-    cross-terms <xi_i, xi_i'> and is judged against the theoretical slack
-    8 sqrt(log(4 n^2 / delta) / d) * n * alpha with alpha = 4 log(t_star).
-    """
-    mu = dataset.spec.mu
-    n, m = state.n, state.m
-    disp = net.weights - state.w0  # (d, 2m)
-    mu_proj = (mu @ disp).reshape(2, m) * _BRANCH_SIGN  # <w - w0, j mu>
-    gamma_disc = np.abs(mu_proj - state.gamma)
-
-    xi_proj = (dataset.noise_matrix @ disp).T.reshape(2, m, n).copy()
-    rho_disc = np.abs(xi_proj - state.rho)
-
-    steps = max(2, state.step if t_star is None else t_star)
-    alpha = 4.0 * np.log(steps)
-    bound = 8.0 * np.sqrt(np.log(4.0 * n * n / delta) / dataset.spec.d) * n * alpha
-    return {
-        "gamma_discrepancy_max": float(gamma_disc.max()),
-        "rho_discrepancy_max": float(rho_disc.max()),
-        "rho_bound": float(bound),
-        "rho_within_bound_frac": float(np.mean(rho_disc <= bound)),
-        "alpha": float(alpha),
-        "delta": delta,
-    }
 
 
 def iota_all(state: CoefficientState) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Two-layer convolutional network with fixed +/-1 second layer.
+"""Weight space: the two-layer network, its closed-form gradient and the oracle.
+
+This is the one module that builds, holds or steps weights. The coefficient
+engine (``data``, ``decomposition``, ``training``, ``recorder``) imports
+nothing from here, and is tested against the oracle step defined here.
 
 Both branches share the architecture F_j(W_j, x) = (1/m) sum_r sum_p
 sigma(<w_{j,r}, x^(p)>) with sigma(z) = max(0, z)^q, and the network output
@@ -14,17 +18,21 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
+from .decomposition import _BRANCH_SIGN, CoefficientState, loss_derivative, sign_error
+from .training import LabelNoiseSpec, sample_multipliers
 
 __all__ = [
     "Network",
     "init_network",
     "activation",
     "activation_derivative",
-    "logistic_loss",
-    "loss_derivative",
     "full_batch_gradient",
-    "sign_error",
     "zero_one_error",
+    "RunAborted",
+    "train_step",
+    "OracleReplay",
+    "reconstruct_weights",
+    "projection_check",
 ]
 
 
@@ -72,31 +80,23 @@ def activation_derivative(z, q: int):
     return q * np.maximum(z, 0.0) ** (q - 1)
 
 
-def logistic_loss(z):
-    """log(1 + exp(-z)), overflow-free for any margin."""
-    return np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
+def _forward(net: Network, dataset: Dataset):
+    """(n, 2m) pre-activations <w_{j,r}, y_i mu> and <w_{j,r}, xi_i>, and the (n,) outputs f.
 
-
-def loss_derivative(z):
-    """d/dz log(1 + exp(-z)) = -1 / (1 + exp(z)), computed without overflow."""
-    return -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=np.float64)))
-
-
-def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of points with y != sign(f); sign(0) counts as an error."""
-    return float(np.mean(np.sign(f) != labels))
+    Call under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    m, q = net.m, net.q
+    mu_proj = dataset.spec.mu @ net._w  # (2m,)
+    sig_pre = np.multiply.outer(dataset.labels, mu_proj)
+    noise_pre = dataset.noise_matrix @ net._w
+    act = activation(sig_pre, q) + activation(noise_pre, q)
+    return sig_pre, noise_pre, (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
 
 
 def _batch_outputs(net: Network, dataset: Dataset) -> np.ndarray:
     """(n,) outputs f(W, x_i), vectorized over the dataset."""
-    m, q = net.m, net.q
     with np.errstate(over="ignore", invalid="ignore"):
-        mu_proj = dataset.spec.mu @ net._w  # (2m,)
-        noise_pre = dataset.noise_matrix @ net._w  # (n, 2m)
-        # The signal patch y_i mu contributes sigma(y_i <w_{j,r}, mu>).
-        act = (activation(np.multiply.outer(dataset.labels, mu_proj), q)
-               + activation(noise_pre, q))
-        return (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
+        return _forward(net, dataset)[2]
 
 
 def zero_one_error(net: Network, test_dataset: Dataset) -> float:
@@ -109,29 +109,21 @@ def zero_one_error(net: Network, test_dataset: Dataset) -> float:
 def _forward_backward(net: Network, dataset: Dataset, multipliers: np.ndarray):
     """Weight-space forward/backward pass: the oracle the coefficient engine is tested against.
 
-    Returns (f, lprime, mu_proj, noise_pre, grad) where grad is the full
-    gradient of (1/n) sum_i loss(eps_i y_i f_i) in (d, 2m) layout. mu_proj
-    is (2m,) filter-signal inner products <w_{j,r}, mu>; noise_pre is
-    (n, 2m) inner products <w_{j,r}, xi_i>.
+    Returns (f, grad) where grad is the full gradient of
+    (1/n) sum_i loss(eps_i y_i f_i) in (d, 2m) layout.
     """
     n, m, q = len(dataset), net.m, net.q
     with np.errstate(over="ignore", invalid="ignore"):
         y = dataset.labels
-        mu_proj = dataset.spec.mu @ net._w
-        sig_pre = np.multiply.outer(y, mu_proj)  # <w, y_i mu>
-        noise_pre = dataset.noise_matrix @ net._w
-        act = activation(sig_pre, q) + activation(noise_pre, q)
-        f = (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
-        lprime = loss_derivative(multipliers * y * f)
-
-        coef = lprime * multipliers  # (n,)
+        sig_pre, noise_pre, f = _forward(net, dataset)
+        coef = loss_derivative(multipliers * y * f) * multipliers  # (n,)
         sig_der = activation_derivative(sig_pre, q)
         noise_der = activation_derivative(noise_pre, q)
         grad = np.multiply.outer(dataset.spec.mu, coef @ sig_der)
         grad += dataset.noise_matrix.T @ ((coef * y)[:, None] * noise_der)
         grad[:, m:] *= -1.0  # second-layer sign j
         grad /= n * m
-    return f, lprime, mu_proj, noise_pre, grad
+    return f, grad
 
 
 def full_batch_gradient(net: Network, dataset: Dataset, multipliers: np.ndarray) -> np.ndarray:
@@ -141,4 +133,103 @@ def full_batch_gradient(net: Network, dataset: Dataset, multipliers: np.ndarray)
         raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
     if not np.all(np.isfinite(multipliers)):
         raise ValueError("multipliers must be finite")
-    return _forward_backward(net, dataset, multipliers)[4]
+    return _forward_backward(net, dataset, multipliers)[1]
+
+
+class RunAborted(RuntimeError):
+    """Raised by the oracle step when it produces non-finite values."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(f"training aborted at step {step}: {reason}")
+        self.step = step
+        self.reason = reason
+
+
+def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: float,
+               step: int = 0) -> None:
+    """Oracle step: apply W <- W - eta * grad in place with the closed-form gradient."""
+    multipliers = np.asarray(multipliers, dtype=np.float64)
+    if multipliers.shape != (len(dataset),):
+        raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
+    f, grad = _forward_backward(net, dataset, multipliers)
+    if not np.all(np.isfinite(f)):
+        raise RunAborted(step, "non-finite network outputs")
+    if not np.all(np.isfinite(grad)):
+        raise RunAborted(step, "non-finite gradient")
+    np.subtract(net.weights, eta * grad, out=net.weights)
+
+
+class OracleReplay:
+    """Replays one training arm in weight space with ``train_step``.
+
+    ``noise_rng`` must be a fresh generator on the arm's multiplier stream,
+    so the replay draws the same multipliers as the engine did. ``advance``
+    takes the oracle network (built from ``state.w0`` on first use) forward
+    to a given step; observers use it to compare the engine's coefficients
+    against directly trained weights.
+    """
+
+    def __init__(self, q: int, eta: float, noise: LabelNoiseSpec, noise_rng=None):
+        self.q = q
+        self.eta = eta
+        self.noise = noise
+        self.noise_rng = noise_rng
+        self.net: Network | None = None
+        self.step = 0
+
+    def advance(self, step: int, state: CoefficientState, dataset: Dataset) -> Network:
+        if self.net is None:
+            self.net = Network(state.w0.copy(), self.q)
+        if step < self.step:
+            raise ValueError(f"replay is at step {self.step}, cannot go back to {step}")
+        while self.step < step:
+            eps = sample_multipliers(self.noise, len(dataset), self.noise_rng)
+            train_step(self.net, dataset, eps, self.eta, step=self.step)
+            self.step += 1
+        return self.net
+
+
+def reconstruct_weights(state: CoefficientState, dataset: Dataset):
+    """Rebuild (w_plus, w_minus) from w0 and the coefficients.
+
+    w_{j,r} = w0_{j,r} + j gamma_{j,r} mu/|mu|^2 + sum_i rho_{j,r,i} xi_i/|xi_i|^2
+    """
+    mu = dataset.spec.mu
+    mu_unit = mu / (mu @ mu)
+    m, n = state.m, state.n
+    xi_scaled = dataset.noise_matrix / state.xi_norms_sq[:, None]  # (n, d)
+    w = state.w0.copy()
+    w += np.multiply.outer(mu_unit, (state.gamma * _BRANCH_SIGN).ravel())  # j gamma_{j,r}
+    w += (state.rho.reshape(2 * m, n) @ xi_scaled).T
+    return w[:, :m], w[:, m:]
+
+
+def projection_check(net: Network, state: CoefficientState, dataset: Dataset, *,
+                     delta: float = 0.01, t_star: int | None = None) -> dict:
+    """Compare coefficients against direct projections of the weight displacement.
+
+    The gamma comparison <w - w0, j mu> - gamma_{j,r} is exact up to rounding
+    because every xi_i is orthogonal to mu. The rho comparison picks up
+    cross-terms <xi_i, xi_i'> and is judged against the theoretical slack
+    8 sqrt(log(4 n^2 / delta) / d) * n * alpha with alpha = 4 log(t_star).
+    """
+    mu = dataset.spec.mu
+    n, m = state.n, state.m
+    disp = net.weights - state.w0  # (d, 2m)
+    mu_proj = (mu @ disp).reshape(2, m) * _BRANCH_SIGN  # <w - w0, j mu>
+    gamma_disc = np.abs(mu_proj - state.gamma)
+
+    xi_proj = (dataset.noise_matrix @ disp).T.reshape(2, m, n).copy()
+    rho_disc = np.abs(xi_proj - state.rho)
+
+    steps = max(2, state.step if t_star is None else t_star)
+    alpha = 4.0 * np.log(steps)
+    bound = 8.0 * np.sqrt(np.log(4.0 * n * n / delta) / dataset.spec.d) * n * alpha
+    return {
+        "gamma_discrepancy_max": float(gamma_disc.max()),
+        "rho_discrepancy_max": float(rho_disc.max()),
+        "rho_bound": float(bound),
+        "rho_within_bound_frac": float(np.mean(rho_disc <= bound)),
+        "alpha": float(alpha),
+        "delta": delta,
+    }

@@ -28,8 +28,7 @@ import traceback
 import numpy as np
 
 from .cores import worker_budget
-from .decomposition import CoefficientStack, SpanProducts, iota_all
-from .network import sign_error
+from .decomposition import CoefficientStack, SpanProducts, iota_all, sign_error
 from .training import TRACE_DTYPE, _outputs, _trace_row
 
 __all__ = ["Recorder", "ForkedRecorder", "start_recorder"]

@@ -9,9 +9,9 @@ a step costs O(n^2 m) whatever d is. The arms of a run, which share the
 dataset and the init and differ in their multipliers, advance as one stacked
 state: one matrix product and one pass of each elementwise operation per
 step serve them all. The test error and the trace rows of each logged step
-are left to a recorder (``lngd.recorder``). The weight-space step ``train_step``
-(closed-form gradient, certified by finite differences) is kept as the
-oracle the engine is tested against.
+are left to a recorder (``lngd.recorder``). No weights are built here:
+``lngd.network`` owns weight space, including the oracle step the engine is
+tested against, and only ``RunArtifacts.net`` reaches it, on first read.
 """
 
 from __future__ import annotations
@@ -28,11 +28,10 @@ from .decomposition import (
     CoefficientStack,
     CoefficientState,
     SpanProducts,
+    logistic_loss,
     ratio_summary,
-    reconstruct_weights,
     update_coefficients,
 )
-from .network import Network, _forward_backward, logistic_loss
 
 __all__ = [
     "LabelNoiseSpec",
@@ -40,10 +39,7 @@ __all__ = [
     "TrainTrace",
     "Arm",
     "RunArtifacts",
-    "RunAborted",
-    "OracleReplay",
     "sample_multipliers",
-    "train_step",
     "log_count",
     "run_training",
 ]
@@ -179,8 +175,11 @@ class RunArtifacts:
     q: int
 
     @cached_property
-    def net(self) -> Network:
+    def net(self):
         """The final network, its weights rebuilt from the coefficients on first read."""
+        # Imported here, not at module level: network imports this module.
+        from .network import Network, reconstruct_weights
+
         return Network(np.hstack(reconstruct_weights(self.state, self.dataset)), self.q)
 
     @property
@@ -198,59 +197,6 @@ class RunArtifacts:
     @property
     def final_clean_loss(self) -> float:
         return self.trace.final.clean_train_loss
-
-
-class RunAborted(RuntimeError):
-    """Raised by the oracle step when it produces non-finite values."""
-
-    def __init__(self, step: int, reason: str):
-        super().__init__(f"training aborted at step {step}: {reason}")
-        self.step = step
-        self.reason = reason
-
-
-def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: float,
-               step: int = 0) -> None:
-    """Oracle step: apply W <- W - eta * grad in place with the closed-form gradient."""
-    multipliers = np.asarray(multipliers, dtype=np.float64)
-    if multipliers.shape != (len(dataset),):
-        raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
-    f, _, _, _, grad = _forward_backward(net, dataset, multipliers)
-    if not np.all(np.isfinite(f)):
-        raise RunAborted(step, "non-finite network outputs")
-    if not np.all(np.isfinite(grad)):
-        raise RunAborted(step, "non-finite gradient")
-    np.subtract(net.weights, eta * grad, out=net.weights)
-
-
-class OracleReplay:
-    """Replays one training arm in weight space with ``train_step``.
-
-    ``noise_rng`` must be a fresh generator on the arm's multiplier stream,
-    so the replay draws the same multipliers as the engine did. ``advance``
-    takes the oracle network (built from ``state.w0`` on first use) forward
-    to a given step; observers use it to compare the engine's coefficients
-    against directly trained weights.
-    """
-
-    def __init__(self, q: int, eta: float, noise: LabelNoiseSpec, noise_rng=None):
-        self.q = q
-        self.eta = eta
-        self.noise = noise
-        self.noise_rng = noise_rng
-        self.net: Network | None = None
-        self.step = 0
-
-    def advance(self, step: int, state: CoefficientState, dataset: Dataset) -> Network:
-        if self.net is None:
-            self.net = Network(state.w0.copy(), self.q)
-        if step < self.step:
-            raise ValueError(f"replay is at step {self.step}, cannot go back to {step}")
-        while self.step < step:
-            eps = sample_multipliers(self.noise, len(dataset), self.noise_rng)
-            train_step(self.net, dataset, eps, self.eta, step=self.step)
-            self.step += 1
-        return self.net
 
 
 def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
@@ -324,7 +270,7 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProduct
     updates and the multiplier vector drawn for step t (the loss the
     optimizer is about to descend).
     ``observer(step, state, dataset)`` runs at every logged step; one that
-    needs weights rebuilds them with ``reconstruct_weights``. A non-finite
+    needs weights rebuilds them with ``network.reconstruct_weights``. A non-finite
     output or coefficient update aborts that arm alone: it keeps the rows
     logged before, the reason and the state before the failed update.
     """

@@ -23,7 +23,7 @@ import pytest
 
 from lngd.config import parse_config
 from lngd.data import SignalSpec, generate_dataset
-from lngd.decomposition import iota_series, projection_check, reconstruct_weights
+from lngd.decomposition import iota_series, logistic_loss
 from lngd.experiments import (
     SweepGrid,
     arm_noise_rng,
@@ -34,7 +34,14 @@ from lngd.experiments import (
     run_q_sweep,
 )
 from lngd.io import RunArtifactFiles, emit_outputs
-from lngd.network import full_batch_gradient, init_network, logistic_loss, zero_one_error
+from lngd.network import (
+    OracleReplay,
+    full_batch_gradient,
+    init_network,
+    projection_check,
+    reconstruct_weights,
+    zero_one_error,
+)
 from lngd.network import _batch_outputs
 from lngd.streams import stream
 from lngd.theory import (
@@ -44,7 +51,7 @@ from lngd.theory import (
     coefficient_envelope_monitor,
     stage2_boundedness_check,
 )
-from lngd.training import LabelNoiseSpec, OracleReplay
+from lngd.training import LabelNoiseSpec
 
 SEEDS = (1, 2, 3, 4, 5)
 S5 = dict(n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000, n_test=2000)

@@ -115,6 +115,18 @@ def test_q_sweep_runs(tmp_path):
     assert set(report["q_sweep"]) == {"q=2", "q=3"}
 
 
+def test_q_sweep_refuses_a_q_without_reference_settings(tmp_path, capsys):
+    # Refused before any q trains, not after q=2 has run in full.
+    path = tmp_path / "qs.json"
+    path.write_text(json.dumps({**MINIMAL, "q_list": [2, 5]}))
+    out_dir = tmp_path / "qs"
+    assert main_cli(["q-sweep", "--config", str(path), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "q=5" in captured.err
+    assert not out_dir.exists()
+
+
 def test_concentration_cli(config_file, tmp_path, capsys):
     out_dir = tmp_path / "conc"
     code = main_cli(["concentration", "--config", str(config_file), "--out", str(out_dir),
@@ -170,6 +182,18 @@ def test_decompose_refuses_a_run_it_cannot_replay(tmp_path, capsys):
     assert main_cli(["decompose", "--run", str(run_dir), "--assert"]) == 1
     assert "'heatmap'" in capsys.readouterr().err
     assert not (run_dir / "decompose_reports.json").exists()
+
+
+def test_decompose_refuses_seed_and_out(tmp_path, capsys):
+    # decompose replays the run's recorded config into the run directory,
+    # so it has no seed to override and no output directory to choose.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    elsewhere = tmp_path / "elsewhere"
+    for flag, value in (("--seed", "7"), ("--out", str(elsewhere))):
+        assert main_cli(["decompose", "--run", str(run_dir), flag, value]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not elsewhere.exists()
 
 
 @pytest.mark.parametrize("text, reason", [

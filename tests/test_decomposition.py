@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from lngd.data import Dataset, SignalSpec
-from lngd.decomposition import (
-    CoefficientStack,
-    iota_all,
+from lngd.decomposition import CoefficientStack, iota_all, ratio_summary
+from lngd.network import (
+    Network,
+    OracleReplay,
+    init_network,
     projection_check,
-    ratio_summary,
     reconstruct_weights,
 )
-from lngd.network import Network, init_network
-from lngd.training import Arm, LabelNoiseSpec, OracleReplay
+from lngd.training import Arm, LabelNoiseSpec
 
 from helpers import train_on_points
 

@@ -110,11 +110,11 @@ class TestHeatmap:
 
     def test_units_never_rebuild_weights(self, monkeypatch):
         # A unit reads only the final test accuracies, so no weights are built.
-        import lngd.training as training
+        import lngd.network as network
 
         calls = []
-        rebuild = training.reconstruct_weights
-        monkeypatch.setattr(training, "reconstruct_weights",
+        rebuild = network.reconstruct_weights
+        monkeypatch.setattr(network, "reconstruct_weights",
                             lambda *args: calls.append(args) or rebuild(*args))
         result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
         assert len(result.long_rows) == 2

@@ -1,11 +1,17 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lngd
 from lngd.data import Dataset, SignalSpec, generate_dataset
+from lngd.decomposition import logistic_loss, loss_derivative
 from lngd.experiments import axis_aligned_spec
 from lngd.network import (
     Network,
@@ -13,8 +19,6 @@ from lngd.network import (
     activation_derivative,
     full_batch_gradient,
     init_network,
-    logistic_loss,
-    loss_derivative,
     zero_one_error,
 )
 from lngd.network import _batch_outputs
@@ -244,3 +248,14 @@ class TestGradient:
         net = init_network(small_dataset.spec.d, 3, 2, 0.2, np.random.default_rng(1))
         with pytest.raises(ValueError):
             full_batch_gradient(net, small_dataset, np.ones(3))
+
+
+def test_engine_imports_no_weight_space_code():
+    # network is the one module that holds weights; the engine must load
+    # without it.
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(lngd.__file__).parents[1])}
+    code = ("import sys, lngd.data, lngd.decomposition, lngd.training, lngd.recorder; "
+            "print('lngd.network' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

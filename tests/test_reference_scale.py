@@ -8,8 +8,9 @@ slack, and the iota cross-check against direct projections.
 import numpy as np
 import pytest
 
-from lngd.decomposition import iota_all, projection_check, ratio_summary
+from lngd.decomposition import iota_all, ratio_summary
 from lngd.experiments import axis_aligned_spec, run_dynamics
+from lngd.network import projection_check
 from lngd.theory import empirical_verdicts
 from lngd.training import LabelNoiseSpec
 

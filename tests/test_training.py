@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from lngd.data import generate_dataset
-from lngd.decomposition import reconstruct_weights
 from lngd.experiments import axis_aligned_spec, run_dynamics
-from lngd.network import Network, full_batch_gradient, init_network
-from lngd.training import (
-    Arm,
-    LabelNoiseSpec,
+from lngd.network import (
+    Network,
     RunAborted,
-    run_training,
-    sample_multipliers,
+    full_batch_gradient,
+    init_network,
+    reconstruct_weights,
     train_step,
 )
+from lngd.training import Arm, LabelNoiseSpec, run_training, sample_multipliers
 
 from helpers import point_recorder, train_on_points, train_products
 
@@ -178,10 +177,10 @@ class TestRunTraining:
             assert np.array_equal(ours.trace.rows, theirs.trace.rows)
 
     def test_weights_built_on_first_read(self, small_spec, small_dataset, monkeypatch):
-        import lngd.training as training
+        import lngd.network as network
 
         calls = []
-        monkeypatch.setattr(training, "reconstruct_weights",
+        monkeypatch.setattr(network, "reconstruct_weights",
                             lambda *args: calls.append(args) or reconstruct_weights(*args))
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
         [arm] = train_on_points(net, small_dataset, small_dataset,
