@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -89,19 +90,34 @@ def _out_dir(args, config: FullConfig) -> Path:
     return root / f"{args.command.replace('-', '_')}_seed{config.seed}"
 
 
-def _make_snapshot_observers(config: FullConfig):
-    sinks = {"standard": [], "label_noise": []}
+class _SnapshotSink:
+    """Observer of one arm: its coefficients at each logged step that is a multiple of
+    ``coeff_stride``, and at the last step, written into arrays sized for the whole run."""
 
-    def make(label):
-        sink = sinks[label]
+    def __init__(self, config: FullConfig):
+        every = math.lcm(config.log_stride, config.coeff_stride)  # logged and strided
+        k = config.steps // every + 1 + (config.steps % every != 0)
+        self.steps = np.empty(k, dtype=np.int64)
+        self.gamma = np.empty((k, 2, config.m))
+        self.rho = np.empty((k, 2, config.m, config.n))
+        self.filled = 0
+        self._stride, self._last = config.coeff_stride, config.steps
 
-        def observer(step, state, dataset):
-            if step % config.coeff_stride == 0 or step == config.steps:
-                sink.append((step, state.gamma.copy(), state.rho.copy()))
+    def __call__(self, step, state, dataset):
+        if step % self._stride == 0 or step == self._last:
+            k = self.filled
+            self.steps[k], self.gamma[k], self.rho[k] = step, state.gamma, state.rho
+            self.filled = k + 1
 
-        return observer
+    def snapshots(self, same_class_mask: np.ndarray) -> CoefficientSnapshots:
+        """The snapshots taken so far; an aborted arm's stop where it stopped."""
+        k = self.filled
+        return CoefficientSnapshots(self.steps[:k], self.gamma[:k], self.rho[:k],
+                                    same_class_mask)
 
-    return sinks, {label: make(label) for label in sinks}
+
+def _make_snapshot_observers(config: FullConfig) -> dict:
+    return {label: _SnapshotSink(config) for label in ("standard", "label_noise")}
 
 
 def _cmd_check(args, config: FullConfig) -> int:
@@ -137,17 +153,16 @@ def _dynamics_files(result, config: FullConfig, sinks, command: str,
     artifacts = RunArtifactFiles(config=config, command=command, started_at=started)
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         artifacts.traces[f"trace_{label}.csv"] = arm.trace
-        if sinks.get(label):
-            steps, gamma, rho = zip(*sinks[label])
-            artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = CoefficientSnapshots(
-                np.array(steps), np.stack(gamma), np.stack(rho), arm.state.same_class_mask)
+        if sinks[label].filled:
+            artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = (
+                sinks[label].snapshots(arm.state.same_class_mask))
     artifacts.reports = {"dynamics": result.reports}
     return artifacts
 
 
 def _cmd_dynamics(config: FullConfig, started: str):
-    sinks, observers = _make_snapshot_observers(config)
-    result = _paired_dynamics(config, observers)
+    sinks = _make_snapshot_observers(config)
+    result = _paired_dynamics(config, sinks)
     aborted = result.standard.aborted or result.label_noise.aborted
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         if arm.aborted:
@@ -306,14 +321,14 @@ def _cmd_decompose(args) -> int:
     if "config" not in manifest:
         raise ConfigError(f"{manifest_path} has no 'config' key")
     config = parse_config(data=manifest["config"])
-    sinks, observers = _make_snapshot_observers(config)
+    sinks = _make_snapshot_observers(config)
     recon_errors = {"standard": [], "label_noise": []}
     arms = [("standard", LabelNoiseSpec.none()), ("label_noise", config.noise)]
 
     def recon_observer(idx, label, noise):
         # The weight-space oracle replays the arm on its own copy of the
         # multiplier stream; the engine's weights are judged against it.
-        base = observers[label]
+        base = sinks[label]
         oracle = OracleReplay(config.q, config.eta, noise,
                               arm_noise_rng(config.seed, idx, noise))
 

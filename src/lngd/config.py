@@ -91,6 +91,9 @@ def _parse_noise(obj, where: str) -> LabelNoiseSpec:
     missing = set(keys) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing noise keys {sorted(missing)} for kind {kind!r}")
+    for key in keys:
+        if not _is_num(obj[key]):
+            raise ConfigError(f"{where}: noise key {key!r} = {obj[key]!r} is not a number")
     try:
         return LabelNoiseSpec(kind, **{key: float(obj[key]) for key in keys})
     except ValueError as exc:

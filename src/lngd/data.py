@@ -7,12 +7,15 @@ label and its noise row: a ``Dataset`` is the (n,) labels and the
 (n + 1, d) block of noise rows followed by mu. The noise is sampled by
 explicit projection of an isotropic Gaussian, in place, which realizes the
 rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2) exactly at O(d) cost
-per draw. A test set is drawn in 4 MiB row chunks.
+per draw. A test set is drawn in 4 MiB row chunks. A training set that
+drops its points once its products exist draws them again from its stream
+when they are next read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +25,7 @@ __all__ = [
     "Dataset",
     "StreamedTestSet",
     "generate_dataset",
+    "redrawable_dataset",
     "compute_snr",
 ]
 
@@ -86,21 +90,39 @@ def _draw_labels(n: int, rng: np.random.Generator) -> np.ndarray:
     return labels
 
 
-@dataclass(eq=False)
 class Dataset:
     """n points drawn from one SignalSpec: labels (n,) and the (n + 1, d) ``points`` block.
 
     ``points`` holds xi_1..xi_n, then mu, so the training points' products
     are one gemm with the noise rows (numpy computes X X^T alone with syrk,
     whose last bits differ). ``generate_dataset`` draws into it.
+
+    A dataset from ``redrawable_dataset`` may ``drop_points`` once its
+    products exist: it keeps its labels, its spec and |xi_i|^2, and the
+    next read of ``points`` draws them again, bit for bit, from its stream.
     """
 
-    labels: np.ndarray
-    points: np.ndarray = field(repr=False)
-    spec: SignalSpec
+    def __init__(self, labels: np.ndarray, points: np.ndarray, spec: SignalSpec):
+        self.labels = labels
+        self.spec = spec
+        self._points = points
+        self._redraw = None  # () -> a generator in the state the points were drawn from
 
     def __len__(self) -> int:
         return len(self.labels)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (n + 1, d) block, drawn again on the first read after ``drop_points``."""
+        if self._points is None:
+            if self._redraw is None:
+                raise RuntimeError("this dataset's points were dropped and have no stream "
+                                   "to be drawn again from")
+            again = generate_dataset(self.spec, len(self), self._redraw())
+            if not np.array_equal(again.labels, self.labels):
+                raise RuntimeError("the redrawn dataset does not match the dropped one")
+            self._points = again._points
+        return self._points
 
     @property
     def noise_matrix(self) -> np.ndarray:
@@ -111,6 +133,11 @@ class Dataset:
     def xi_norms_sq(self) -> np.ndarray:
         """(n,) squared norms |xi_i|^2."""
         return np.einsum("ij,ij->i", self.noise_matrix, self.noise_matrix)
+
+    def drop_points(self) -> None:
+        """Release the points block; labels, spec and |xi_i|^2 stay."""
+        self.xi_norms_sq  # computed while the points are here
+        self._points = None
 
 
 def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Dataset:
@@ -124,6 +151,15 @@ def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Data
     _project_noise(spec, rng.standard_normal(out=points[:n]))
     points[n] = spec.mu
     return Dataset(labels=labels, points=points, spec=spec)
+
+
+def redrawable_dataset(spec: SignalSpec, n: int,
+                       make_rng: Callable[[], np.random.Generator]) -> Dataset:
+    """``generate_dataset(spec, n, make_rng())``, whose points, once dropped, are drawn
+    again from a fresh ``make_rng()``."""
+    dataset = generate_dataset(spec, n, make_rng())
+    dataset._redraw = make_rng
+    return dataset
 
 
 class StreamedTestSet:

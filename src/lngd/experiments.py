@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SignalSpec, StreamedTestSet, generate_dataset
+from .data import Dataset, SignalSpec, StreamedTestSet, redrawable_dataset
 from .decomposition import SpanProducts, iota_series
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
@@ -71,12 +71,14 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     This is where points become products. The test set's products are
     built by the trace recorder (``lngd.recorder``), in a child process when
     ``fork_recorder`` and a second core allow it; the training products are
-    computed here, after the recorder starts. The arms advance together on
-    them in one ``run_training`` call; arm ``idx`` draws from its own
-    multiplier stream. The test set is streamed, not kept;
+    computed here, after the recorder starts, and the dataset then drops its
+    points (a later read, as ``arm.net`` makes, draws them again from the
+    ``data`` stream). The arms advance together on the products in one
+    ``run_training`` call; arm ``idx`` draws from its own multiplier stream.
+    The test set is streamed, not kept;
     ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
     """
-    dataset = generate_dataset(spec, n, stream(seed, "data"))
+    dataset = redrawable_dataset(spec, n, lambda: stream(seed, "data"))
     test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
     w0 = init_network(spec.d, m, q, sigma_0, stream(seed, "init")).weights
     w0.flags.writeable = False  # every arm's state holds this array
@@ -86,6 +88,7 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                               len(arms), log_count(steps, log_stride), may_fork=fork_recorder)
     try:
         products = SpanProducts.of([dataset.points], n + 1, dataset, w0)
+        dataset.drop_points()
         return run_training(w0, q, dataset, products, recorder, arms, eta=eta, steps=steps,
                             log_stride=log_stride)
     finally:
@@ -307,10 +310,12 @@ def run_q_sweep(qs=(2, 3, 4), *, d: int = 2000, sigma_0: float = 0.01, steps: in
                 p: float = 0.1, seed: int = 0, log_stride: int = 100,
                 n_test: int = 2000) -> dict:
     """Paired runs per activation exponent at the per-q reference settings."""
+    unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
+    if unknown:  # before any q trains
+        raise ValueError(f"no reference hyperparameters for "
+                         f"{', '.join(f'q={q}' for q in unknown)}")
     out = {}
     for q in qs:
-        if q not in Q_SWEEP_DEFAULTS:
-            raise ValueError(f"no reference hyperparameters for q={q}")
         eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]
         spec = axis_aligned_spec(mu_scale, sigma_p, d)
         result = run_dynamics(spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,

@@ -43,11 +43,13 @@ def _fmt_value(x) -> str:
 
 
 def sha256_file(path: Path) -> str:
-    """Hex sha256 of a file, read in 1 MiB blocks."""
+    """Hex sha256 of a file, read in 1 MiB blocks into one reused buffer."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
+    block = bytearray(1 << 20)
+    view = memoryview(block)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -97,15 +99,18 @@ def write_coefficients_csv(snaps: CoefficientSnapshots, path: Path) -> None:
 def write_coefficient_summary_csv(snaps: CoefficientSnapshots, path: Path) -> None:
     """Compact per-step companion to the long-form coefficient dump.
 
-    rho_bar and rho_under are zero-filled outside their entries, as in the dump.
+    rho_bar and rho_under are zero-filled outside their entries, as in the dump:
+    each reduction starts from 0 and reads only its own entries, with no
+    full-size copy of rho.
     """
-    same = snaps.same_class_mask[:, None, :]
+    same = np.broadcast_to(snaps.same_class_mask[:, None, :], snaps.rho.shape[1:])
+    under = ~same
     header = ["step", "max_gamma", "mean_gamma", "max_rho_bar", "min_rho_under"]
     rows = zip(snaps.steps.tolist(),
                snaps.gamma.max(axis=(1, 2)).tolist(),
                snaps.gamma.mean(axis=(1, 2)).tolist(),
-               np.where(same, snaps.rho, 0.0).max(axis=(1, 2, 3)).tolist(),
-               np.where(same, 0.0, snaps.rho).min(axis=(1, 2, 3)).tolist())
+               [rho.max(where=same, initial=0.0) for rho in snaps.rho],
+               [rho.min(where=under, initial=0.0) for rho in snaps.rho])
     _write_csv(path, header, rows)
 
 

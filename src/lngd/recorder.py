@@ -249,13 +249,19 @@ def start_recorder(test_labels: np.ndarray, test_chunks, dataset, w0: np.ndarray
     """A ``Recorder``, in a child process when ``may_fork`` and a second core allow it.
 
     A forked child starts with only the thread that forked it, so a process
-    running other threads keeps the recorder in process.
+    running other threads keeps the recorder in process. A child drops its
+    copy of the dataset's points once its test products are built.
     """
 
     def build() -> Recorder:
         return Recorder(test_labels, test_chunks, dataset, w0, q, arms, logs)
 
+    def build_in_child() -> Recorder:
+        recorder = build()
+        dataset.drop_points()
+        return recorder
+
     if (may_fork and hasattr(os, "fork") and threading.active_count() == 1
             and worker_budget() >= 2):
-        return ForkedRecorder(build, len(dataset), arms, w0.shape[1], logs)
+        return ForkedRecorder(build_in_child, len(dataset), arms, w0.shape[1], logs)
     return build()

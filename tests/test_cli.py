@@ -1,8 +1,12 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from lngd.cli import main_cli
+from lngd.cli import _make_snapshot_observers, main_cli
+from lngd.config import parse_config
+from lngd.io import fmt_float
 
 MINIMAL = {"d": 40, "n": 8, "mu_scale": 1.5, "sigma_p": 0.5, "p": 0.2,
            "eta": 0.1, "steps": 20, "seed": 3, "m": 3, "sigma_0": 0.1,
@@ -241,6 +245,55 @@ def test_aborted_run_exits_2(tmp_path, capsys):
     assert "ABORTED" in capsys.readouterr().out
     # the partial trace is still emitted
     assert (out_dir / "trace_standard.csv").exists()
+
+
+def read_csv(path):
+    lines = path.read_text().splitlines()
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def test_aborted_arm_keeps_the_snapshots_it_logged(tmp_path, capsys):
+    # The label-noise arm's multipliers of order 1e10 make its outputs overflow at step 17.
+    config = {**MINIMAL, "d": 200, "n": 20, "m": 4, "mu_scale": 2.0, "eta": 0.5, "seed": 1,
+              "steps": 40, "n_test": 50, "log_stride": 2, "coeff_stride": 3,
+              "noise": {"kind": "uniform", "lo": 1e10, "hi": 2e10}}
+    path = tmp_path / "abort.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(path), "--out", str(out_dir)]) == 2
+    assert "label_noise: ABORTED at step 17" in capsys.readouterr().out
+    for label, want in (("standard", [0, 6, 12, 18, 24, 30, 36, 40]),
+                        ("label_noise", [0, 6, 12])):
+        _, trace = read_csv(out_dir / f"trace_{label}.csv")
+        logged = [int(row[0]) for row in trace]
+        assert want == [t for t in logged if t % 3 == 0 or t == 40]
+        header, dump = read_csv(out_dir / f"coefficients_{label}.csv")
+        assert header == ["step", "j", "r", "i", "gamma", "rho_bar", "rho_under"]
+        assert len(dump) == len(want) * 2 * 4 * 20
+        steps = [int(row[0]) for row in dump]
+        assert steps == [t for t in want for _ in range(2 * 4 * 20)]
+        _, summary = read_csv(out_dir / f"coefficients_{label}_summary.csv")
+        expected = []
+        for k, t in enumerate(want):
+            block = np.array(dump[k * 160:(k + 1) * 160], dtype=float)
+            gamma = block[::20, 4]  # one row per (j, r)
+            expected.append([str(t), *map(fmt_float, (gamma.max(), gamma.mean(),
+                                                      block[:, 5].max(), block[:, 6].min()))])
+        assert summary == expected
+
+
+@pytest.mark.parametrize("steps, log_stride, coeff_stride",
+                         [(0, 1, 1), (40, 2, 3), (40, 10, 100), (2000, 10, 100), (7, 7, 2),
+                          (30, 4, 6), (30, 5, 1), (1, 1, 5)])
+def test_snapshot_arrays_fit_every_logged_snapshot(steps, log_stride, coeff_stride):
+    config = parse_config(data={**MINIMAL, "steps": steps, "log_stride": log_stride,
+                                "coeff_stride": coeff_stride})
+    sink = _make_snapshot_observers(config)["standard"]
+    state = SimpleNamespace(gamma=np.zeros((2, 3)), rho=np.zeros((2, 3, 8)))
+    for t in range(steps + 1):
+        if t % log_stride == 0 or t == steps:  # the steps run_training logs
+            sink(t, state, None)
+    assert sink.filled == len(sink.steps)
 
 
 def test_version_flag():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lngd.cli import main_cli
 from lngd.config import ConfigError, config_to_dict, parse_config
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.io import (
@@ -60,6 +61,16 @@ class TestParseConfig:
     def test_noise_flip_conflict_rejected(self):
         with pytest.raises(ConfigError, match="conflicts"):
             parse_config(data={**MINIMAL, "noise": {"kind": "flip", "p": 0.3}})
+
+    @pytest.mark.parametrize("mean", [None, "0.5", True], ids=["null", "string", "boolean"])
+    def test_noise_fields_must_be_numbers(self, mean, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**MINIMAL, "noise": {"kind": "gaussian", "mean": mean,
+                                                         "std": 1.0}}))
+        assert main_cli(["check", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: noise: noise key 'mean'")
 
     def test_noise_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown noise kind"):

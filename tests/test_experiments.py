@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lngd.experiments as experiments
 from lngd.data import generate_dataset
 from lngd.experiments import (
     SweepGrid,
@@ -214,3 +215,10 @@ class TestQSweep:
     def test_unknown_q_rejected(self):
         with pytest.raises(ValueError):
             run_q_sweep((5,), d=40, steps=10)
+
+    def test_unknown_q_rejected_before_any_q_trains(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(experiments, "run_dynamics", lambda *a, **k: runs.append(a))
+        with pytest.raises(ValueError, match="q=5"):
+            run_q_sweep((2, 5), steps=2)
+        assert runs == []

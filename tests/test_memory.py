@@ -1,6 +1,8 @@
-"""Memory properties of a run: no transient copy of the points, the digests or the init."""
+"""Memory properties of a run: no transient copy of the points, the digests or the init, and
+no training points held once their products exist."""
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -8,12 +10,19 @@ import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import lngd
+import lngd.data as data
+import lngd.experiments as experiments
+import lngd.recorder as recorder
+from lngd.cli import main_cli
 from lngd.data import StreamedTestSet, generate_dataset
-from lngd.decomposition import CoefficientStack
+from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.io import sha256_file
+from lngd.network import reconstruct_weights
+from lngd.streams import derive_seed, stream
 from lngd.training import LabelNoiseSpec
 
 MIB = 1 << 20
@@ -81,3 +90,85 @@ def test_traced_peak_of_a_section5_run_stays_near_its_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= named + 1.5 * MIB, f"peak {peak / MIB:.2f} MiB, arrays {named / MIB:.2f} MiB"
+
+
+def digest(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+POINT_FREE = {
+    "dynamics": {"d": 60, "n": 8, "mu_scale": 1.5, "sigma_p": 0.5, "p": 0.2, "eta": 0.1,
+                 "steps": 20, "seed": 3, "m": 3, "sigma_0": 0.1, "n_test": 30,
+                 "log_stride": 10},
+    "heatmap": {"d": 60, "n": 8, "mu_scale": 1.5, "sigma_p": 0.5, "p": 0.2, "eta": 0.1,
+                "steps": 20, "seed": 3, "m": 3, "sigma_0": 0.1, "n_test": 30,
+                "grid": {"snr_values": [0.5], "n_values": [6, 10], "steps": 20, "eta": 1.0,
+                         "seeds_per_cell": 1}},
+}
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
+@pytest.mark.parametrize("command", POINT_FREE)
+def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_path,
+                                                           monkeypatch, capsys):
+    # Every draw, drop and test-product build is logged with its process id, so the
+    # forked recorder's calls count too.
+    log = tmp_path / "calls.log"
+
+    def note(line):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def logged(name, fn):
+        return lambda *args, **kwargs: note(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(data, "generate_dataset", logged("draw", data.generate_dataset))
+    monkeypatch.setattr(data.Dataset, "drop_points", logged("drop", data.Dataset.drop_points))
+    real_init = recorder.Recorder.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        note("test-products " + digest(self.test.span, self.test.w0))
+
+    monkeypatch.setattr(recorder.Recorder, "__init__", init)
+    monkeypatch.setattr(recorder, "worker_budget", lambda: 2 if fork else 1)
+    runs = []
+    real_train = experiments.run_training
+    monkeypatch.setattr(experiments, "run_training",
+                        lambda *args, **kwargs: runs.append(real_train(*args, **kwargs))
+                        or runs[-1])
+    config = POINT_FREE[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+    def calls():
+        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+        return [(int(pid) == os.getpid(), what) for pid, what in lines]
+
+    seeds = ([config["seed"]] if command == "dynamics" else
+             [derive_seed(config["seed"], 0, col, 0) for col in (0, 1)])
+    during = calls()
+    here = [what for mine, what in during if mine]
+    child = [what for mine, what in during if not mine]
+    assert [what for what in here if what in ("draw", "drop")] == ["draw", "drop"] * len(seeds)
+    assert [what for what in child if what in ("draw", "drop")] == ["drop"] * len(seeds) * fork
+    built = [what.split()[1] for what in (child if fork else here)
+             if what.startswith("test-products")]
+    assert len(runs) == len(built) == len(seeds)
+    for arms, seed, test_digest in zip(runs, seeds, built):
+        dataset = arms[0].dataset
+        assert all(arm.dataset is dataset for arm in arms)
+        fresh = generate_dataset(dataset.spec, len(dataset), stream(seed, "data"))
+        assert np.array_equal(dataset.labels, fresh.labels)
+        for arm in arms:  # the first read draws the points again, once
+            want = np.hstack(reconstruct_weights(arm.state, fresh))
+            assert arm.net.weights.tobytes() == want.tobytes()
+        assert dataset.points.tobytes() == fresh.points.tobytes()
+        assert dataset.xi_norms_sq.tobytes() == fresh.xi_norms_sq.tobytes()
+        w0 = arms[0].state.w0
+        test = StreamedTestSet(dataset.spec, config["n_test"], stream(seed, "test"))
+        want = SpanProducts.of(test.noise_chunks(), config["n_test"], fresh, w0)
+        assert test_digest == digest(want.span, want.w0)
+    assert calls()[len(during):] == [(True, "draw")] * len(seeds)
