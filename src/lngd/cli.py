@@ -196,28 +196,24 @@ def _cmd_heatmap(config: FullConfig, started: str):
               "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
               file=sys.stderr)
     result = run_heatmap(grid, workers=config.workers)
-    cells = sorted(result.cells.items())
-    worst_gap = min(
-        (c.label_noise_mean - c.standard_mean for _, c in cells if c.standard_accuracies),
-        default=float("nan"),
-    )
+    cells = [{"snr": snr, "n": n, "standard_mean": stats["standard"][0],
+              "label_noise_mean": stats["label_noise"][0], "errors": result.errors[key]}
+             for key, snr, n, _, stats in result.by_cell()]
+    worst_gap = min((c["label_noise_mean"] - c["standard_mean"] for c in cells
+                     if not math.isnan(c["standard_mean"])), default=float("nan"))
     report = {
         "grid": {"snr_values": list(grid.snr_values), "n_values": list(grid.n_values),
                  "steps": grid.steps, "eta": grid.eta,
                  "seeds_per_cell": grid.seeds_per_cell},
         "worst_label_noise_deficit": worst_gap,
-        "cells": [
-            {"snr": c.snr, "n": c.n, "standard_mean": c.standard_mean,
-             "label_noise_mean": c.label_noise_mean, "errors": c.errors}
-            for _, c in cells
-        ],
+        "cells": cells,
     }
-    for _, c in cells:
-        print(f"snr={c.snr:g} n={c.n}: standard {c.standard_mean:.4f} "
-              f"label_noise {c.label_noise_mean:.4f}")
+    for c in cells:
+        print(f"snr={c['snr']:g} n={c['n']}: standard {c['standard_mean']:.4f} "
+              f"label_noise {c['label_noise_mean']:.4f}")
     artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
                                  reports={"heatmap": report}, heatmap=result)
-    return (artifacts, any(c.errors for _, c in cells),
+    return (artifacts, any(result.errors.values()),
             None if worst_gap >= -0.02 else
             f"label-noise GD worse than standard GD by {-worst_gap:.4f} in some cell")
 
@@ -255,14 +251,9 @@ def _cmd_noise_compare(config: FullConfig, started: str):
 
 
 def _cmd_q_sweep(config: FullConfig, started: str):
-    qs = config.q_list or tuple(Q_SWEEP_DEFAULTS)
-    unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
-    if unknown:
-        raise ConfigError(f"q_list: no reference hyperparameters for "
-                          f"{', '.join(f'q={q}' for q in unknown)}; "
-                          f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
-    results = run_q_sweep(qs, d=config.d, sigma_0=config.sigma_0,
-                          steps=config.steps, p=config.p, seed=config.seed,
+    # run_q_sweep refuses a q without reference settings, as a ConfigError, before any q trains.
+    results = run_q_sweep(config.q_list or tuple(Q_SWEEP_DEFAULTS), d=config.d,
+                          sigma_0=config.sigma_0, steps=config.steps, p=config.p, seed=config.seed,
                           log_stride=config.log_stride, n_test=config.n_test)
     artifacts = RunArtifactFiles(config=config, command="q-sweep", started_at=started)
     report = {}

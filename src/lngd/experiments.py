@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .config import ConfigError
 from .data import Dataset, SignalSpec, StreamedTestSet, redrawable_dataset
 from .decomposition import SpanProducts, iota_series
 from .network import init_network
@@ -31,7 +33,7 @@ __all__ = [
     "RunArtifacts",
     "DynamicsResult",
     "SweepGrid",
-    "CellResult",
+    "ALGORITHMS",
     "HeatmapResult",
     "arm_noise_rng",
     "axis_aligned_spec",
@@ -165,45 +167,52 @@ class SweepGrid:
         return snr * self.sigma_p * math.sqrt(self.d)
 
 
-@dataclass
-class CellResult:
-    snr: float
-    n: int
-    standard_accuracies: list[float] = field(default_factory=list)
-    label_noise_accuracies: list[float] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+ALGORITHMS = ("standard", "label_noise")  # the last axis of HeatmapResult.accuracy
 
-    @property
-    def standard_mean(self) -> float:
-        return float(np.mean(self.standard_accuracies)) if self.standard_accuracies else math.nan
 
-    @property
-    def label_noise_mean(self) -> float:
-        return float(np.mean(self.label_noise_accuracies)) if self.label_noise_accuracies else math.nan
-
-    @property
-    def standard_std(self) -> float:
-        return float(np.std(self.standard_accuracies)) if self.standard_accuracies else math.nan
-
-    @property
-    def label_noise_std(self) -> float:
-        return float(np.std(self.label_noise_accuracies)) if self.label_noise_accuracies else math.nan
+def _seed_stats(accuracies: np.ndarray) -> tuple[float, float, int]:
+    """np.mean and np.std of the finished seeds, in seed order, and their count."""
+    if not accuracies.size:
+        return math.nan, math.nan, 0
+    return float(np.mean(accuracies)), float(np.std(accuracies)), accuracies.size
 
 
 @dataclass
 class HeatmapResult:
+    """Final test accuracies of every heatmap arm.
+
+    ``accuracy[row, col, seed, a]`` belongs to arm ``ALGORITHMS[a]`` of that
+    unit and is NaN where the arm aborted or its unit raised; ``errors``
+    maps every (row, col) to its failure reasons in (seed, algorithm) order.
+    """
+
     grid: SweepGrid
-    cells: dict  # (row, col) -> CellResult
-    long_rows: list  # (snr, n, seed_index, algorithm, accuracy)
+    accuracy: np.ndarray  # (snr, n, seed, algorithm)
+    errors: dict  # (row, col) -> list[str]
+
+    def by_cell(self):
+        """Each cell in (row, col) order as ((row, col), snr, n, finished, stats).
+
+        ``finished`` lists (seed, algorithm, accuracy) of the arms that
+        finished, in (seed, algorithm) order; ``stats[algorithm]`` is
+        ``_seed_stats`` of that algorithm's finished seeds.
+        """
+        for row, snr in enumerate(self.grid.snr_values):
+            for col, n in enumerate(self.grid.n_values):
+                acc = self.accuracy[row, col]
+                done = ~np.isnan(acc)
+                finished = [(seed, ALGORITHMS[a], acc[seed, a]) for seed, a in np.argwhere(done)]
+                stats = {alg: _seed_stats(acc[done[:, a], a]) for a, alg in enumerate(ALGORITHMS)}
+                yield (row, col), snr, n, finished, stats
 
 
 def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int,
-                      fork_recorder: bool = True):
-    """One (snr, n, seed) unit: paired standard/label-noise runs.
+                      fork_recorder: bool = True) -> list:
+    """One (snr, n, seed) unit: each arm's final test accuracy, or its abort reason.
 
-    Streams derive from (master, row, col, seed_index), so scheduling cannot
-    affect the numbers. A pool worker passes ``fork_recorder=False``: the
-    pool already has a process per core.
+    Arms come in ``ALGORITHMS`` order. Streams derive from (master, row, col,
+    seed_index), so scheduling cannot affect the numbers. A pool worker
+    passes ``fork_recorder=False``: the pool already has a process per core.
     """
     snr = grid.snr_values[row]
     n = grid.n_values[col]
@@ -212,17 +221,10 @@ def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int,
     arms = _paired_runs(
         spec, n=n, m=grid.m, q=grid.q, sigma_0=grid.sigma_0, eta=grid.eta,
         steps=grid.steps,
-        noises=[("standard", LabelNoiseSpec.none()),
-                ("label_noise", LabelNoiseSpec.flip(grid.p))],
+        noises=list(zip(ALGORITHMS, (LabelNoiseSpec.none(), LabelNoiseSpec.flip(grid.p)))),
         seed=cell_seed, log_stride=grid.steps, n_test=grid.n_test, fork_recorder=fork_recorder,
     )
-    out = {}
-    for arm in arms:
-        if arm.aborted:
-            out[arm.label] = ("error", arm.abort_reason)
-        else:
-            out[arm.label] = ("ok", arm.final_test_accuracy)
-    return row, col, seed_index, out
+    return [arm.abort_reason if arm.aborted else arm.final_test_accuracy for arm in arms]
 
 
 def _failure_reason(exc: BaseException) -> str:
@@ -235,51 +237,35 @@ def _failure_reason(exc: BaseException) -> str:
     return repr(exc) + "\n" + "".join(lines).rstrip()
 
 
+def _unit_outcome(unit) -> list:
+    """``unit()``, or its failure reason for every arm: a failed unit must not poison neighbours."""
+    try:
+        return unit()
+    except Exception as exc:
+        return [_failure_reason(exc)] * len(ALGORITHMS)
+
+
 def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
     """Evaluate every (snr, n, seed) unit; failures are recorded, not fatal."""
-    units = [
-        (row, col, s)
-        for row in range(len(grid.snr_values))
-        for col in range(len(grid.n_values))
-        for s in range(grid.seeds_per_cell)
-    ]
-    def failed(u, exc):
-        reason = _failure_reason(exc)
-        return (u[0], u[1], u[2], {"standard": ("error", reason),
-                                   "label_noise": ("error", reason)})
-
-    results = []
+    shape = (len(grid.snr_values), len(grid.n_values), grid.seeds_per_cell)
+    units = list(np.ndindex(shape))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(u, pool.submit(_run_heatmap_unit, grid, *u, False)) for u in units]
-            for u, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:  # a failed unit must not poison neighbors
-                    results.append(failed(u, exc))
+            futures = [pool.submit(_run_heatmap_unit, grid, *u, False) for u in units]
+            outcomes = [_unit_outcome(fut.result) for fut in futures]
     else:
-        for u in units:
-            try:
-                results.append(_run_heatmap_unit(grid, *u))
-            except Exception as exc:
-                results.append(failed(u, exc))
-    cells: dict = {}
-    long_rows = []
-    for row, col, seed_index, out in sorted(results, key=lambda r: (r[0], r[1], r[2])):
-        key = (row, col)
-        cell = cells.setdefault(key, CellResult(snr=grid.snr_values[row], n=grid.n_values[col]))
-        for alg in ("standard", "label_noise"):
-            status, value = out[alg]
-            if status == "ok":
-                (cell.standard_accuracies if alg == "standard"
-                 else cell.label_noise_accuracies).append(value)
-                long_rows.append((grid.snr_values[row], grid.n_values[col], seed_index,
-                                  alg, value))
+        outcomes = [_unit_outcome(partial(_run_heatmap_unit, grid, *u)) for u in units]
+    accuracy = np.full(shape + (len(ALGORITHMS),), np.nan)
+    errors = {cell: [] for cell in np.ndindex(shape[:2])}
+    for (row, col, seed_index), outcome in zip(units, outcomes):
+        for a, value in enumerate(outcome):
+            if isinstance(value, str):
+                errors[row, col].append(f"seed {seed_index} {ALGORITHMS[a]}: {value}")
             else:
-                cell.errors.append(f"seed {seed_index} {alg}: {value}")
-    return HeatmapResult(grid=grid, cells=cells, long_rows=long_rows)
+                accuracy[row, col, seed_index, a] = value
+    return HeatmapResult(grid=grid, accuracy=accuracy, errors=errors)
 
 
 # --- alternative noise distributions and activation exponents --------------------------------------------------------
@@ -312,8 +298,9 @@ def run_q_sweep(qs=(2, 3, 4), *, d: int = 2000, sigma_0: float = 0.01, steps: in
     """Paired runs per activation exponent at the per-q reference settings."""
     unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
     if unknown:  # before any q trains
-        raise ValueError(f"no reference hyperparameters for "
-                         f"{', '.join(f'q={q}' for q in unknown)}")
+        raise ConfigError(f"q_list: no reference hyperparameters for "
+                          f"{', '.join(f'q={q}' for q in unknown)}; "
+                          f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
     out = {}
     for q in qs:
         eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]

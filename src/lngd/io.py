@@ -114,19 +114,21 @@ def write_coefficient_summary_csv(snaps: CoefficientSnapshots, path: Path) -> No
     _write_csv(path, header, rows)
 
 
-def write_heatmap_csv(long_rows, path: Path) -> None:
+def write_heatmap_csv(heatmap, path: Path) -> None:
+    """One row per finished arm of a ``HeatmapResult``, in (row, col, seed, algorithm) order."""
     header = ["snr", "n", "seed", "algorithm", "test_accuracy"]
-    _write_csv(path, header, long_rows)
+    _write_csv(path, header, ((snr, n, *arm) for _, snr, n, finished, _ in heatmap.by_cell()
+                              for arm in finished))
 
 
-def write_heatmap_aggregate_csv(cells, path: Path) -> None:
+def write_heatmap_aggregate_csv(heatmap, path: Path) -> None:
+    """One row per cell: mean and std of each algorithm's finished seeds, and the standard count."""
     header = ["snr", "n", "standard_mean", "standard_std", "label_noise_mean",
               "label_noise_std", "seeds"]
-    rows = [
-        (c.snr, c.n, c.standard_mean, c.standard_std, c.label_noise_mean,
-         c.label_noise_std, len(c.standard_accuracies))
-        for _, c in sorted(cells.items())
-    ]
+    rows = []
+    for _, snr, n, _, stats in heatmap.by_cell():
+        (gd_mean, gd_std, seeds), (ln_mean, ln_std, _) = stats["standard"], stats["label_noise"]
+        rows.append((snr, n, gd_mean, gd_std, ln_mean, ln_std, seeds))
     _write_csv(path, header, rows)
 
 
@@ -198,9 +200,9 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
         write_json(artifacts.reports, out / "reports.json")
         record("reports.json")
     if artifacts.heatmap is not None:
-        write_heatmap_csv(artifacts.heatmap.long_rows, out / "heatmap.csv")
+        write_heatmap_csv(artifacts.heatmap, out / "heatmap.csv")
         record("heatmap.csv")
-        write_heatmap_aggregate_csv(artifacts.heatmap.cells, out / "heatmap_aggregate.csv")
+        write_heatmap_aggregate_csv(artifacts.heatmap, out / "heatmap_aggregate.csv")
         record("heatmap_aggregate.csv")
 
     seed = artifacts.config.seed

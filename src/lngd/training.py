@@ -206,10 +206,12 @@ def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
     same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
     rho_bar_defined = state.rho[same]
     rho_under_defined = state.rho[~same]
+    with np.errstate(over="ignore"):  # huge multipliers overflow to +-inf; their loss is exact
+        noisy_margins = eps * margins
     rows[k] = (
         step,
         np.mean(logistic_loss(margins)),
-        np.mean(logistic_loss(eps * margins)),
+        np.mean(logistic_loss(noisy_margins)),
         test_error,
         state.gamma.max(),
         state.gamma.mean(),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,41 +75,36 @@ class TestHeatmap:
         base.update(kw)
         return SweepGrid(**base)
 
-    def test_shape_and_long_rows(self):
+    def test_accuracy_shape(self):
         result = run_heatmap(self.grid())
-        assert len(result.cells) == 2
-        assert len(result.long_rows) == 2 * 1 * 2 * 2  # snr * n * seeds * algorithms
-        cell = result.cells[(0, 0)]
-        assert len(cell.standard_accuracies) == 2
-        assert 0.0 <= cell.standard_mean <= 1.0
+        assert result.errors == {(0, 0): [], (1, 0): []}
+        assert result.accuracy.shape == (2, 1, 2, 2)  # snr * n * seeds * algorithms
+        assert ((0.0 <= result.accuracy) & (result.accuracy <= 1.0)).all()
 
     def test_schedule_independence(self):
         seq = run_heatmap(self.grid(), workers=1)
         par = run_heatmap(self.grid(), workers=2)
-        assert seq.long_rows == par.long_rows
+        assert np.array_equal(seq.accuracy, par.accuracy)
 
     def test_master_seed_determinism(self):
         a = run_heatmap(self.grid())
         b = run_heatmap(self.grid())
-        assert a.long_rows == b.long_rows
+        assert np.array_equal(a.accuracy, b.accuracy)
 
     def test_single_cell_matches_direct_pairing(self):
         # A 1x1 grid reduces to one paired run on the cell-derived seed.
         from lngd.streams import derive_seed
 
         grid = self.grid(snr_values=(0.05,), n_values=(8,), seeds_per_cell=1)
-        result = run_heatmap(grid)
-        cell = result.cells[(0, 0)]
+        standard, label_noise = run_heatmap(grid).accuracy[0, 0, 0]
         spec = axis_aligned_spec(grid.mu_scale_for(0.05), grid.sigma_p, grid.d)
         direct = run_dynamics(spec, n=8, m=grid.m, q=grid.q, sigma_0=grid.sigma_0,
                               eta=grid.eta, steps=grid.steps,
                               noise=LabelNoiseSpec.flip(grid.p),
                               seed=derive_seed(grid.master_seed, 0, 0, 0),
                               log_stride=grid.steps, n_test=grid.n_test)
-        assert cell.standard_accuracies[0] == pytest.approx(
-            direct.standard.final_test_accuracy)
-        assert cell.label_noise_accuracies[0] == pytest.approx(
-            direct.label_noise.final_test_accuracy)
+        assert standard == pytest.approx(direct.standard.final_test_accuracy)
+        assert label_noise == pytest.approx(direct.label_noise.final_test_accuracy)
 
     def test_units_never_rebuild_weights(self, monkeypatch):
         # A unit reads only the final test accuracies, so no weights are built.
@@ -118,7 +115,7 @@ class TestHeatmap:
         monkeypatch.setattr(network, "reconstruct_weights",
                             lambda *args: calls.append(args) or rebuild(*args))
         result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
-        assert len(result.long_rows) == 2
+        assert not np.isnan(result.accuracy).any()
         assert not calls
 
     def test_failed_unit_keeps_traceback(self, monkeypatch):
@@ -129,13 +126,58 @@ class TestHeatmap:
 
         monkeypatch.setattr(experiments, "_run_heatmap_unit", failing_unit)
         result = run_heatmap(self.grid(snr_values=(0.05,), seeds_per_cell=1), workers=1)
-        errors = result.cells[(0, 0)].errors
+        errors = result.errors[0, 0]
         assert len(errors) == 2  # both arms of the failed unit
         for err in errors:
             assert "ValueError('boom in unit 0,0,0')" in err
             assert "Traceback (most recent call last)" in err
             assert "in failing_unit" in err
-        assert not result.long_rows
+        assert np.isnan(result.accuracy).all()
+
+    def test_partial_failures(self, monkeypatch, tmp_path):
+        # At q=4 and eta 8 some standard arms and every label-noise arm abort; one unit raises.
+        from lngd.io import fmt_float, write_heatmap_aggregate_csv, write_heatmap_csv
+
+        grid = self.grid(snr_values=(0.1, 0.4), n_values=(8, 12), steps=30, eta=8.0,
+                         seeds_per_cell=3, d=60, q=4, n_test=40, master_seed=5)
+        unit, raising = experiments._run_heatmap_unit, (0, 1, 1)
+
+        def patched_unit(grid, row, col, seed_index):
+            if (row, col, seed_index) == raising:
+                raise RuntimeError("unit failed")
+            return unit(grid, row, col, seed_index)
+
+        monkeypatch.setattr(experiments, "_run_heatmap_unit", patched_unit)
+        result = run_heatmap(grid)
+        expected = np.full((2, 2, 3, 2), np.nan)
+        for row, col, s in np.ndindex(2, 2, 3):
+            if (row, col, s) != raising:
+                expected[row, col, s] = [math.nan if isinstance(v, str) else v
+                                         for v in unit(grid, row, col, s)]
+        finished = ~np.isnan(expected)
+        survivors = finished[..., 0].sum(axis=2)  # standard seeds that finished, per cell
+        assert ((0 < survivors) & (survivors < 3)).any() and not finished[..., 1].any()
+        assert np.array_equal(result.accuracy, expected, equal_nan=True)
+        for row, col in np.ndindex(2, 2):
+            assert len(result.errors[row, col]) == np.count_nonzero(~finished[row, col])
+        assert [e.split("\n")[0] for e in result.errors[0, 1] if e.startswith("seed 1 ")] == [
+            f"seed 1 {alg}: RuntimeError('unit failed')" for alg in ("standard", "label_noise")]
+
+        write_heatmap_csv(result, tmp_path / "heatmap.csv")
+        write_heatmap_aggregate_csv(result, tmp_path / "heatmap_aggregate.csv")
+        rows, aggregate = [], []
+        for row, col in np.ndindex(2, 2):
+            cell = [fmt_float(grid.snr_values[row]), str(grid.n_values[col])]
+            for s, a in np.ndindex(3, 2):
+                if finished[row, col, s, a]:
+                    rows.append(",".join(cell + [str(s), ("standard", "label_noise")[a],
+                                                 fmt_float(expected[row, col, s, a])]))
+            for a in range(2):
+                done = [v for v in expected[row, col, :, a] if not math.isnan(v)]  # seed order
+                cell += [fmt_float(np.mean(done)), fmt_float(np.std(done))] if done else ["nan"] * 2
+            aggregate.append(",".join(cell + [str(survivors[row, col])]))
+        assert (tmp_path / "heatmap.csv").read_text().splitlines()[1:] == rows
+        assert (tmp_path / "heatmap_aggregate.csv").read_text().splitlines()[1:] == aggregate
 
     def test_mu_scale_for_snr(self):
         grid = self.grid()
