@@ -31,8 +31,7 @@ from .experiments import (
     run_noise_comparison,
     run_q_sweep,
 )
-from .io import (CoefficientSnapshots, EmitError, RunArtifactFiles, emit_outputs, now_utc,
-                 refuse_overwrite, write_json)
+from .io import EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite, write_json
 from .network import OracleReplay, reconstruct_weights
 from .theory import check_assumptions, concentration_suite
 from .training import LabelNoiseSpec
@@ -90,36 +89,6 @@ def _out_dir(args, config: FullConfig) -> Path:
     return root / f"{args.command.replace('-', '_')}_seed{config.seed}"
 
 
-class _SnapshotSink:
-    """Observer of one arm: its coefficients at each logged step that is a multiple of
-    ``coeff_stride``, and at the last step, written into arrays sized for the whole run."""
-
-    def __init__(self, config: FullConfig):
-        every = math.lcm(config.log_stride, config.coeff_stride)  # logged and strided
-        k = config.steps // every + 1 + (config.steps % every != 0)
-        self.steps = np.empty(k, dtype=np.int64)
-        self.gamma = np.empty((k, 2, config.m))
-        self.rho = np.empty((k, 2, config.m, config.n))
-        self.filled = 0
-        self._stride, self._last = config.coeff_stride, config.steps
-
-    def __call__(self, step, state, dataset):
-        if step % self._stride == 0 or step == self._last:
-            k = self.filled
-            self.steps[k], self.gamma[k], self.rho[k] = step, state.gamma, state.rho
-            self.filled = k + 1
-
-    def snapshots(self, same_class_mask: np.ndarray) -> CoefficientSnapshots:
-        """The snapshots taken so far; an aborted arm's stop where it stopped."""
-        k = self.filled
-        return CoefficientSnapshots(self.steps[:k], self.gamma[:k], self.rho[:k],
-                                    same_class_mask)
-
-
-def _make_snapshot_observers(config: FullConfig) -> dict:
-    return {label: _SnapshotSink(config) for label in ("standard", "label_noise")}
-
-
 def _cmd_check(args, config: FullConfig) -> int:
     report = check_assumptions(_spec_of(config), config.n, config.m, config.eta,
                                config.sigma_0, config.p)
@@ -135,34 +104,32 @@ def _cmd_check(args, config: FullConfig) -> int:
     return EXIT_OK  # report-only by contract, even when items fail
 
 
-# The run commands return (files to emit, whether an arm aborted, the
-# --assert failure message or None); _run_command emits and picks the exit code.
+# The run commands take (config, start time, output directory; only dynamics writes there
+# as it runs) and return (files to emit, whether an arm aborted, the --assert failure
+# message or None); _run_command emits and picks the exit code.
 
 
-def _paired_dynamics(config: FullConfig, observers: dict):
+def _paired_dynamics(config: FullConfig, out_dir: Path, observers: dict | None = None):
     return run_dynamics(
         _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
         eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
         log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
-        c_test=config.c_test, observers=observers,
+        c_test=config.c_test, observers=observers, dump_dir=out_dir,
+        coeff_stride=config.coeff_stride,
     )
 
 
-def _dynamics_files(result, config: FullConfig, sinks, command: str,
-                    started: str) -> RunArtifactFiles:
+def _dynamics_files(result, config: FullConfig, command: str, started: str) -> RunArtifactFiles:
     artifacts = RunArtifactFiles(config=config, command=command, started_at=started)
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         artifacts.traces[f"trace_{label}.csv"] = arm.trace
-        if sinks[label].filled:
-            artifacts.coefficient_snapshots[f"coefficients_{label}.csv"] = (
-                sinks[label].snapshots(arm.state.same_class_mask))
+        artifacts.written.update(arm.files)
     artifacts.reports = {"dynamics": result.reports}
     return artifacts
 
 
-def _cmd_dynamics(config: FullConfig, started: str):
-    sinks = _make_snapshot_observers(config)
-    result = _paired_dynamics(config, sinks)
+def _cmd_dynamics(config: FullConfig, started: str, out_dir: Path):
+    result = _paired_dynamics(config, out_dir)
     aborted = result.standard.aborted or result.label_noise.aborted
     for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
         if arm.aborted:
@@ -172,11 +139,11 @@ def _cmd_dynamics(config: FullConfig, started: str):
                   f"test accuracy {arm.final_test_accuracy:.4f}")
     failed = not aborted and not all(result.reports[label]["verdicts"]["passed"]
                                      for label in ("standard", "label_noise"))
-    return (_dynamics_files(result, config, sinks, "dynamics", started), aborted,
+    return (_dynamics_files(result, config, "dynamics", started), aborted,
             "empirical verdicts failed" if failed else None)
 
 
-def _cmd_heatmap(config: FullConfig, started: str):
+def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
     if config.grid is None:
         raise ConfigError("heatmap requires a 'grid' section in the config")
     grid = SweepGrid(
@@ -199,8 +166,8 @@ def _cmd_heatmap(config: FullConfig, started: str):
     cells = [{"snr": snr, "n": n, "standard_mean": stats["standard"][0],
               "label_noise_mean": stats["label_noise"][0], "errors": result.errors[key]}
              for key, snr, n, _, stats in result.by_cell()]
-    worst_gap = min((c["label_noise_mean"] - c["standard_mean"] for c in cells
-                     if not math.isnan(c["standard_mean"])), default=float("nan"))
+    gaps = (c["label_noise_mean"] - c["standard_mean"] for c in cells)  # NaN without both means
+    worst_gap = min((gap for gap in gaps if math.isfinite(gap)), default=None)
     report = {
         "grid": {"snr_values": list(grid.snr_values), "n_values": list(grid.n_values),
                  "steps": grid.steps, "eta": grid.eta,
@@ -214,11 +181,11 @@ def _cmd_heatmap(config: FullConfig, started: str):
     artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
                                  reports={"heatmap": report}, heatmap=result)
     return (artifacts, any(result.errors.values()),
-            None if worst_gap >= -0.02 else
+            None if worst_gap is None or worst_gap >= -0.02 else
             f"label-noise GD worse than standard GD by {-worst_gap:.4f} in some cell")
 
 
-def _cmd_noise_compare(config: FullConfig, started: str):
+def _cmd_noise_compare(config: FullConfig, started: str, out_dir: Path):
     if not config.noise_list:
         raise ConfigError("noise-compare requires a 'noise_list' section in the config")
     result = run_noise_comparison(
@@ -250,7 +217,7 @@ def _cmd_noise_compare(config: FullConfig, started: str):
             "a label-noise arm trails the baseline by more than 0.02" if trails else None)
 
 
-def _cmd_q_sweep(config: FullConfig, started: str):
+def _cmd_q_sweep(config: FullConfig, started: str, out_dir: Path):
     # run_q_sweep refuses a q without reference settings, as a ConfigError, before any q trains.
     results = run_q_sweep(config.q_list or tuple(Q_SWEEP_DEFAULTS), d=config.d,
                           sigma_0=config.sigma_0, steps=config.steps, p=config.p, seed=config.seed,
@@ -312,19 +279,16 @@ def _cmd_decompose(args) -> int:
     if "config" not in manifest:
         raise ConfigError(f"{manifest_path} has no 'config' key")
     config = parse_config(data=manifest["config"])
-    sinks = _make_snapshot_observers(config)
     recon_errors = {"standard": [], "label_noise": []}
     arms = [("standard", LabelNoiseSpec.none()), ("label_noise", config.noise)]
 
     def recon_observer(idx, label, noise):
         # The weight-space oracle replays the arm on its own copy of the
         # multiplier stream; the engine's weights are judged against it.
-        base = sinks[label]
         oracle = OracleReplay(config.q, config.eta, noise,
                               arm_noise_rng(config.seed, idx, noise))
 
         def observer(step, state, dataset):
-            base(step, state, dataset)
             w = oracle.advance(step, state, dataset).weights
             w_plus, w_minus = reconstruct_weights(state, dataset)
             err = (np.linalg.norm(np.hstack([w_plus, w_minus]) - w)
@@ -333,12 +297,12 @@ def _cmd_decompose(args) -> int:
 
         return observer
 
-    result = _paired_dynamics(config, {label: recon_observer(idx, label, noise)
-                                       for idx, (label, noise) in enumerate(arms)})
-    # Re-emit into a scratch area to compare digests against the manifest.
-    files = _dynamics_files(result, config, sinks, command, now_utc())
+    # Replay and re-emit into a scratch area to compare digests against the manifest.
     with tempfile.TemporaryDirectory() as tmp:
-        inventory = emit_outputs(files, tmp, force=True)
+        result = _paired_dynamics(config, Path(tmp), {label: recon_observer(idx, label, noise)
+                                                      for idx, (label, noise) in enumerate(arms)})
+        inventory = emit_outputs(_dynamics_files(result, config, command, now_utc()), tmp,
+                                 force=True)
     recorded = manifest.get("files", {})
     matches = {
         name: recorded.get(name) == digest
@@ -385,8 +349,8 @@ def _run_command(args) -> int:
     if args.command in _REPORTS:
         return _REPORTS[args.command](args, config)
     out_dir = _out_dir(args, config)
-    refuse_overwrite(out_dir, args.force)  # before the run, not after it
-    files, aborted, failure = _RUNS[args.command](config, now_utc())
+    refuse_overwrite(out_dir, args.force)  # before the run writes anything
+    files, aborted, failure = _RUNS[args.command](config, now_utc(), out_dir)
     emit_outputs(files, out_dir, force=args.force)
     if aborted:
         return EXIT_ABORTED

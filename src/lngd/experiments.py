@@ -12,11 +12,13 @@ import math
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError
 from .data import Dataset, SignalSpec, StreamedTestSet, redrawable_dataset
+from .io import CoefficientDump
 from .decomposition import SpanProducts, iota_series
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
@@ -67,7 +69,8 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
 def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
                  log_stride: int, n_test: int, observers: dict | None = None,
-                 fork_recorder: bool = True) -> list[RunArtifacts]:
+                 fork_recorder: bool = True, dump_dir: Path | None = None,
+                 coeff_stride: int = 100) -> list[RunArtifacts]:
     """Train one arm per noise spec on shared data/init/test; each arm carries the dataset.
 
     This is where points become products. The test set's products are
@@ -79,6 +82,8 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     ``run_training`` call; arm ``idx`` draws from its own multiplier stream.
     The test set is streamed, not kept;
     ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
+    Given ``dump_dir``, the recorder writes each arm's coefficient dump there
+    (``io.CoefficientDump``) while the arms train; ``arm.files`` holds the digests.
     """
     dataset = redrawable_dataset(spec, n, lambda: stream(seed, "data"))
     test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
@@ -86,8 +91,12 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(noises)]
+    dumps = [] if dump_dir is None else [
+        CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", dataset.labels,
+                        coeff_stride, steps) for label, _ in noises]
     recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, w0, q,
-                              len(arms), log_count(steps, log_stride), may_fork=fork_recorder)
+                              len(arms), log_count(steps, log_stride), dumps,
+                              may_fork=fork_recorder)
     try:
         products = SpanProducts.of([dataset.points], n + 1, dataset, w0)
         dataset.drop_points()
@@ -100,12 +109,15 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
 def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
                  steps: int, noise: LabelNoiseSpec, seed: int, log_stride: int = 10,
                  n_test: int = 2000, epsilon: float = 0.05, c_test: float = 1.0,
-                 observers: dict | None = None) -> DynamicsResult:
-    """Standard GD and label-noise GD on identical data/init/test, with reports."""
+                 observers: dict | None = None, dump_dir: Path | None = None,
+                 coeff_stride: int = 100) -> DynamicsResult:
+    """Standard GD and label-noise GD on identical data/init/test, with reports; the
+    coefficient dumps go to ``dump_dir``, if given (see ``_paired_runs``)."""
     arms = _paired_runs(
         spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,
         noises=[("standard", LabelNoiseSpec.none()), ("label_noise", noise)],
         seed=seed, log_stride=log_stride, n_test=n_test, observers=observers,
+        dump_dir=dump_dir, coeff_stride=coeff_stride,
     )
     standard, label_noise = arms
     reports: dict = {}

@@ -3,7 +3,8 @@
 CSV numbers are written with 17 significant digits (lossless for 64-bit
 floats) and newline-only line endings, so re-running with the same seed
 yields byte-identical files. The manifest is written last and records a
-sha256 digest of every other emitted file.
+sha256 digest of every other emitted file; a coefficient dump, written
+while the run goes, is hashed as it is written.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .config import FullConfig, config_to_dict
 from .streams import STREAM_IDS, derive_seed
 from .training import TRACE_COLUMNS, TrainTrace
 
-__all__ = ["EmitError", "CoefficientSnapshots", "fmt_float", "sha256_file", "write_trace_csv",
+__all__ = ["EmitError", "CoefficientDump", "fmt_float", "sha256_file", "write_trace_csv",
            "write_coefficients_csv", "write_heatmap_csv", "emit_outputs"]
 
 
@@ -64,54 +65,77 @@ def write_trace_csv(trace: TrainTrace, path: Path) -> None:
     _write_csv(path, TRACE_COLUMNS, trace.rows.tolist())
 
 
-class CoefficientSnapshots(NamedTuple):
-    """One arm's coefficients at k steps, typically strided more coarsely than the trace."""
-
-    steps: np.ndarray  # (k,)
-    gamma: np.ndarray  # (k, 2, m)
-    rho: np.ndarray  # (k, 2, m, n)
-    same_class_mask: np.ndarray  # (2, n): True where y_i == j
+_HEAD, _GAMMA = "\x00", "\x01"  # stand for "step,j,r," and ",gamma," in a row template
 
 
-def write_coefficients_csv(snaps: CoefficientSnapshots, path: Path) -> None:
-    """Long-form coefficient dump: one row per (step, j, r, i).
+def write_coefficients_csv(write, templates: list[str], step: int, gamma: np.ndarray,
+                           rho: np.ndarray) -> None:
+    """Append one snapshot to a long-form coefficient dump through ``write``: one row per
+    (j, r, i).
 
     rho is written in the rho_bar column at same-class entries (y_i = j) and
     in the rho_under column at opposite-class ones; the other column holds
     the zero fill "0". Values are written as ``fmt_float`` writes them, gamma
-    once per (j, r). Each (step, j, r) block is one ``%`` over a row template
-    of its branch, built once per file with the i column and the fill.
+    once per (j, r). Each (j, r) block is one ``%`` over ``templates[b]``, the
+    row template of branch b that ``CoefficientDump`` builds once per file.
     """
-    head, gamma_col = "\x00", "\x01"  # stand for "step,j,r," and ",gamma,"
-    # "%.17g" % x == fmt_float(x) for every float, -0.0, inf and nan included.
-    templates = ["".join(f"{head}{i}{gamma_col}%.17g,0\n" if s
-                         else f"{head}{i}{gamma_col}0,%.17g\n" for i, s in enumerate(same))
-                 for same in snaps.same_class_mask.tolist()]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("step,j,r,i,gamma,rho_bar,rho_under\n")
-        for step, gamma, rho in zip(snaps.steps.tolist(), snaps.gamma, snaps.rho):
-            for b, r in np.ndindex(gamma.shape):
-                block = templates[b].replace(head, f"{step},{1 - 2 * b},{r},")
-                block = block.replace(gamma_col, f",{fmt_float(gamma[b, r])},")
-                fh.write(block % tuple(rho[b, r].tolist()))
+    blocks = []
+    for b, r in np.ndindex(gamma.shape):
+        block = templates[b].replace(_HEAD, f"{step},{1 - 2 * b},{r},")
+        block = block.replace(_GAMMA, f",{fmt_float(gamma[b, r])},")
+        blocks.append(block % tuple(rho[b, r].tolist()))
+    write("".join(blocks))
 
 
-def write_coefficient_summary_csv(snaps: CoefficientSnapshots, path: Path) -> None:
-    """Compact per-step companion to the long-form coefficient dump.
+class CoefficientDump:
+    """One arm's long-form coefficient dump ``path`` and its per-step summary
+    ``<stem>_summary.csv``, written while the run goes: ``write`` appends the
+    snapshot of every step t with t % stride == 0 or t == last and skips others.
 
-    rho_bar and rho_under are zero-filled outside their entries, as in the dump:
-    each reduction starts from 0 and reads only its own entries, with no
-    full-size copy of rho.
+    Both files are made at the first snapshot, so an arm that took none has
+    none, and hashed as their bytes are written. The summary's rho_bar and
+    rho_under are zero-filled outside their entries, as in the dump: each
+    reduction starts from 0 and reads only its own entries.
     """
-    same = np.broadcast_to(snaps.same_class_mask[:, None, :], snaps.rho.shape[1:])
-    under = ~same
-    header = ["step", "max_gamma", "mean_gamma", "max_rho_bar", "min_rho_under"]
-    rows = zip(snaps.steps.tolist(),
-               snaps.gamma.max(axis=(1, 2)).tolist(),
-               snaps.gamma.mean(axis=(1, 2)).tolist(),
-               [rho.max(where=same, initial=0.0) for rho in snaps.rho],
-               [rho.min(where=under, initial=0.0) for rho in snaps.rho])
-    _write_csv(path, header, rows)
+
+    def __init__(self, path: Path, labels: np.ndarray, stride: int, last: int):
+        self.paths = (Path(path), Path(path).with_name(f"{Path(path).stem}_summary.csv"))
+        self.same = np.stack([labels == 1.0, labels == -1.0])[:, None, :]  # y_i == j
+        # "%.17g" % x == fmt_float(x) for every float, -0.0, inf and nan included.
+        self.templates = ["".join(f"{_HEAD}{i}{_GAMMA}%.17g,0\n" if s
+                                  else f"{_HEAD}{i}{_GAMMA}0,%.17g\n" for i, s in enumerate(same))
+                          for same in self.same[:, 0].tolist()]
+        self.stride, self.last = stride, last
+        self.files = []  # (file, sha256) of the dump and of the summary, once made
+
+    def write(self, step: int, gamma: np.ndarray, rho: np.ndarray) -> None:
+        """Append the snapshot of gamma (2, m) and rho (2, m, n) if ``step`` takes one."""
+        if step % self.stride and step != self.last:
+            return
+        if not self.files:
+            self.paths[0].parent.mkdir(parents=True, exist_ok=True)
+            self.files = [(open(path, "wb"), hashlib.sha256()) for path in self.paths]
+            self._append(0, "step,j,r,i,gamma,rho_bar,rho_under\n")
+            self._append(1, "step,max_gamma,mean_gamma,max_rho_bar,min_rho_under\n")
+        write_coefficients_csv(partial(self._append, 0), self.templates, step, gamma, rho)
+        rho = np.ascontiguousarray(rho)
+        same = np.broadcast_to(self.same, rho.shape)
+        self._append(1, ",".join([str(step), *map(fmt_float, (
+            gamma.max(), gamma.mean(), rho.max(where=same, initial=0.0),
+            rho.min(where=~same, initial=0.0)))]) + "\n")
+
+    def _append(self, k: int, text: str) -> None:
+        fh, digest = self.files[k]
+        data = text.encode()
+        digest.update(data)
+        fh.write(data)
+
+    def close(self) -> dict[str, str]:
+        """Close the files; {file name: sha256} of those written."""
+        for fh, _ in self.files:
+            fh.close()
+        files, self.files = self.files, []
+        return {path.name: digest.hexdigest() for path, (_, digest) in zip(self.paths, files)}
 
 
 def write_heatmap_csv(heatmap, path: Path) -> None:
@@ -155,7 +179,7 @@ class RunArtifactFiles:
     config: FullConfig
     command: str
     traces: dict = field(default_factory=dict)  # filename -> TrainTrace
-    coefficient_snapshots: dict = field(default_factory=dict)  # filename -> CoefficientSnapshots
+    written: dict = field(default_factory=dict)  # filename -> sha256 of a file the run wrote
     reports: dict = field(default_factory=dict)  # merged into reports.json
     heatmap: object = None  # HeatmapResult
     started_at: str = ""
@@ -167,10 +191,15 @@ def now_utc() -> str:
 
 
 def refuse_overwrite(out_dir: str | Path, force: bool) -> None:
-    """Raise EmitError if ``out_dir`` holds a manifest and ``force`` is not set."""
+    """Raise EmitError if ``out_dir`` holds a manifest and ``force`` is not set.
+
+    With ``force`` the old manifest is removed, so a run that fails after it
+    starts writing leaves no manifest listing files it has overwritten.
+    """
     manifest_path = Path(out_dir) / "manifest.json"
     if manifest_path.exists() and not force:
         raise EmitError(f"{manifest_path} already exists; pass force to overwrite")
+    manifest_path.unlink(missing_ok=True)
 
 
 def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool = False) -> dict:
@@ -182,7 +211,7 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    inventory: dict[str, str] = {}
+    inventory = dict(artifacts.written)
 
     def record(name: str):
         inventory[name] = sha256_file(out / name)
@@ -190,12 +219,6 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
     for name, trace in artifacts.traces.items():
         write_trace_csv(trace, out / name)
         record(name)
-    for name, snaps in artifacts.coefficient_snapshots.items():
-        write_coefficients_csv(snaps, out / name)
-        record(name)
-        summary_name = name.replace(".csv", "_summary.csv")
-        write_coefficient_summary_csv(snaps, out / summary_name)
-        record(summary_name)
     if artifacts.reports:
         write_json(artifacts.reports, out / "reports.json")
         record("reports.json")

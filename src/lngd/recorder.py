@@ -3,14 +3,17 @@
 A ``Recorder`` owns everything a trace row needs besides the step itself:
 the test set's products, its labels, a test pre-activation buffer and a
 copy of the stacked coefficients. ``record`` fills each live arm's row and
-iota at one logged step; ``finish`` returns every arm's rows and iotas.
+iota at one logged step and hands each live arm's coefficients to its
+``io.CoefficientDump``, if any; ``finish`` returns every arm's rows and
+iotas and the digests of the dump files written.
 
 ``start_recorder`` runs it in a child process, made with ``os.fork`` and
 two pipes, when a second core is free (``cores.worker_budget() >= 2``) and
 this process has no other thread; otherwise it runs in process. Both run
 the same ``Recorder`` code on the same numbers, so only the transport
 differs. The child reads each logged state on a reader thread while it
-draws the test set, so the trainer's writes do not wait for it; it ends
+draws the test set, into at most ``FRAME_BUDGET`` bytes of frame buffers;
+when every buffer waits to be recorded, the trainer's writes wait. It ends
 with ``os._exit``. The parent reaps it in ``close``, which kills it first
 unless ``finish`` has already collected its result. If the parent dies,
 the child reads end of file and exits.
@@ -18,6 +21,7 @@ the child reads end of file and exits.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import queue
@@ -31,7 +35,9 @@ from .cores import worker_budget
 from .decomposition import CoefficientStack, SpanProducts, iota_all, sign_error
 from .training import TRACE_DTYPE, _outputs, _trace_row
 
-__all__ = ["Recorder", "ForkedRecorder", "start_recorder"]
+__all__ = ["Recorder", "ForkedRecorder", "start_recorder", "FRAME_BUDGET"]
+
+FRAME_BUDGET = 3 << 20  # bytes of logged states a forked recorder holds at most
 
 
 class Recorder:
@@ -43,16 +49,23 @@ class Recorder:
     """
 
     def __init__(self, test_labels: np.ndarray, test_chunks, dataset, w0: np.ndarray, q: int,
-                 arms: int, logs: int):
+                 arms: int, logs: int, dumps=()):
         self.test = SpanProducts.of(test_chunks, len(test_labels), dataset, w0)
         self.test_labels = test_labels
         self.test_label_rows = (test_labels < 0).astype(np.intp)
         self.q = q
-        self.stack = CoefficientStack(dataset, w0, arms)
-        self.pre = np.empty((len(test_labels), arms, w0.shape[1]))
+        self.stack = stack = CoefficientStack(dataset, w0, arms)
+        n, two_m = len(dataset), w0.shape[1]
+        # at[a, j, r, i] is where arm a's rho_{j,r,i} sits in stack.coef, read in (j, r, i) order.
+        at = (np.arange(n) * arms * two_m + np.arange(two_m)[:, None] + two_m
+              * np.arange(arms)[:, None, None]).reshape(arms, 2, -1, n)
+        same = np.broadcast_to(stack.states[0].same_class_mask[:, None, :], at.shape[1:])
+        self.rho_bar_at, self.rho_under_at = at[:, same], at[:, ~same]
+        self.pre = np.empty((len(test_labels), arms, two_m))
         self.rows = np.recarray((arms, logs), dtype=TRACE_DTYPE)
-        self.iota = np.empty((arms, logs, len(dataset)))
+        self.iota = np.empty((arms, logs, n))
         self.logged = 0
+        self.dumps = dumps  # arm a's io.CoefficientDump at [a], or none
 
     def record(self, t: int, live: np.ndarray, coef: np.ndarray, gamma: np.ndarray,
                f: np.ndarray, eps: np.ndarray, signal_sum: np.ndarray) -> None:
@@ -71,16 +84,22 @@ class Recorder:
         for a in np.flatnonzero(live):
             state = stack.states[a]
             self.iota[a, k] = iota_all(state)
-            _trace_row(self.rows[a], k, t, f[:, a], eps[:, a], state, stack.labels,
-                       sign_error(f_test[:, a], self.test_labels), self.iota[a, k])
+            _trace_row(self.rows[a], k, t, f[:, a], eps[:, a], state,
+                       stack.coef.take(self.rho_bar_at[a]), stack.coef.take(self.rho_under_at[a]),
+                       stack.labels, sign_error(f_test[:, a], self.test_labels), self.iota[a, k])
+            if self.dumps:
+                self.dumps[a].write(t, state.gamma, state.rho)
         self.logged += 1
 
-    def finish(self) -> tuple[np.recarray, np.ndarray]:
-        """(rows (A, logs), iota (A, logs, n)); an arm's rows after it stopped are not filled."""
-        return self.rows, self.iota
+    def finish(self) -> tuple[np.recarray, np.ndarray, list[dict]]:
+        """(rows (A, logs), iota (A, logs, n), files); an arm's rows after it stopped are not
+        filled, and ``files[a]`` maps each file written for arm a to its sha256."""
+        return self.rows, self.iota, [d.close() for d in self.dumps] or [{} for _ in self.rows]
 
     def close(self) -> None:
-        """Nothing to release in process."""
+        """Close the dump files of a run that did not finish."""
+        for dump in self.dumps:
+            dump.close()
 
 
 def _frame_shapes(n: int, arms: int, two_m: int) -> list[tuple[int, ...]]:
@@ -130,26 +149,31 @@ def _read_into(fd: int, array: np.ndarray) -> None:
         view = view[got:]
 
 
-def _read_frames(fd: int, size: int, frames: queue.SimpleQueue) -> None:
-    """Queue every frame read from ``fd``, through the finish frame; None at end of file."""
+def _read_frames(fd: int, free: queue.LifoQueue, frames: queue.SimpleQueue) -> None:
+    """Read each frame from ``fd`` into a buffer taken from ``free``, waiting while none is,
+    and queue it, through the finish frame; None at end of file."""
     try:
         while True:
-            frame = np.empty(size)
+            frame = free.get()
             _read_into(fd, frame[:1])
-            if frame[0] < 0:
-                frames.put(frame)
-                return
-            _read_into(fd, frame[1:])
+            if frame[0] >= 0:
+                _read_into(fd, frame[1:])
             frames.put(frame)
+            if frame[0] < 0:
+                return
     except EOFError:
         frames.put(None)
 
 
 def _serve(build, frames_fd: int, result_fd: int, n: int, arms: int, two_m: int) -> int:
-    """The child's work: record every frame, then send the result. Returns the exit status."""
-    frames = queue.SimpleQueue()
-    threading.Thread(target=_read_frames, args=(frames_fd, _frame_size(n, arms, two_m), frames),
-                     daemon=True).start()
+    """The child's work: record every frame, then send the result. Returns the exit status.
+    Frames are read into ``FRAME_BUDGET`` bytes of buffers (one at least), reused most
+    recently freed first, so a child that keeps up touches few of them."""
+    size = _frame_size(n, arms, two_m)
+    free, frames = queue.LifoQueue(), queue.SimpleQueue()
+    for frame in np.empty((max(1, FRAME_BUDGET // (8 * size)), size)):
+        free.put(frame)
+    threading.Thread(target=_read_frames, args=(frames_fd, free, frames), daemon=True).start()
     recorder = build()
     while True:
         frame = frames.get()
@@ -159,9 +183,11 @@ def _serve(build, frames_fd: int, result_fd: int, n: int, arms: int, two_m: int)
             break
         live, *arrays = _fields(frame, n, arms, two_m)
         recorder.record(int(frame[0]), live != 0, *arrays)
-    rows, iota = recorder.finish()
-    _write_all(result_fd, rows)
-    _write_all(result_fd, iota)
+        free.put(frame)
+    rows, iota, files = recorder.finish()
+    files = json.dumps(files).encode()
+    for part in (rows, iota, np.array([len(files)]), files):
+        _write_all(result_fd, part)
     return 0
 
 
@@ -201,17 +227,20 @@ class ForkedRecorder:
             view[...] = value
         self._send(self._frame)
 
-    def finish(self) -> tuple[np.recarray, np.ndarray]:
+    def finish(self) -> tuple[np.recarray, np.ndarray, list[dict]]:
         self._frame[0] = -1
         self._send(self._frame[:1])
+        size = np.empty(1, dtype=np.int64)
         try:
-            for array in self._result:
+            for array in (*self._result, size):
                 _read_into(self._result_r, array)
+            files = bytearray(size[0])
+            _read_into(self._result_r, files)
         except EOFError:
             raise self._failure() from None
         if self._reap() != 0:
             raise self._failure()
-        return self._result
+        return (*self._result, json.loads(files))
 
     def close(self) -> None:
         """Kill the child unless it was reaped, reap it, and close the pipes."""
@@ -245,7 +274,8 @@ class ForkedRecorder:
 
 
 def start_recorder(test_labels: np.ndarray, test_chunks, dataset, w0: np.ndarray, q: int,
-                   arms: int, logs: int, *, may_fork: bool = True) -> Recorder | ForkedRecorder:
+                   arms: int, logs: int, dumps=(), *,
+                   may_fork: bool = True) -> Recorder | ForkedRecorder:
     """A ``Recorder``, in a child process when ``may_fork`` and a second core allow it.
 
     A forked child starts with only the thread that forked it, so a process
@@ -254,7 +284,7 @@ def start_recorder(test_labels: np.ndarray, test_chunks, dataset, w0: np.ndarray
     """
 
     def build() -> Recorder:
-        return Recorder(test_labels, test_chunks, dataset, w0, q, arms, logs)
+        return Recorder(test_labels, test_chunks, dataset, w0, q, arms, logs, dumps)
 
     def build_in_child() -> Recorder:
         recorder = build()

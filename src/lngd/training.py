@@ -16,7 +16,7 @@ tested against, and only ``RunArtifacts.net`` reaches it, on first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -165,7 +165,8 @@ class Arm(NamedTuple):
 
 @dataclass
 class RunArtifacts:
-    """One trained arm: trace, coefficient state, the dataset it trained on, metadata."""
+    """One trained arm: trace, coefficient state, the dataset it trained on, metadata, and
+    the sha256 of each file the recorder wrote for it."""
 
     label: str
     noise: LabelNoiseSpec
@@ -173,6 +174,7 @@ class RunArtifacts:
     state: CoefficientState
     dataset: Dataset
     q: int
+    files: dict = field(default_factory=dict)
 
     @cached_property
     def net(self):
@@ -200,12 +202,11 @@ class RunArtifacts:
         return self.trace.final.clean_train_loss
 
 
-def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
-    """Fill record ``k`` of ``rows`` from one arm's outputs, multipliers and state."""
+def _trace_row(rows, k, step, f, eps, state, rho_bar, rho_under, labels, test_error,
+               iotas) -> None:
+    """Fill record ``k`` of ``rows`` from one arm's outputs, multipliers and state, whose
+    same-class and opposite-class rho entries are ``rho_bar`` and ``rho_under``."""
     margins = labels * f
-    same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
-    rho_bar_defined = state.rho[same]
-    rho_under_defined = state.rho[~same]
     with np.errstate(over="ignore"):  # huge multipliers overflow to +-inf; their loss is exact
         noisy_margins = eps * margins
     rows[k] = (
@@ -215,9 +216,9 @@ def _trace_row(rows, k, step, f, eps, state, labels, test_error, iotas) -> None:
         test_error,
         state.gamma.max(),
         state.gamma.mean(),
-        rho_bar_defined.max(),
-        rho_bar_defined.mean(),
-        rho_under_defined.min(),
+        rho_bar.max(),
+        rho_bar.mean(),
+        rho_under.min(),
         ratio_summary(state),
         iotas.mean(),
         iotas.max(),
@@ -268,10 +269,10 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProduct
     own stream and keeps its own trace, observer and state. At each logged
     step the state goes to ``recorder`` (``lngd.recorder``), which evaluates
     the test error and fills the trace rows; it is made for ``len(arms)``
-    arms and ``log_count(steps, log_stride)`` rows, and the traces are read
-    from it when the run ends. The row at step t reflects the state after t
-    updates and the multiplier vector drawn for step t (the loss the
-    optimizer is about to descend).
+    arms and ``log_count(steps, log_stride)`` rows; the traces, and the
+    digests of any files it wrote (``arm.files``), are read from it when the
+    run ends. The row at step t reflects the state after t updates and the
+    multiplier vector drawn for step t (the loss the optimizer is about to descend).
     ``observer(step, state, dataset)`` runs at every logged step; one that
     needs weights rebuilds them with ``network.reconstruct_weights``. A non-finite
     output or coefficient update aborts that arm alone: it keeps the rows
@@ -335,11 +336,11 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProduct
                 violations[a] += np.count_nonzero(stack.drho[:, a] < floor)
     for a in np.flatnonzero(live):
         stack.states[a].step = steps
-    rows, iota = recorder.finish()
+    rows, iota, files = recorder.finish()
     out = []
     for a, (arm, state) in enumerate(zip(arms, stack.states)):
         aborted_at, reason, kept = stopped.get(a, (None, "", logged))
         trace = TrainTrace(rows[a][:kept], iota[a][:kept], aborted_at, reason, violations[a],
                            n=n, d=dataset.spec.d, noise_kind=arm.noise.kind)
-        out.append(RunArtifacts(arm.label, arm.noise, trace, state, dataset, q))
+        out.append(RunArtifacts(arm.label, arm.noise, trace, state, dataset, q, files[a]))
     return out

@@ -1,12 +1,11 @@
 import json
-from types import SimpleNamespace
+import math
 
 import numpy as np
 import pytest
 
-from lngd.cli import _make_snapshot_observers, main_cli
-from lngd.config import parse_config
-from lngd.io import fmt_float
+from lngd.cli import main_cli
+from lngd.io import fmt_float, sha256_file
 
 MINIMAL = {"d": 40, "n": 8, "mu_scale": 1.5, "sigma_p": 0.5, "p": 0.2,
            "eta": 0.1, "steps": 20, "seed": 3, "m": 3, "sigma_0": 0.1,
@@ -285,15 +284,48 @@ def test_aborted_arm_keeps_the_snapshots_it_logged(tmp_path, capsys):
 @pytest.mark.parametrize("steps, log_stride, coeff_stride",
                          [(0, 1, 1), (40, 2, 3), (40, 10, 100), (2000, 10, 100), (7, 7, 2),
                           (30, 4, 6), (30, 5, 1), (1, 1, 5)])
-def test_snapshot_arrays_fit_every_logged_snapshot(steps, log_stride, coeff_stride):
-    config = parse_config(data={**MINIMAL, "steps": steps, "log_stride": log_stride,
-                                "coeff_stride": coeff_stride})
-    sink = _make_snapshot_observers(config)["standard"]
-    state = SimpleNamespace(gamma=np.zeros((2, 3)), rho=np.zeros((2, 3, 8)))
-    for t in range(steps + 1):
-        if t % log_stride == 0 or t == steps:  # the steps run_training logs
-            sink(t, state, None)
-    assert sink.filled == len(sink.steps)
+def test_snapshot_arrays_fit_every_logged_snapshot(steps, log_stride, coeff_stride, tmp_path,
+                                                   capsys):
+    # The streamed dump holds one snapshot per logged step that is a multiple of
+    # coeff_stride, plus the last step, and the manifest lists the digests taken as written.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL, "steps": steps, "log_stride": log_stride,
+                                "coeff_stride": coeff_stride}))
+    out_dir = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(path), "--out", str(out_dir)]) == 0
+    want = [t for t in range(steps + 1)
+            if (t % log_stride == 0 or t == steps) and (t % coeff_stride == 0 or t == steps)]
+    files = json.loads((out_dir / "manifest.json").read_text())["files"]
+    for label in ("standard", "label_noise"):
+        _, dump = read_csv(out_dir / f"coefficients_{label}.csv")
+        assert [int(row[0]) for row in dump] == [t for t in want for _ in range(2 * 3 * 8)]
+        _, summary = read_csv(out_dir / f"coefficients_{label}_summary.csv")
+        assert [int(row[0]) for row in summary] == want
+        for name in (f"coefficients_{label}.csv", f"coefficients_{label}_summary.csv"):
+            assert files[name] == sha256_file(out_dir / name)
+
+
+def heatmap_report(tmp_path, steps, workers):
+    config = {**MINIMAL, "q": 4, "grid": {"snr_values": [0.1, 2.0], "n_values": [8, 12],
+                                          "steps": steps, "eta": 40.0, "seeds_per_cell": 3}}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / f"hm{steps}-{workers}"
+    assert main_cli(["heatmap", "--config", str(path), "--out", str(out_dir),
+                     "--workers", workers]) == 2  # some arms abort
+    return json.loads((out_dir / "reports.json").read_text())["heatmap"]
+
+
+@pytest.mark.parametrize("steps, worst", [(6, -0.44999999999999996), (20, None)])
+def test_worst_deficit_skips_cells_without_both_means(tmp_path, capsys, steps, worst):
+    # q=4 at eta 40 aborts arms: at 6 steps every label-noise arm of the first cell aborts, so
+    # its gap is NaN and comes first in cell order; at 20 steps every label-noise arm aborts.
+    for workers in ("1", "2"):
+        report = heatmap_report(tmp_path, steps, workers)
+        gaps = [c["label_noise_mean"] - c["standard_mean"] for c in report["cells"]]
+        assert math.isnan(gaps[0])
+        finite = [gap for gap in gaps if math.isfinite(gap)]
+        assert report["worst_label_noise_deficit"] == worst == min(finite, default=None)
 
 
 def test_version_flag():

@@ -8,7 +8,7 @@ from lngd.cli import main_cli
 from lngd.config import ConfigError, config_to_dict, parse_config
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.io import (
-    CoefficientSnapshots,
+    CoefficientDump,
     EmitError,
     RunArtifactFiles,
     emit_outputs,
@@ -186,19 +186,26 @@ class TestEmitOutputs:
         rho[1, 2, i_opp] = -0.0  # an opposite-class entry: the sign of a zero survives
         i_same = np.flatnonzero(same[0])[0]
         rho[0, 0, i_same], rho[0, 1, i_same], rho[1, 0, i_opp] = np.inf, np.nan, -np.inf
-        art.coefficient_snapshots["coefficients_label_noise.csv"] = CoefficientSnapshots(
-            np.array([20]), gamma[None], rho[None], same)
+        dump = CoefficientDump(tmp_path / "coefficients_label_noise.csv",
+                               result.label_noise.dataset.labels, stride=10, last=35)
+        dump.write(15, gamma, rho)  # not a snapshot step
+        assert not list(tmp_path.iterdir())  # no file before the first snapshot
+        dump.write(20, gamma, rho)
+        dump.write(25, gamma, rho)
+        dump.write(35, gamma, rho.transpose(2, 0, 1).copy().transpose(1, 2, 0))  # a strided view
+        art.written.update(dump.close())
         inventory = emit_outputs(art, tmp_path)
-        assert "coefficients_label_noise.csv" in inventory
+        for name in ("coefficients_label_noise.csv", "coefficients_label_noise_summary.csv"):
+            assert inventory[name] == sha256_file(tmp_path / name)  # the digest taken as written
         lines = (tmp_path / "coefficients_label_noise.csv").read_text().splitlines()
         assert lines[0] == "step,j,r,i,gamma,rho_bar,rho_under"
-        # one row per (j, r, i); the column a rho entry does not belong to holds 0
-        assert len(lines) - 1 == 2 * 3 * 8
+        # one row per (step, j, r, i); the column a rho entry does not belong to holds 0
+        assert len(lines) - 1 == 2 * 2 * 3 * 8
         expected = [
-            ",".join(["20", str(j), str(r), str(i), fmt_float(gamma[b, r]),
+            ",".join([str(step), str(j), str(r), str(i), fmt_float(gamma[b, r]),
                       fmt_float(rho[b, r, i] if same[b, i] else 0.0),
                       fmt_float(0.0 if same[b, i] else rho[b, r, i])])
-            for b, j in ((0, 1), (1, -1)) for r in range(3) for i in range(8)
+            for step in (20, 35) for b, j in ((0, 1), (1, -1)) for r in range(3) for i in range(8)
         ]
         assert lines[1:] == expected
         assert lines[1 + 5 * 8 + i_opp] == f"20,-1,2,{i_opp},{fmt_float(gamma[1, 2])},0,-0"
@@ -208,6 +215,6 @@ class TestEmitOutputs:
         summary = (tmp_path / "coefficients_label_noise_summary.csv").read_text().splitlines()
         rho_bar = np.where(same[:, None, :], rho, 0.0)
         rho_under = np.where(same[:, None, :], 0.0, rho)
+        row = [fmt_float(v) for v in (gamma.max(), gamma.mean(), rho_bar.max(), rho_under.min())]
         assert summary == ["step,max_gamma,mean_gamma,max_rho_bar,min_rho_under",
-                           ",".join(["20", *map(fmt_float, (gamma.max(), gamma.mean(),
-                                                            rho_bar.max(), rho_under.min()))])]
+                           ",".join(["20", *row]), ",".join(["35", *row])]

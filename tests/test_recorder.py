@@ -8,6 +8,8 @@ runs never fork; these tests set the budget to force either transport.
 import json
 import os
 import pathlib
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ import pytest
 import lngd.experiments as experiments
 import lngd.recorder as recorder
 from lngd.cli import main_cli
+from lngd.data import generate_dataset
 from lngd.experiments import SweepGrid, _run_heatmap_unit, axis_aligned_spec, run_dynamics
-from lngd.recorder import Recorder
+from lngd.io import sha256_file
+from lngd.recorder import ForkedRecorder, Recorder
+from lngd.streams import stream
 from lngd.training import LabelNoiseSpec
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -55,12 +60,23 @@ ABORTING = {"d": 200, "n": 20, "m": 4, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1
             "noise_list": [{"kind": "flip", "p": 0.1},
                            {"kind": "uniform", "lo": 1e10, "hi": 2e10}]}
 
+# The label-noise arm of a dynamics run: multipliers of order 1e10 overflow its outputs at
+# step 17; a huge init overflows both arms' outputs at step 0, before any snapshot.
+DYNAMICS_ABORTING = {**ABORTING, "noise_list": None, "log_stride": 2, "coeff_stride": 3,
+                     "noise": {"kind": "uniform", "lo": 1e10, "hi": 2e10}}
+DYNAMICS_ABORTING_AT_0 = {**DYNAMICS_ABORTING, "q": 4, "sigma_0": 1e80,
+                          "noise": {"kind": "flip", "p": 0.1}}
+
 CASES = {
     "section5-300": ("dynamics", "section5.json", {"steps": 300}),
     "noise-compare-8": ("noise-compare", "noise_variants.json", {"steps": 300}),
     "q4": ("q-sweep", "q_sweep.json", {"steps": 300, "q_list": [4]}),
     "one-arm-aborts": ("noise-compare", None, ABORTING),
+    "dynamics-arm-aborts": ("dynamics", None, DYNAMICS_ABORTING),
+    "dynamics-aborts-at-0": ("dynamics", None, DYNAMICS_ABORTING_AT_0),
 }
+DUMPS = {"section5-300": ("standard", "label_noise"), "dynamics-arm-aborts":
+         ("standard", "label_noise"), "dynamics-aborts-at-0": ()}
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -80,11 +96,23 @@ def test_both_transports_write_the_same_bytes(case, tmp_path, monkeypatch, capsy
         assert len(forks) == fork
         out = tmp_path / str(fork)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert listed == {name: sha256_file(out / name) for name in files}
         outcome[fork] = (code, capsys.readouterr().out, files, list(runs))
         no_child_left()
     (code, stdout, files, arms), forked = outcome[False], outcome[True]
     assert (code, stdout, files) == forked[:3]
     assert len(files) >= 3
+    if case in DUMPS:
+        assert sorted(name for name in files if name.startswith("coefficients_")) == sorted(
+            f"coefficients_{label}{part}.csv" for label in DUMPS[case]
+            for part in ("", "_summary"))
+    if case == "dynamics-arm-aborts":  # the dump stops at the last snapshot before step 17
+        assert [arm.trace.aborted_at for arm in arms[0]] == [None, 17]
+        for label, last in (("standard", b"\n40,"), ("label_noise", b"\n12,")):
+            tail = files[f"coefficients_{label}.csv"].splitlines()[-1]
+            assert (b"\n" + tail).startswith(last)
+            assert files[f"coefficients_{label}_summary.csv"].splitlines()[-1].startswith(last[1:])
     for ours, theirs in zip(arms, forked[3], strict=True):
         for a, b in zip(ours, theirs, strict=True):
             assert a.trace.rows.tobytes() == b.trace.rows.tobytes()
@@ -96,6 +124,80 @@ def test_both_transports_write_the_same_bytes(case, tmp_path, monkeypatch, capsy
         assert code == 2
         assert [arm.aborted for arm in arms[0]] == [False, False, True]
         assert 0 < len(arms[0][2].trace.rows) < len(arms[0][0].trace.rows)
+
+
+def test_a_failed_forced_run_leaves_no_manifest(monkeypatch, tmp_path, capsys, transport):
+    config = config_from(tmp_path, "section5.json", steps=300)
+    out = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(config), "--out", str(out)]) == 0
+    old = (out / "coefficients_standard.csv").stat().st_size
+    transport(True)
+    real_record = Recorder.record
+
+    def failing(self, t, *args):
+        if t == 250:
+            raise ValueError("record failed")
+        real_record(self, t, *args)
+
+    monkeypatch.setattr(Recorder, "record", failing)
+    with pytest.raises(RuntimeError, match="recorder process failed"):
+        main_cli(["dynamics", "--config", str(config), "--out", str(out), "--force"])
+    no_child_left()
+    assert not (out / "manifest.json").exists()
+    assert 0 < (out / "coefficients_standard.csv").stat().st_size < old  # partial dumps stay
+
+
+def test_a_full_child_holds_the_frame_budget_and_the_trainer_waits(monkeypatch, tmp_path,
+                                                                  capsys, transport):
+    config = config_from(tmp_path, None, **{**DYNAMICS_ABORTING, "n": 100, "m": 10,
+                                            "steps": 200, "noise": {"kind": "flip", "p": 0.1}})
+    frame_bytes = 8 * recorder._frame_size(100, 2, 20)
+    monkeypatch.setattr(recorder, "FRAME_BUDGET", 4 * frame_bytes)
+    transport(False)
+    assert main_cli(["dynamics", "--config", str(config), "--out", str(tmp_path / "inproc")]) == 0
+    held, woke = tmp_path / "held", tmp_path / "woke"
+    real_serve = recorder._serve
+
+    def serve(build, *args):  # runs in the child: its build sleeps while the frames come in
+        def slow_build():
+            time.sleep(1.0)
+            held.write_text(str(tracemalloc.get_traced_memory()[0]))
+            woke.write_text(repr(time.monotonic()))
+            return build()
+
+        tracemalloc.start()
+        return real_serve(slow_build, *args)
+
+    sent = []
+    real_send = ForkedRecorder.record
+    monkeypatch.setattr(recorder, "_serve", serve)
+    monkeypatch.setattr(ForkedRecorder, "record",
+                        lambda self, *args: real_send(self, *args) or sent.append(time.monotonic()))
+    assert len(transport(True)) == 0
+    assert main_cli(["dynamics", "--config", str(config), "--out", str(tmp_path / "forked")]) == 0
+    no_child_left()
+    # Python objects made since tracing started (queues, thread, buffer views) stay well below
+    # a frame; without the bound the child would hold every frame sent while it slept.
+    assert int(held.read_text()) <= recorder.FRAME_BUDGET + frame_bytes // 2
+    assert len(sent) == 101
+    assert sent[-1] > float(woke.read_text())  # the trainer's writes waited for the child
+    for path in (tmp_path / "inproc").iterdir():
+        if path.name != "manifest.json":
+            assert path.read_bytes() == (tmp_path / "forked" / path.name).read_bytes()
+
+
+def test_trace_rows_take_each_class_of_rho_in_mask_order():
+    # _trace_row reduces the entries that flat indices pick; the (j, r, i) order of the boolean
+    # mask keeps mean_rho_bar's bits.
+    spec = axis_aligned_spec(1.5, 0.5, 60)
+    dataset = generate_dataset(spec, 10, stream(1, "data"))
+    rec = Recorder(np.ones(4), [np.zeros((4, 60))], dataset, np.zeros((60, 6)), q=2, arms=3,
+                   logs=1)
+    rec.stack.coef[...] = np.random.default_rng(0).standard_normal(rec.stack.coef.shape)
+    for a, state in enumerate(rec.stack.states):
+        same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
+        assert np.array_equal(rec.stack.coef.take(rec.rho_bar_at[a]), state.rho[same])
+        assert np.array_equal(rec.stack.coef.take(rec.rho_under_at[a]), state.rho[~same])
 
 
 def small_run(**kwargs):
