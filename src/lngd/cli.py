@@ -163,10 +163,14 @@ def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
               "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
               file=sys.stderr)
     result = run_heatmap(grid, workers=config.workers)
-    cells = [{"snr": snr, "n": n, "standard_mean": stats["standard"][0],
-              "label_noise_mean": stats["label_noise"][0], "errors": result.errors[key]}
-             for key, snr, n, _, stats in result.by_cell()]
-    gaps = (c["label_noise_mean"] - c["standard_mean"] for c in cells)  # NaN without both means
+    cells, gaps = [], []
+    for key, snr, n, _, stats in result.by_cell():
+        gd, ln = stats["standard"][0], stats["label_noise"][0]  # NaN without a finished seed
+        print(f"snr={snr:g} n={n}: standard {gd:.4f} label_noise {ln:.4f}")
+        cells.append({"snr": snr, "n": n, "standard_mean": None if math.isnan(gd) else gd,
+                      "label_noise_mean": None if math.isnan(ln) else ln,
+                      "errors": result.errors[key]})
+        gaps.append(ln - gd)
     worst_gap = min((gap for gap in gaps if math.isfinite(gap)), default=None)
     report = {
         "grid": {"snr_values": list(grid.snr_values), "n_values": list(grid.n_values),
@@ -175,9 +179,6 @@ def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
         "worst_label_noise_deficit": worst_gap,
         "cells": cells,
     }
-    for c in cells:
-        print(f"snr={c['snr']:g} n={c['n']}: standard {c['standard_mean']:.4f} "
-              f"label_noise {c['label_noise_mean']:.4f}")
     artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
                                  reports={"heatmap": report}, heatmap=result)
     return (artifacts, any(result.errors.values()),

@@ -79,12 +79,13 @@ class CoefficientStack:
     product with ``SpanProducts.span``. ``gamma`` (A, 2m) holds the signal
     coefficients themselves; ``states[a]`` is arm a's CoefficientState, whose
     arrays are views into these. ``drho`` (n, A, 2m) receives each step's rho
-    increment. Every state's ``w0`` is the caller's array, not a copy.
+    increment. ``w0`` and every state's ``w0`` are the caller's init, not a copy.
     """
 
     def __init__(self, dataset: Dataset, w0: np.ndarray, arms: int):
         n, two_m = len(dataset), w0.shape[1]
         m = two_m // 2
+        self.w0 = w0
         self.labels = dataset.labels.copy()
         self.xi_norms_sq = dataset.xi_norms_sq.copy()
         self.signed_xi_norms_sq = self.labels * self.xi_norms_sq  # y_i |xi_i|^2

@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError
 from .data import Dataset, SignalSpec, StreamedTestSet, redrawable_dataset
 from .io import CoefficientDump
-from .decomposition import SpanProducts, iota_series
+from .decomposition import CoefficientStack, SpanProducts, iota_series
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
 from .theory import (
@@ -73,7 +73,9 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                  coeff_stride: int = 100) -> list[RunArtifacts]:
     """Train one arm per noise spec on shared data/init/test; each arm carries the dataset.
 
-    This is where points become products. The test set's products are
+    This is where points become products, and where the run's one
+    ``CoefficientStack`` is made: the trainer advances it and the trace
+    recorder reads it, or its copy in a child. The test set's products are
     built by the trace recorder (``lngd.recorder``), in a child process when
     ``fork_recorder`` and a second core allow it; the training products are
     computed here, after the recorder starts, and the dataset then drops its
@@ -94,13 +96,13 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     dumps = [] if dump_dir is None else [
         CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", dataset.labels,
                         coeff_stride, steps) for label, _ in noises]
-    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, w0, q,
-                              len(arms), log_count(steps, log_stride), dumps,
-                              may_fork=fork_recorder)
+    stack = CoefficientStack(dataset, w0, len(arms))
+    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, q,
+                              log_count(steps, log_stride), dumps, may_fork=fork_recorder)
     try:
         products = SpanProducts.of([dataset.points], n + 1, dataset, w0)
         dataset.drop_points()
-        return run_training(w0, q, dataset, products, recorder, arms, eta=eta, steps=steps,
+        return run_training(stack, q, dataset, products, recorder, arms, eta=eta, steps=steps,
                             log_stride=log_stride)
     finally:
         recorder.close()

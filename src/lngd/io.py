@@ -190,15 +190,28 @@ def now_utc() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def refuse_overwrite(out_dir: str | Path, force: bool) -> None:
+def refuse_overwrite(out_dir: str | Path, force: bool, keep=()) -> None:
     """Raise EmitError if ``out_dir`` holds a manifest and ``force`` is not set.
 
-    With ``force`` the old manifest is removed, so a run that fails after it
-    starts writing leaves no manifest listing files it has overwritten.
+    With ``force`` the old manifest is removed, and with it every file it
+    lists by a plain name in ``out_dir``, except those in ``keep`` (files this
+    run has written). So a run that fails after it starts writing leaves no
+    manifest listing files it has overwritten, and a run that writes fewer
+    files leaves none of the old run's behind. An unreadable manifest is
+    only removed.
     """
-    manifest_path = Path(out_dir) / "manifest.json"
+    out = Path(out_dir)
+    manifest_path = out / "manifest.json"
     if manifest_path.exists() and not force:
         raise EmitError(f"{manifest_path} already exists; pass force to overwrite")
+    try:
+        listed = json.loads(manifest_path.read_text())["files"]
+    except (OSError, ValueError, LookupError, TypeError):  # none, or not a manifest
+        listed = {}
+    for name in listed if isinstance(listed, dict) else ():
+        plain = Path(name).name == name and name not in ("..", "manifest.json")
+        if plain and name not in keep and not (out / name).is_dir():
+            (out / name).unlink(missing_ok=True)
     manifest_path.unlink(missing_ok=True)
 
 
@@ -207,7 +220,7 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
 
     Refuses to overwrite an existing manifest unless ``force`` is set.
     """
-    refuse_overwrite(out_dir, force)
+    refuse_overwrite(out_dir, force, keep=artifacts.written)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -257,19 +257,19 @@ def log_count(steps: int, log_stride: int) -> int:
     return -(-steps // log_stride) + 1
 
 
-def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProducts, recorder,
-                 arms: list[Arm], *, eta: float, steps: int,
+def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: SpanProducts,
+                 recorder, arms: list[Arm], *, eta: float, steps: int,
                  log_stride: int = 10) -> list[RunArtifacts]:
-    """Train every arm from the init ``w0``; log a row every log_stride steps plus the final step.
+    """Train every arm from the init; log a row every log_stride steps plus the final step.
 
-    ``products`` are the training ``SpanProducts`` of the init: the rows
-    xi_1..xi_n, then mu. No point is read: ``dataset`` supplies the labels,
-    |xi_i|^2, |mu|^2 and d, and is passed to the observers. The arms advance
-    as one stacked coefficient state; each draws its multipliers from its
-    own stream and keeps its own trace, observer and state. At each logged
-    step the state goes to ``recorder`` (``lngd.recorder``), which evaluates
-    the test error and fills the trace rows; it is made for ``len(arms)``
-    arms and ``log_count(steps, log_stride)`` rows; the traces, and the
+    ``stack`` is a fresh ``CoefficientStack`` of ``len(arms)`` arms, advanced
+    in place. ``products`` are the training ``SpanProducts`` of its init: the
+    rows xi_1..xi_n, then mu. No point is read: ``dataset`` supplies the
+    labels, |xi_i|^2, |mu|^2 and d, and is passed to the observers. Each arm
+    draws its multipliers from its own stream and keeps its own trace,
+    observer and state. At each logged step ``recorder`` (``lngd.recorder``),
+    which reads the same stack, evaluates the test error and fills the trace
+    rows; it is made for ``log_count(steps, log_stride)`` rows; the traces, and the
     digests of any files it wrote (``arm.files``), are read from it when the
     run ends. The row at step t reflects the state after t updates and the
     multiplier vector drawn for step t (the loss the optimizer is about to descend).
@@ -281,9 +281,8 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProduct
     for arm in arms:
         if arm.noise.kind != "none" and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
-    n, m = len(dataset), w0.shape[1] // 2
+    n, m = len(dataset), stack.gamma.shape[1] // 2
     labels = dataset.labels
-    stack = CoefficientStack(dataset, w0, len(arms))
     sign = stack.branch_sign
     logged = 0  # rows recorded for every live arm
     live = np.ones(len(arms), dtype=bool)
@@ -319,7 +318,7 @@ def run_training(w0: np.ndarray, q: int, dataset: Dataset, products: SpanProduct
         if not live.any():
             break
         if t % log_stride == 0 or t == steps:
-            recorder.record(t, live, stack.coef, stack.gamma, f, eps, signal_sum)
+            recorder.record(t, live, f, eps, signal_sum)
             logged += 1
             for a in np.flatnonzero(live):
                 stack.states[a].step = t

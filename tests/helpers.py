@@ -1,7 +1,7 @@
-"""Training on explicit points: the products and the recorder ``run_training`` reads, built as in
-``_paired_runs``."""
+"""Training on explicit points: the stack, the products and the recorder ``run_training`` reads,
+built as in ``_paired_runs``."""
 
-from lngd.decomposition import SpanProducts
+from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.recorder import Recorder
 from lngd.training import log_count, run_training
 
@@ -11,14 +11,15 @@ def train_products(w0, dataset):
     return SpanProducts.of([dataset.points], len(dataset) + 1, dataset, w0)
 
 
-def point_recorder(w0, q, dataset, test, arms, steps, log_stride=10):
-    """An in-process recorder of ``arms`` arms, evaluating on ``test``'s points."""
-    return Recorder(test.labels, [test.noise_matrix], dataset, w0, q, arms,
+def point_recorder(stack, q, dataset, test, steps, log_stride=10):
+    """An in-process recorder of ``stack``'s arms, evaluating on ``test``'s points."""
+    return Recorder(test.labels, [test.noise_matrix], dataset, stack, q,
                     log_count(steps, log_stride))
 
 
 def train_on_points(net, dataset, test, arms, *, steps, log_stride=10, **kwargs):
     """``run_training`` from ``net``'s weights on ``dataset``, evaluated on ``test``'s points."""
-    recorder = point_recorder(net.weights, net.q, dataset, test, len(arms), steps, log_stride)
-    return run_training(net.weights, net.q, dataset, train_products(net.weights, dataset),
+    stack = CoefficientStack(dataset, net.weights, len(arms))
+    recorder = point_recorder(stack, net.q, dataset, test, steps, log_stride)
+    return run_training(stack, net.q, dataset, train_products(net.weights, dataset),
                         recorder, arms, steps=steps, log_stride=log_stride, **kwargs)

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -305,6 +304,10 @@ def test_snapshot_arrays_fit_every_logged_snapshot(steps, log_stride, coeff_stri
             assert files[name] == sha256_file(out_dir / name)
 
 
+def strict_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def heatmap_report(tmp_path, steps, workers):
     config = {**MINIMAL, "q": 4, "grid": {"snr_values": [0.1, 2.0], "n_values": [8, 12],
                                           "steps": steps, "eta": 40.0, "seeds_per_cell": 3}}
@@ -313,19 +316,23 @@ def heatmap_report(tmp_path, steps, workers):
     out_dir = tmp_path / f"hm{steps}-{workers}"
     assert main_cli(["heatmap", "--config", str(path), "--out", str(out_dir),
                      "--workers", workers]) == 2  # some arms abort
-    return json.loads((out_dir / "reports.json").read_text())["heatmap"]
+    text = (out_dir / "reports.json").read_text()
+    return json.loads(text, parse_constant=strict_constant)["heatmap"]
 
 
 @pytest.mark.parametrize("steps, worst", [(6, -0.44999999999999996), (20, None)])
 def test_worst_deficit_skips_cells_without_both_means(tmp_path, capsys, steps, worst):
     # q=4 at eta 40 aborts arms: at 6 steps every label-noise arm of the first cell aborts, so
-    # its gap is NaN and comes first in cell order; at 20 steps every label-noise arm aborts.
+    # it has no gap and comes first in cell order; at 20 steps every label-noise arm aborts.
+    # A mean without a finished seed is written as null (the report parses strictly) and
+    # printed as nan.
     for workers in ("1", "2"):
         report = heatmap_report(tmp_path, steps, workers)
-        gaps = [c["label_noise_mean"] - c["standard_mean"] for c in report["cells"]]
-        assert math.isnan(gaps[0])
-        finite = [gap for gap in gaps if math.isfinite(gap)]
-        assert report["worst_label_noise_deficit"] == worst == min(finite, default=None)
+        means = [(c["standard_mean"], c["label_noise_mean"]) for c in report["cells"]]
+        assert means[0][1] is None
+        gaps = [ln - gd for gd, ln in means if None not in (gd, ln)]
+        assert report["worst_label_noise_deficit"] == worst == min(gaps, default=None)
+        assert "label_noise nan" in capsys.readouterr().out.splitlines()[0]
 
 
 def test_version_flag():

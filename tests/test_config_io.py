@@ -13,6 +13,7 @@ from lngd.io import (
     RunArtifactFiles,
     emit_outputs,
     fmt_float,
+    refuse_overwrite,
     sha256_file,
     write_trace_csv,
 )
@@ -155,6 +156,23 @@ class TestEmitOutputs:
         with pytest.raises(EmitError, match="force"):
             emit_outputs(artifacts_for(result, config), tmp_path)
         emit_outputs(artifacts_for(result, config), tmp_path, force=True)
+
+    def test_forced_overwrite_removes_the_plain_names_listed(self, tmp_path):
+        out = tmp_path / "run"
+        (out / "sub").mkdir(parents=True)
+        (out / "d").mkdir()
+        names = ["old.csv", "kept.csv", "sub/x.csv", "../outside.csv"]
+        for name in names:
+            (out / name).write_text("x")
+        (out / "manifest.json").write_text(json.dumps({"files": dict.fromkeys(
+            names + ["d", "..", "missing.csv", "manifest.json"], "0")}))
+        refuse_overwrite(out, force=True, keep={"kept.csv"})
+        assert sorted(p.name for p in out.iterdir()) == ["d", "kept.csv", "sub"]
+        assert (out / "sub" / "x.csv").exists() and (tmp_path / "outside.csv").exists()
+        # An unreadable manifest is only removed.
+        (out / "manifest.json").write_text('{"files": {"kept.csv": ')
+        refuse_overwrite(out, force=True)
+        assert sorted(p.name for p in out.iterdir()) == ["d", "kept.csv", "sub"]
 
     def test_rerun_same_seed_identical_digests(self, tmp_path):
         config = parse_config(data=MINIMAL)

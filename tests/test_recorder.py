@@ -8,8 +8,9 @@ runs never fork; these tests set the budget to force either transport.
 import json
 import os
 import pathlib
+import signal
+import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ import lngd.experiments as experiments
 import lngd.recorder as recorder
 from lngd.cli import main_cli
 from lngd.data import generate_dataset
+from lngd.decomposition import CoefficientStack
 from lngd.experiments import SweepGrid, _run_heatmap_unit, axis_aligned_spec, run_dynamics
 from lngd.io import sha256_file
 from lngd.recorder import ForkedRecorder, Recorder
@@ -30,6 +32,25 @@ CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def timed_out(signum, frame):
+    raise TimeoutError("a test in this module ran for 120 s: a pipe is likely deadlocked")
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Fail a test that runs past 120 s, as a deadlocked pipe would, instead of hanging."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -147,25 +168,31 @@ def test_a_failed_forced_run_leaves_no_manifest(monkeypatch, tmp_path, capsys, t
     assert 0 < (out / "coefficients_standard.csv").stat().st_size < old  # partial dumps stay
 
 
-def test_a_full_child_holds_the_frame_budget_and_the_trainer_waits(monkeypatch, tmp_path,
-                                                                  capsys, transport):
+def test_a_slow_child_makes_the_trainer_wait_on_its_one_thread(monkeypatch, tmp_path, capsys,
+                                                               transport):
+    # 101 logged states of about 36 KB each are more than the widened pipe holds, so while the
+    # child sleeps in its build the trainer's writes wait on the pipe.
     config = config_from(tmp_path, None, **{**DYNAMICS_ABORTING, "n": 100, "m": 10,
                                             "steps": 200, "noise": {"kind": "flip", "p": 0.1}})
-    frame_bytes = 8 * recorder._frame_size(100, 2, 20)
-    monkeypatch.setattr(recorder, "FRAME_BUDGET", 4 * frame_bytes)
     transport(False)
     assert main_cli(["dynamics", "--config", str(config), "--out", str(tmp_path / "inproc")]) == 0
-    held, woke = tmp_path / "held", tmp_path / "woke"
+    threads, woke = tmp_path / "threads", tmp_path / "woke"
     real_serve = recorder._serve
 
-    def serve(build, *args):  # runs in the child: its build sleeps while the frames come in
+    def serve(build, *args):  # runs in the child: its build sleeps while the states come in
         def slow_build():
             time.sleep(1.0)
-            held.write_text(str(tracemalloc.get_traced_memory()[0]))
             woke.write_text(repr(time.monotonic()))
+            threads.write_text(str(threading.active_count()))
             return build()
 
-        tracemalloc.start()
+        def finish(self):
+            with threads.open("a") as fh:
+                fh.write(str(threading.active_count()))
+            return real_finish(self)
+
+        real_finish = Recorder.finish
+        Recorder.finish = finish  # the child's copy of the class
         return real_serve(slow_build, *args)
 
     sent = []
@@ -173,12 +200,11 @@ def test_a_full_child_holds_the_frame_budget_and_the_trainer_waits(monkeypatch, 
     monkeypatch.setattr(recorder, "_serve", serve)
     monkeypatch.setattr(ForkedRecorder, "record",
                         lambda self, *args: real_send(self, *args) or sent.append(time.monotonic()))
-    assert len(transport(True)) == 0
+    forks = transport(True)
     assert main_cli(["dynamics", "--config", str(config), "--out", str(tmp_path / "forked")]) == 0
     no_child_left()
-    # Python objects made since tracing started (queues, thread, buffer views) stay well below
-    # a frame; without the bound the child would hold every frame sent while it slept.
-    assert int(held.read_text()) <= recorder.FRAME_BUDGET + frame_bytes // 2
+    assert len(forks) == 1
+    assert threads.read_text() == "11"  # one thread while it builds, one when it finishes
     assert len(sent) == 101
     assert sent[-1] > float(woke.read_text())  # the trainer's writes waited for the child
     for path in (tmp_path / "inproc").iterdir():
@@ -186,14 +212,19 @@ def test_a_full_child_holds_the_frame_budget_and_the_trainer_waits(monkeypatch, 
             assert path.read_bytes() == (tmp_path / "forked" / path.name).read_bytes()
 
 
+def tiny_recorder():
+    """An in-process recorder of 3 arms on 10 points, its coefficients drawn at random."""
+    spec = axis_aligned_spec(1.5, 0.5, 60)
+    dataset = generate_dataset(spec, 10, stream(1, "data"))
+    stack = CoefficientStack(dataset, np.zeros((60, 6)), 3)
+    stack.coef[...] = np.random.default_rng(0).standard_normal(stack.coef.shape)
+    return Recorder(np.ones(4), [np.zeros((4, 60))], dataset, stack, q=2, logs=1)
+
+
 def test_trace_rows_take_each_class_of_rho_in_mask_order():
     # _trace_row reduces the entries that flat indices pick; the (j, r, i) order of the boolean
     # mask keeps mean_rho_bar's bits.
-    spec = axis_aligned_spec(1.5, 0.5, 60)
-    dataset = generate_dataset(spec, 10, stream(1, "data"))
-    rec = Recorder(np.ones(4), [np.zeros((4, 60))], dataset, np.zeros((60, 6)), q=2, arms=3,
-                   logs=1)
-    rec.stack.coef[...] = np.random.default_rng(0).standard_normal(rec.stack.coef.shape)
+    rec = tiny_recorder()
     for a, state in enumerate(rec.stack.states):
         same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
         assert np.array_equal(rec.stack.coef.take(rec.rho_bar_at[a]), state.rho[same])
@@ -238,7 +269,7 @@ def test_the_child_stops_at_end_of_input():
     result_r, result_w = os.pipe()
     os.close(frames_w)
     try:
-        assert recorder._serve(lambda: None, frames_r, result_w, n=3, arms=2, two_m=4) == 1
+        assert recorder._serve(tiny_recorder, frames_r, result_w) == 1
     finally:
         for fd in (frames_r, result_r, result_w):
             os.close(fd)
@@ -259,3 +290,96 @@ def test_runs_fork_only_where_allowed(monkeypatch, transport):
     small_run()
     assert not forks
     no_child_left()
+
+
+def test_a_forced_run_leaves_only_the_files_it_lists(tmp_path, capsys):
+    # The first run writes both dumps; the forced rerun aborts at step 0 and writes none.
+    out = tmp_path / "run"
+    for changes, force in ((DYNAMICS_ABORTING, []), (DYNAMICS_ABORTING_AT_0, ["--force"])):
+        config = config_from(tmp_path, None, **changes)
+        assert main_cli(["dynamics", "--config", str(config), "--out", str(out), *force]) == 2
+        listed = json.loads((out / "manifest.json").read_text())["files"]
+        assert sorted(path.name for path in out.iterdir()) == sorted([*listed, "manifest.json"])
+    assert not any(name.startswith("coefficients_") for name in listed)
+
+
+def capped(real, cap, calls):
+    """``real`` (os.writev or os.readv) moving at most ``cap`` bytes a call, counted in
+    ``calls``."""
+    def move(fd, buffers):
+        calls.append(1)
+        cut, left = [], cap
+        for buffer in buffers:
+            cut.append(buffer[:left])
+            left -= len(cut[-1])
+            if not left:
+                break
+        return real(fd, cut)
+
+    return move
+
+
+def test_vectored_pipe_helpers_resume_partial_transfers(monkeypatch):
+    # More bytes than an unwidened 64 KiB pipe holds, over arrays of several dtypes and sizes;
+    # each call moves at most a few KB, so transfers stop inside and between arrays.
+    rng = np.random.default_rng(3)
+    sent = [np.array([7]), rng.random(5) < 0.5, rng.standard_normal((90, 101)),
+            np.empty((0, 4)), rng.standard_normal(3), np.arange(4000)]
+    total = sum(array.nbytes for array in sent)
+    assert total > 1 << 16
+    writes, reads = [], []
+    monkeypatch.setattr(os, "writev", capped(os.writev, 4099, writes))
+    monkeypatch.setattr(os, "readv", capped(os.readv, 3001, reads))
+    got = [np.empty_like(array) for array in sent]
+    r, w = os.pipe()
+    try:
+        writer = threading.Thread(target=recorder._write_all, args=(w, sent))
+        writer.start()
+        recorder._read_into(r, got)
+        writer.join()
+    finally:
+        os.close(r)
+        os.close(w)
+    for ours, theirs in zip(got, sent):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    assert len(writes) >= total / 4099 and len(reads) >= total / 3001
+
+    # A writer that closes mid-payload ends the read with EOFError.
+    r, w = os.pipe()
+
+    def half():
+        recorder._write_all(w, [sent[0], sent[1], sent[2][:45]])
+        os.close(w)
+
+    try:
+        writer = threading.Thread(target=half)
+        writer.start()
+        with pytest.raises(EOFError):
+            recorder._read_into(r, got)
+        writer.join()
+    finally:
+        os.close(r)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+def test_forked_runs_leave_no_descriptor_open(monkeypatch, transport):
+    forks = transport(True)
+
+    def broken(self, t, *args):
+        raise ValueError("record failed")
+
+    def observer(step, state, dataset):
+        if step == 20:
+            raise KeyError("observer failed")
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    small_run()
+    with monkeypatch.context() as patch:
+        patch.setattr(Recorder, "record", broken)
+        with pytest.raises(RuntimeError, match="recorder process failed"):
+            small_run()
+    with pytest.raises(KeyError, match="observer failed"):
+        small_run(observers={"standard": observer})
+    assert len(forks) == 3
+    no_child_left()
+    assert sorted(os.listdir("/proc/self/fd")) == before

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lngd.data import generate_dataset
+from lngd.decomposition import CoefficientStack
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.network import (
     Network,
@@ -161,17 +162,21 @@ class TestRunTraining:
         test = generate_dataset(small_spec, 30, np.random.default_rng(8))
         w0 = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9)).weights
 
-        def run(products, recorder):
+        def run(products, stack, recorder):
             arms = [Arm("gd", LabelNoiseSpec.none()),
                     Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
-            return run_training(w0, 2, ds, products, recorder, arms, eta=0.05, steps=50,
+            return run_training(stack, 2, ds, products, recorder, arms, eta=0.05, steps=50,
                                 log_stride=10)
 
-        want = run(train_products(w0, ds), point_recorder(w0, 2, ds, test, 2, 50))
-        products, recorder = train_products(w0, ds), point_recorder(w0, 2, ds, test, 2, 50)
+        def built():
+            stack = CoefficientStack(ds, w0, 2)
+            return train_products(w0, ds), stack, point_recorder(stack, 2, ds, test, 50)
+
+        want = run(*built())
+        products, stack, recorder = built()
         ds.points[...] = np.nan
         test.points[...] = np.nan
-        got = run(products, recorder)
+        got = run(products, stack, recorder)
         for ours, theirs in zip(got, want):
             assert np.isfinite(ours.trace.rows.test_error_01).all()
             assert np.array_equal(ours.trace.rows, theirs.trace.rows)
