@@ -22,19 +22,16 @@ from .config import ConfigError, FullConfig, parse_config
 from .cores import blas_threads, usable_cores
 from .data import SignalSpec
 from .experiments import (
-    Q_SWEEP_DEFAULTS,
-    SweepGrid,
     arm_noise_rng,
     axis_aligned_spec,
+    plan,
     run_dynamics,
     run_heatmap,
-    run_noise_comparison,
-    run_q_sweep,
+    run_paired,
 )
 from .io import EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite, write_json
 from .network import OracleReplay, reconstruct_weights
 from .theory import check_assumptions, concentration_suite
-from .training import LabelNoiseSpec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,60 +106,46 @@ def _cmd_check(args, config: FullConfig) -> int:
 # message or None); _run_command emits and picks the exit code.
 
 
-def _paired_dynamics(config: FullConfig, out_dir: Path, observers: dict | None = None):
-    return run_dynamics(
-        _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
-        eta=config.eta, steps=config.steps, noise=config.noise, seed=config.seed,
-        log_stride=config.log_stride, n_test=config.n_test, epsilon=config.epsilon,
-        c_test=config.c_test, observers=observers, dump_dir=out_dir,
-        coeff_stride=config.coeff_stride,
-    )
-
-
-def _dynamics_files(result, config: FullConfig, command: str, started: str) -> RunArtifactFiles:
-    artifacts = RunArtifactFiles(config=config, command=command, started_at=started)
-    for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
-        artifacts.traces[f"trace_{label}.csv"] = arm.trace
-        artifacts.written.update(arm.files)
-    artifacts.reports = {"dynamics": result.reports}
-    return artifacts
+def _run_files(config: FullConfig, command: str, started: str, paired, reports=None):
+    """The files of each (run, arms) in ``paired``: every arm's trace, at its run's
+    ``trace_file``, and the digests of its dumps; and whether any arm aborted."""
+    artifacts = RunArtifactFiles(config=config, command=command, started_at=started,
+                                 reports=reports or {})
+    aborted = False
+    for run, arms in paired:
+        for arm in arms:
+            artifacts.traces[run.trace_file(arm.label)] = arm.trace
+            artifacts.written.update(arm.files)
+            aborted = aborted or arm.aborted
+    return artifacts, aborted
 
 
 def _cmd_dynamics(config: FullConfig, started: str, out_dir: Path):
-    result = _paired_dynamics(config, out_dir)
-    aborted = result.standard.aborted or result.label_noise.aborted
-    for label, arm in (("standard", result.standard), ("label_noise", result.label_noise)):
+    [run] = plan("dynamics", config)
+    result = run_dynamics(run, epsilon=config.epsilon, c_test=config.c_test, dump_dir=out_dir)
+    arms = (result.standard, result.label_noise)
+    artifacts, aborted = _run_files(config, "dynamics", started, [(run, arms)],
+                                    {"dynamics": result.reports})
+    for arm in arms:
         if arm.aborted:
-            print(f"{label}: ABORTED at step {arm.trace.aborted_at}: {arm.abort_reason}")
+            print(f"{arm.label}: ABORTED at step {arm.trace.aborted_at}: {arm.abort_reason}")
         else:
-            print(f"{label}: final clean loss {arm.final_clean_loss:.4f}, "
+            print(f"{arm.label}: final clean loss {arm.final_clean_loss:.4f}, "
                   f"test accuracy {arm.final_test_accuracy:.4f}")
-    failed = not aborted and not all(result.reports[label]["verdicts"]["passed"]
-                                     for label in ("standard", "label_noise"))
-    return (_dynamics_files(result, config, "dynamics", started), aborted,
-            "empirical verdicts failed" if failed else None)
+    failed = not aborted and not all(result.reports[arm.label]["verdicts"]["passed"]
+                                     for arm in arms)
+    return artifacts, aborted, "empirical verdicts failed" if failed else None
 
 
 def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
-    if config.grid is None:
-        raise ConfigError("heatmap requires a 'grid' section in the config")
-    grid = SweepGrid(
-        snr_values=tuple(config.grid["snr_values"]),
-        n_values=tuple(config.grid["n_values"]),
-        steps=config.grid["steps"],
-        eta=config.grid["eta"],
-        seeds_per_cell=config.grid["seeds_per_cell"],
-        d=config.d, m=config.m, q=config.q, sigma_0=config.sigma_0,
-        sigma_p=config.sigma_p, p=config.p, n_test=config.n_test,
-        master_seed=config.seed,
-    )
+    plan("heatmap", config)  # refuses a config without a grid before the note below
     cores = usable_cores()
     blas = blas_threads(cores)
     if config.workers > 1 and config.workers * blas > cores:
         print(f"note: {config.workers} workers x {blas} BLAS threads exceed the {cores} "
               "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
               file=sys.stderr)
-    result = run_heatmap(grid, workers=config.workers)
+    result = run_heatmap(config)
     cells, gaps = [], []
     for key, snr, n, _, stats in result.by_cell():
         gd, ln = stats["standard"][0], stats["label_noise"][0]  # NaN without a finished seed
@@ -172,13 +155,7 @@ def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
                       "errors": result.errors[key]})
         gaps.append(ln - gd)
     worst_gap = min((gap for gap in gaps if math.isfinite(gap)), default=None)
-    report = {
-        "grid": {"snr_values": list(grid.snr_values), "n_values": list(grid.n_values),
-                 "steps": grid.steps, "eta": grid.eta,
-                 "seeds_per_cell": grid.seeds_per_cell},
-        "worst_label_noise_deficit": worst_gap,
-        "cells": cells,
-    }
+    report = {"grid": result.grid, "worst_label_noise_deficit": worst_gap, "cells": cells}
     artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
                                  reports={"heatmap": report}, heatmap=result)
     return (artifacts, any(result.errors.values()),
@@ -186,29 +163,19 @@ def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
             f"label-noise GD worse than standard GD by {-worst_gap:.4f} in some cell")
 
 
+def _accuracy(arm):
+    return None if arm.aborted else arm.final_test_accuracy
+
+
 def _cmd_noise_compare(config: FullConfig, started: str, out_dir: Path):
-    if not config.noise_list:
-        raise ConfigError("noise-compare requires a 'noise_list' section in the config")
-    result = run_noise_comparison(
-        _spec_of(config), n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0,
-        eta=config.eta, steps=config.steps, noise_list=list(config.noise_list),
-        seed=config.seed, log_stride=config.log_stride, n_test=config.n_test,
-    )
-    baseline = result["baseline"]
-    artifacts = RunArtifactFiles(config=config, command="noise-compare", started_at=started)
-    artifacts.traces["trace_standard.csv"] = baseline.trace
-    rows = []
-    aborted = baseline.aborted
-    for arm in result["arms"]:
-        aborted = aborted or arm.aborted
-        artifacts.traces[f"trace_{_slug(arm.label)}.csv"] = arm.trace
-        rows.append({
-            "noise": arm.label,
-            "aborted": arm.aborted,
-            "final_test_accuracy": None if arm.aborted else arm.final_test_accuracy,
-            "final_clean_loss": None if arm.aborted else arm.final_clean_loss,
-        })
-    base = None if baseline.aborted else baseline.final_test_accuracy
+    [run] = plan("noise-compare", config)
+    baseline, *arms = run_paired(run)
+    artifacts, aborted = _run_files(config, "noise-compare", started, [(run, [baseline, *arms])])
+    rows = [{"noise": arm.label, "aborted": arm.aborted,
+             "final_test_accuracy": _accuracy(arm),
+             "final_clean_loss": None if arm.aborted else arm.final_clean_loss}
+            for arm in arms]
+    base = _accuracy(baseline)
     artifacts.reports = {"noise_compare": {"baseline_accuracy": base, "arms": rows}}
     print(f"standard baseline: accuracy {base if base is not None else 'aborted'}")
     for row in rows:
@@ -219,28 +186,19 @@ def _cmd_noise_compare(config: FullConfig, started: str, out_dir: Path):
 
 
 def _cmd_q_sweep(config: FullConfig, started: str, out_dir: Path):
-    # run_q_sweep refuses a q without reference settings, as a ConfigError, before any q trains.
-    results = run_q_sweep(config.q_list or tuple(Q_SWEEP_DEFAULTS), d=config.d,
-                          sigma_0=config.sigma_0, steps=config.steps, p=config.p, seed=config.seed,
-                          log_stride=config.log_stride, n_test=config.n_test)
-    artifacts = RunArtifactFiles(config=config, command="q-sweep", started_at=started)
+    # plan refuses a q without reference settings, as a ConfigError, before any q trains.
+    paired = [(run, run_paired(run)) for run in plan("q-sweep", config)]
+    artifacts, aborted = _run_files(config, "q-sweep", started, paired)
     report = {}
-    aborted = False
     ordering_ok = True
-    for q, res in results.items():
-        for label, arm in (("standard", res.standard), ("label_noise", res.label_noise)):
-            aborted = aborted or arm.aborted
-            artifacts.traces[f"trace_q{q}_{label}.csv"] = arm.trace
-        entry = {
-            "standard_accuracy": None if res.standard.aborted else res.standard.final_test_accuracy,
-            "label_noise_accuracy": (None if res.label_noise.aborted
-                                     else res.label_noise.final_test_accuracy),
-        }
+    for run, (standard, label_noise) in paired:
+        entry = {"standard_accuracy": _accuracy(standard),
+                 "label_noise_accuracy": _accuracy(label_noise)}
         if None not in entry.values():
             ordering_ok = ordering_ok and (entry["label_noise_accuracy"]
                                            >= entry["standard_accuracy"])
-        report[f"q={q}"] = entry
-        print(f"q={q}: standard {entry['standard_accuracy']} "
+        report[f"q={run.q}"] = entry
+        print(f"q={run.q}: standard {entry['standard_accuracy']} "
               f"label_noise {entry['label_noise_accuracy']}")
     artifacts.reports = {"q_sweep": report}
     return (artifacts, aborted,
@@ -280,14 +238,13 @@ def _cmd_decompose(args) -> int:
     if "config" not in manifest:
         raise ConfigError(f"{manifest_path} has no 'config' key")
     config = parse_config(data=manifest["config"])
-    recon_errors = {"standard": [], "label_noise": []}
-    arms = [("standard", LabelNoiseSpec.none()), ("label_noise", config.noise)]
+    [run] = plan("dynamics", config)
+    recon_errors = {label: [] for label, _ in run.arms}
 
     def recon_observer(idx, label, noise):
         # The weight-space oracle replays the arm on its own copy of the
         # multiplier stream; the engine's weights are judged against it.
-        oracle = OracleReplay(config.q, config.eta, noise,
-                              arm_noise_rng(config.seed, idx, noise))
+        oracle = OracleReplay(run.q, run.eta, noise, arm_noise_rng(run.seed, idx, noise))
 
         def observer(step, state, dataset):
             w = oracle.advance(step, state, dataset).weights
@@ -299,11 +256,15 @@ def _cmd_decompose(args) -> int:
         return observer
 
     # Replay and re-emit into a scratch area to compare digests against the manifest.
+    observers = {label: recon_observer(idx, label, noise)
+                 for idx, (label, noise) in enumerate(run.arms)}
     with tempfile.TemporaryDirectory() as tmp:
-        result = _paired_dynamics(config, Path(tmp), {label: recon_observer(idx, label, noise)
-                                                      for idx, (label, noise) in enumerate(arms)})
-        inventory = emit_outputs(_dynamics_files(result, config, command, now_utc()), tmp,
-                                 force=True)
+        result = run_dynamics(run, epsilon=config.epsilon, c_test=config.c_test,
+                              observers=observers, dump_dir=Path(tmp))
+        artifacts, _ = _run_files(config, command, now_utc(),
+                                  [(run, (result.standard, result.label_noise))],
+                                  {"dynamics": result.reports})
+        inventory = emit_outputs(artifacts, tmp, force=True)
     recorded = manifest.get("files", {})
     matches = {
         name: recorded.get(name) == digest
@@ -326,10 +287,6 @@ def _cmd_decompose(args) -> int:
                              and report["max_reconstruction_error"] <= 1e-8):
         return EXIT_ASSERT
     return EXIT_OK
-
-
-def _slug(label: str) -> str:
-    return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
 _RUNS = {

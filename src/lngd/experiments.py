@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
-from .data import Dataset, SignalSpec, StreamedTestSet, redrawable_dataset
+from .config import ConfigError, FullConfig
+from .data import SignalSpec, StreamedTestSet, redrawable_dataset
 from .io import CoefficientDump
 from .decomposition import CoefficientStack, SpanProducts, iota_series
 from .network import init_network
@@ -34,15 +34,15 @@ from .training import Arm, LabelNoiseSpec, RunArtifacts, log_count, run_training
 __all__ = [
     "RunArtifacts",
     "DynamicsResult",
-    "SweepGrid",
+    "PairedRun",
     "ALGORITHMS",
     "HeatmapResult",
     "arm_noise_rng",
     "axis_aligned_spec",
+    "plan",
+    "run_paired",
     "run_dynamics",
     "run_heatmap",
-    "run_noise_comparison",
-    "run_q_sweep",
 ]
 
 
@@ -57,8 +57,114 @@ def axis_aligned_spec(mu_scale: float, sigma_p: float, d: int) -> SignalSpec:
 class DynamicsResult:
     standard: RunArtifacts
     label_noise: RunArtifacts
-    dataset: Dataset
     reports: dict = field(default_factory=dict)
+
+
+def _slug(label: str) -> str:
+    return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
+
+
+@dataclass(frozen=True)
+class PairedRun:
+    """One paired run: its arms share the data, the init and the test set.
+
+    ``arms`` lists (label, noise) in stream order: arm ``idx`` draws its
+    multipliers from ``arm_noise_rng(seed, idx, noise)``. Arm ``label``'s
+    trace goes to ``trace_file(label)``; ``coeff_stride`` 0 means no
+    coefficient dump.
+    """
+
+    spec: SignalSpec
+    n: int
+    m: int
+    q: int
+    sigma_0: float
+    eta: float
+    steps: int
+    seed: int
+    log_stride: int
+    n_test: int
+    arms: tuple[tuple[str, LabelNoiseSpec], ...]
+    name: str = ""
+    coeff_stride: int = 0
+
+    def trace_file(self, label: str) -> str:
+        return f"trace_{self.name}{_slug(label)}.csv"
+
+
+ALGORITHMS = ("standard", "label_noise")  # a paired run's arms; HeatmapResult's last axis
+
+Q_SWEEP_DEFAULTS = {
+    # q: (eta, m, n, mu_scale, sigma_p)
+    2: (0.5, 20, 200, 2.0, 0.5),
+    3: (0.5, 20, 200, 2.0, 0.5),
+    4: (0.1, 20, 50, 5.0, 0.5),
+}
+
+
+def plan(command: str, config: FullConfig) -> list[PairedRun]:
+    """The paired runs of a run command on ``config``, in the order they train and report.
+
+    ``dynamics`` is one run of standard GD against ``config.noise``;
+    ``noise-compare`` one run of a standard arm and an arm per ``noise_list``
+    entry; ``q-sweep`` one run per ``q_list`` value at its reference settings;
+    ``heatmap`` one run per (row, col, seed) unit of ``grid``, with
+    |mu| = snr * sigma_p * sqrt(d). Raises ConfigError, before anything
+    trains, where the config lacks the command's section, names a q without
+    reference settings, or gives two arms one trace file.
+    """
+    shared = dict(n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0, eta=config.eta,
+                  steps=config.steps, seed=config.seed, log_stride=config.log_stride,
+                  n_test=config.n_test)
+
+    def run_of(mu_scale: float, arms, sigma_p: float = config.sigma_p, **fields) -> PairedRun:
+        """A run of ``arms`` on |mu| = ``mu_scale``; ``fields`` override ``shared``."""
+        return PairedRun(axis_aligned_spec(mu_scale, sigma_p, config.d),
+                         **{**shared, "arms": tuple(arms), **fields})
+
+    def against_standard(noise: LabelNoiseSpec):
+        return zip(ALGORITHMS, (LabelNoiseSpec.none(), noise))
+
+    if command == "heatmap":
+        grid = config.grid
+        if grid is None:
+            raise ConfigError("heatmap requires a 'grid' section in the config")
+        shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
+        return [run_of(grid["snr_values"][row] * config.sigma_p * math.sqrt(config.d),
+                       against_standard(LabelNoiseSpec.flip(config.p)), n=grid["n_values"][col],
+                       eta=grid["eta"], steps=grid["steps"], log_stride=grid["steps"],
+                       seed=derive_seed(config.seed, row, col, s))
+                for row, col, s in np.ndindex(shape)]
+    if command == "dynamics":
+        runs = [run_of(config.mu_scale, against_standard(config.noise),
+                       coeff_stride=config.coeff_stride)]
+    elif command == "noise-compare":
+        if not config.noise_list:
+            raise ConfigError("noise-compare requires a 'noise_list' section in the config")
+        runs = [run_of(config.mu_scale, [("standard", LabelNoiseSpec.none()),
+                                         *((noise.describe(), noise)
+                                           for noise in config.noise_list)])]
+    elif command == "q-sweep":
+        qs = config.q_list or tuple(Q_SWEEP_DEFAULTS)
+        unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
+        if unknown:
+            raise ConfigError(f"q_list: no reference hyperparameters for "
+                              f"{', '.join(f'q={q}' for q in unknown)}; "
+                              f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
+        runs = []
+        for q in qs:
+            eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]
+            runs.append(run_of(mu_scale, against_standard(LabelNoiseSpec.flip(config.p)),
+                               sigma_p, q=q, eta=eta, m=m, n=n,
+                               seed=derive_seed(config.seed, q), name=f"q{q}_"))
+    else:
+        raise ValueError(f"{command!r} runs no paired runs")
+    names = [run.trace_file(label) for run in runs for label, _ in run.arms]
+    clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if clash:
+        raise ConfigError(f"{command}: two arms would both write {clash}; each noise_list "
+                          f"entry and each q_list value must name its own trace file")
+    return runs
 
 
 def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
@@ -66,12 +172,10 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
     return substream(seed, STREAM_IDS["label_noise"], idx) if noise.kind != "none" else None
 
 
-def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
-                 steps: int, noises: list[tuple[str, LabelNoiseSpec]], seed: int,
-                 log_stride: int, n_test: int, observers: dict | None = None,
-                 fork_recorder: bool = True, dump_dir: Path | None = None,
-                 coeff_stride: int = 100) -> list[RunArtifacts]:
-    """Train one arm per noise spec on shared data/init/test; each arm carries the dataset.
+def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: bool = True,
+               dump_dir: Path | None = None) -> list[RunArtifacts]:
+    """Train one arm per (label, noise) of ``run`` on shared data/init/test; each arm
+    carries the dataset.
 
     This is where points become products, and where the run's one
     ``CoefficientStack`` is made: the trainer advances it and the trace
@@ -84,44 +188,39 @@ def _paired_runs(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
     ``run_training`` call; arm ``idx`` draws from its own multiplier stream.
     The test set is streamed, not kept;
     ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
-    Given ``dump_dir``, the recorder writes each arm's coefficient dump there
-    (``io.CoefficientDump``) while the arms train; ``arm.files`` holds the digests.
+    Given ``dump_dir`` and a ``coeff_stride``, the recorder writes each arm's
+    coefficient dump there (``io.CoefficientDump``) while the arms train;
+    ``arm.files`` holds the digests.
     """
-    dataset = redrawable_dataset(spec, n, lambda: stream(seed, "data"))
-    test_set = StreamedTestSet(spec, n_test, stream(seed, "test"))
-    w0 = init_network(spec.d, m, q, sigma_0, stream(seed, "init")).weights
+    seed, steps = run.seed, run.steps
+    dataset = redrawable_dataset(run.spec, run.n, lambda: stream(seed, "data"))
+    test_set = StreamedTestSet(run.spec, run.n_test, stream(seed, "test"))
+    w0 = init_network(run.spec.d, run.m, run.q, run.sigma_0, stream(seed, "init")).weights
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
-            for idx, (label, noise) in enumerate(noises)]
-    dumps = [] if dump_dir is None else [
+            for idx, (label, noise) in enumerate(run.arms)]
+    dumps = [] if dump_dir is None or not run.coeff_stride else [
         CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", dataset.labels,
-                        coeff_stride, steps) for label, _ in noises]
+                        run.coeff_stride, steps) for label, _ in run.arms]
     stack = CoefficientStack(dataset, w0, len(arms))
-    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, q,
-                              log_count(steps, log_stride), dumps, may_fork=fork_recorder)
+    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, run.q,
+                              log_count(steps, run.log_stride), dumps, may_fork=fork_recorder)
     try:
-        products = SpanProducts.of([dataset.points], n + 1, dataset, w0)
+        products = SpanProducts.of([dataset.points], run.n + 1, dataset, w0)
         dataset.drop_points()
-        return run_training(stack, q, dataset, products, recorder, arms, eta=eta, steps=steps,
-                            log_stride=log_stride)
+        return run_training(stack, run.q, dataset, products, recorder, arms, eta=run.eta,
+                            steps=steps, log_stride=run.log_stride)
     finally:
         recorder.close()
 
 
-def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, eta: float,
-                 steps: int, noise: LabelNoiseSpec, seed: int, log_stride: int = 10,
-                 n_test: int = 2000, epsilon: float = 0.05, c_test: float = 1.0,
-                 observers: dict | None = None, dump_dir: Path | None = None,
-                 coeff_stride: int = 100) -> DynamicsResult:
-    """Standard GD and label-noise GD on identical data/init/test, with reports; the
-    coefficient dumps go to ``dump_dir``, if given (see ``_paired_runs``)."""
-    arms = _paired_runs(
-        spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,
-        noises=[("standard", LabelNoiseSpec.none()), ("label_noise", noise)],
-        seed=seed, log_stride=log_stride, n_test=n_test, observers=observers,
-        dump_dir=dump_dir, coeff_stride=coeff_stride,
-    )
+def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
+                 observers: dict | None = None, dump_dir: Path | None = None) -> DynamicsResult:
+    """The standard-GD and label-noise-GD arms of ``run``, with reports; the coefficient
+    dumps go to ``dump_dir``, if given (see ``run_paired``)."""
+    arms = run_paired(run, observers=observers, dump_dir=dump_dir)
     standard, label_noise = arms
+    spec, n, m, eta, sigma_0 = run.spec, run.n, run.m, run.eta, run.sigma_0
     reports: dict = {}
     stage = estimate_stage_times(spec, n, m, eta, sigma_0, epsilon, "GD")
     stage_ln = estimate_stage_times(spec, n, m, eta, sigma_0, None, "LNGD")
@@ -131,13 +230,13 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
             reports[arm.label] = {"aborted": True, "reason": arm.abort_reason}
             continue
         entry = {
-            "coefficient_envelope": coefficient_envelope_monitor(arm.trace, steps),
+            "coefficient_envelope": coefficient_envelope_monitor(arm.trace, run.steps),
             "verdicts": empirical_verdicts(arm.trace, epsilon=epsilon, c_test=c_test),
         }
         t1 = stage.T1
         if not math.isnan(t1) and arm.trace.final.step >= t1:
             steps_arr, iotas = iota_series(arm.trace)
-            p_arg = noise.p if (arm.label == "label_noise" and noise.kind == "flip") else None
+            p_arg = arm.noise.p if arm.noise.kind == "flip" else None
             bd = stage2_boundedness_check(steps_arr, iotas, t1, p=p_arg)
             entry["stage2_boundedness"] = {
                 k: v for k, v in bd.items()
@@ -145,43 +244,10 @@ def run_dynamics(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float, et
                          "median_gap")
             }
         reports[arm.label] = entry
-    return DynamicsResult(standard=standard, label_noise=label_noise, dataset=standard.dataset,
-                          reports=reports)
+    return DynamicsResult(standard=standard, label_noise=label_noise, reports=reports)
 
 
 # --- SNR x n heatmap ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Grid axes plus the shared run configuration for every cell."""
-
-    snr_values: tuple[float, ...]
-    n_values: tuple[int, ...]
-    steps: int = 1000
-    eta: float = 1.0
-    seeds_per_cell: int = 3
-    d: int = 2000
-    m: int = 20
-    q: int = 2
-    sigma_0: float = 0.01
-    sigma_p: float = 0.5
-    p: float = 0.1
-    n_test: int = 2000
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not self.snr_values or not self.n_values:
-            raise ValueError("grid axes must be nonempty")
-        if self.seeds_per_cell < 1:
-            raise ValueError("seeds_per_cell must be >= 1")
-
-    def mu_scale_for(self, snr: float) -> float:
-        """SNR is varied by scaling |mu| at fixed sigma_p and d."""
-        return snr * self.sigma_p * math.sqrt(self.d)
-
-
-ALGORITHMS = ("standard", "label_noise")  # the last axis of HeatmapResult.accuracy
 
 
 def _seed_stats(accuracies: np.ndarray) -> tuple[float, float, int]:
@@ -195,12 +261,13 @@ def _seed_stats(accuracies: np.ndarray) -> tuple[float, float, int]:
 class HeatmapResult:
     """Final test accuracies of every heatmap arm.
 
-    ``accuracy[row, col, seed, a]`` belongs to arm ``ALGORITHMS[a]`` of that
-    unit and is NaN where the arm aborted or its unit raised; ``errors``
-    maps every (row, col) to its failure reasons in (seed, algorithm) order.
+    ``grid`` is the config's ``grid`` section. ``accuracy[row, col, seed, a]``
+    belongs to arm ``ALGORITHMS[a]`` of that unit and is NaN where the arm
+    aborted or its unit raised; ``errors`` maps every (row, col) to its
+    failure reasons in (seed, algorithm) order.
     """
 
-    grid: SweepGrid
+    grid: dict
     accuracy: np.ndarray  # (snr, n, seed, algorithm)
     errors: dict  # (row, col) -> list[str]
 
@@ -211,8 +278,8 @@ class HeatmapResult:
         finished, in (seed, algorithm) order; ``stats[algorithm]`` is
         ``_seed_stats`` of that algorithm's finished seeds.
         """
-        for row, snr in enumerate(self.grid.snr_values):
-            for col, n in enumerate(self.grid.n_values):
+        for row, snr in enumerate(self.grid["snr_values"]):
+            for col, n in enumerate(self.grid["n_values"]):
                 acc = self.accuracy[row, col]
                 done = ~np.isnan(acc)
                 finished = [(seed, ALGORITHMS[a], acc[seed, a]) for seed, a in np.argwhere(done)]
@@ -220,24 +287,9 @@ class HeatmapResult:
                 yield (row, col), snr, n, finished, stats
 
 
-def _run_heatmap_unit(grid: SweepGrid, row: int, col: int, seed_index: int,
-                      fork_recorder: bool = True) -> list:
-    """One (snr, n, seed) unit: each arm's final test accuracy, or its abort reason.
-
-    Arms come in ``ALGORITHMS`` order. Streams derive from (master, row, col,
-    seed_index), so scheduling cannot affect the numbers. A pool worker
-    passes ``fork_recorder=False``: the pool already has a process per core.
-    """
-    snr = grid.snr_values[row]
-    n = grid.n_values[col]
-    spec = axis_aligned_spec(grid.mu_scale_for(snr), grid.sigma_p, grid.d)
-    cell_seed = derive_seed(grid.master_seed, row, col, seed_index)
-    arms = _paired_runs(
-        spec, n=n, m=grid.m, q=grid.q, sigma_0=grid.sigma_0, eta=grid.eta,
-        steps=grid.steps,
-        noises=list(zip(ALGORITHMS, (LabelNoiseSpec.none(), LabelNoiseSpec.flip(grid.p)))),
-        seed=cell_seed, log_stride=grid.steps, n_test=grid.n_test, fork_recorder=fork_recorder,
-    )
+def _heatmap_unit(run: PairedRun, fork_recorder: bool = True) -> list:
+    """Each arm's final test accuracy, or its abort reason; a pool worker does not fork."""
+    arms = run_paired(run, fork_recorder=fork_recorder)
     return [arm.abort_reason if arm.aborted else arm.final_test_accuracy for arm in arms]
 
 
@@ -259,68 +311,26 @@ def _unit_outcome(unit) -> list:
         return [_failure_reason(exc)] * len(ALGORITHMS)
 
 
-def run_heatmap(grid: SweepGrid, workers: int = 1) -> HeatmapResult:
-    """Evaluate every (snr, n, seed) unit; failures are recorded, not fatal."""
-    shape = (len(grid.snr_values), len(grid.n_values), grid.seeds_per_cell)
-    units = list(np.ndindex(shape))
-    if workers > 1:
+def run_heatmap(config: FullConfig) -> HeatmapResult:
+    """Evaluate every (snr, n, seed) unit of ``plan("heatmap", config)`` on
+    ``config.workers`` processes; failures are recorded, not fatal."""
+    runs = plan("heatmap", config)
+    grid = config.grid
+    shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
+    if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_heatmap_unit, grid, *u, False) for u in units]
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            futures = [pool.submit(_heatmap_unit, run, False) for run in runs]
             outcomes = [_unit_outcome(fut.result) for fut in futures]
     else:
-        outcomes = [_unit_outcome(partial(_run_heatmap_unit, grid, *u)) for u in units]
+        outcomes = [_unit_outcome(partial(_heatmap_unit, run)) for run in runs]
     accuracy = np.full(shape + (len(ALGORITHMS),), np.nan)
     errors = {cell: [] for cell in np.ndindex(shape[:2])}
-    for (row, col, seed_index), outcome in zip(units, outcomes):
+    for (row, col, seed_index), outcome in zip(np.ndindex(shape), outcomes):
         for a, value in enumerate(outcome):
             if isinstance(value, str):
                 errors[row, col].append(f"seed {seed_index} {ALGORITHMS[a]}: {value}")
             else:
                 accuracy[row, col, seed_index, a] = value
     return HeatmapResult(grid=grid, accuracy=accuracy, errors=errors)
-
-
-# --- alternative noise distributions and activation exponents --------------------------------------------------------
-
-
-def run_noise_comparison(spec: SignalSpec, *, n: int, m: int, q: int, sigma_0: float,
-                         eta: float, steps: int, noise_list: list[LabelNoiseSpec],
-                         seed: int, log_stride: int = 10, n_test: int = 2000) -> dict:
-    """One label-noise arm per spec plus a standard-GD baseline, all matched."""
-    noises = [("standard", LabelNoiseSpec.none())]
-    noises += [(ns.describe(), ns) for ns in noise_list]
-    arms = _paired_runs(
-        spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps, noises=noises,
-        seed=seed, log_stride=log_stride, n_test=n_test,
-    )
-    return {"baseline": arms[0], "arms": arms[1:]}
-
-
-Q_SWEEP_DEFAULTS = {
-    # q: (eta, m, n, mu_scale, sigma_p)
-    2: (0.5, 20, 200, 2.0, 0.5),
-    3: (0.5, 20, 200, 2.0, 0.5),
-    4: (0.1, 20, 50, 5.0, 0.5),
-}
-
-
-def run_q_sweep(qs=(2, 3, 4), *, d: int = 2000, sigma_0: float = 0.01, steps: int = 2000,
-                p: float = 0.1, seed: int = 0, log_stride: int = 100,
-                n_test: int = 2000) -> dict:
-    """Paired runs per activation exponent at the per-q reference settings."""
-    unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
-    if unknown:  # before any q trains
-        raise ConfigError(f"q_list: no reference hyperparameters for "
-                          f"{', '.join(f'q={q}' for q in unknown)}; "
-                          f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
-    out = {}
-    for q in qs:
-        eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]
-        spec = axis_aligned_spec(mu_scale, sigma_p, d)
-        result = run_dynamics(spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps,
-                              noise=LabelNoiseSpec.flip(p), seed=derive_seed(seed, q),
-                              log_stride=log_stride, n_test=n_test)
-        out[q] = result
-    return out

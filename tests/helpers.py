@@ -1,9 +1,20 @@
-"""Training on explicit points: the stack, the products and the recorder ``run_training`` reads,
-built as in ``_paired_runs``."""
+"""Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, and training
+on explicit points (the stack, the products and the recorder ``run_training`` reads, built as in
+``experiments.run_paired``)."""
 
 from lngd.decomposition import CoefficientStack, SpanProducts
+from lngd.experiments import PairedRun
 from lngd.recorder import Recorder
-from lngd.training import log_count, run_training
+from lngd.training import LabelNoiseSpec, log_count, run_training
+
+
+def paired_run(spec, *, n, m, q, sigma_0, eta, steps, noise, seed, log_stride=10, n_test=2000,
+               coeff_stride=100):
+    """Standard GD against ``noise``, as ``plan("dynamics", config)`` describes it."""
+    return PairedRun(spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps, seed=seed,
+                     log_stride=log_stride, n_test=n_test,
+                     arms=(("standard", LabelNoiseSpec.none()), ("label_noise", noise)),
+                     coeff_stride=coeff_stride)
 
 
 def train_products(w0, dataset):

@@ -25,13 +25,12 @@ from lngd.config import parse_config
 from lngd.data import SignalSpec, generate_dataset
 from lngd.decomposition import iota_series, logistic_loss
 from lngd.experiments import (
-    SweepGrid,
     arm_noise_rng,
     axis_aligned_spec,
+    plan,
     run_dynamics,
     run_heatmap,
-    run_noise_comparison,
-    run_q_sweep,
+    run_paired,
 )
 from lngd.io import RunArtifactFiles, emit_outputs
 from lngd.network import (
@@ -52,6 +51,8 @@ from lngd.theory import (
     stage2_boundedness_check,
 )
 from lngd.training import LabelNoiseSpec
+
+from helpers import paired_run
 
 SEEDS = (1, 2, 3, 4, 5)
 S5 = dict(n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000, n_test=2000)
@@ -99,8 +100,8 @@ def section5_runs():
                 S5["q"], S5["eta"], arm_noise, arm_noise_rng(seed, idx, arm_noise)))
             for idx, (label, arm_noise) in enumerate(arms)
         }
-        result = run_dynamics(spec5(), noise=noise, seed=seed, log_stride=LOG_STRIDE,
-                              observers=observers, **S5)
+        result = run_dynamics(paired_run(spec5(), noise=noise, seed=seed, log_stride=LOG_STRIDE,
+                                         **S5), observers=observers)
         runs[seed] = (result, checks)
     return runs
 
@@ -247,9 +248,12 @@ def test_criterion_08_concentration_suite():
 
 @pytest.fixture(scope="module")
 def heatmap_result():
-    grid = SweepGrid(snr_values=(0.03, 0.06, 0.09), n_values=(100, 300), steps=1000,
-                     eta=1.0, seeds_per_cell=3, d=2000, m=20, q=2, sigma_0=0.01,
-                     sigma_p=0.5, p=0.1, n_test=2000, master_seed=1)
+    # The top-level n, mu_scale and eta are required but unread by the heatmap.
+    grid = parse_config(data={
+        "d": 2000, "n": 100, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1, "eta": 1.0,
+        "steps": 1000, "seed": 1, "m": 20, "q": 2, "sigma_0": 0.01, "n_test": 2000,
+        "grid": {"snr_values": [0.03, 0.06, 0.09], "n_values": [100, 300], "steps": 1000,
+                 "eta": 1.0, "seeds_per_cell": 3}})
     return run_heatmap(grid)
 
 
@@ -269,40 +273,43 @@ def test_criterion_09_heatmap_separation(heatmap_result):
 @pytest.fixture(scope="module")
 def noise_comparison_result():
     noises = [
-        LabelNoiseSpec.flip(0.1),
-        LabelNoiseSpec.flip(0.3),
-        LabelNoiseSpec.flip(0.4),
-        LabelNoiseSpec.gaussian(1.0, 1.0),
-        LabelNoiseSpec.gaussian(0.6, 1.0),
-        LabelNoiseSpec.uniform(-1.0, 2.0),
-        LabelNoiseSpec.uniform(-2.0, 3.0),
+        {"kind": "flip", "p": 0.1},
+        {"kind": "flip", "p": 0.3},
+        {"kind": "flip", "p": 0.4},
+        {"kind": "gaussian", "mean": 1.0, "std": 1.0},
+        {"kind": "gaussian", "mean": 0.6, "std": 1.0},
+        {"kind": "uniform", "lo": -1.0, "hi": 2.0},
+        {"kind": "uniform", "lo": -2.0, "hi": 3.0},
     ]
-    return run_noise_comparison(spec5(), n=S5["n"], m=S5["m"], q=S5["q"],
-                                sigma_0=S5["sigma_0"], eta=S5["eta"], steps=S5["steps"],
-                                noise_list=noises, seed=1, log_stride=100,
-                                n_test=S5["n_test"])
+    [run] = plan("noise-compare", parse_config(data={
+        "d": 2000, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1, "seed": 1, "log_stride": 100,
+        "noise_list": noises, **S5}))
+    return run_paired(run)  # the standard baseline first
 
 
 def test_criterion_10_noise_and_exponent_variants(noise_comparison_result):
-    baseline = noise_comparison_result["baseline"]
+    baseline, *arms = noise_comparison_result
     assert not baseline.aborted
     base_acc = baseline.final_test_accuracy
     arm_ok = []
-    for arm in noise_comparison_result["arms"]:
+    for arm in arms:
         finite = (not arm.aborted
                   and all(np.isfinite(r.clean_train_loss) and np.isfinite(r.noisy_train_loss)
                           for r in arm.trace.rows))
         arm_ok.append((arm.label, finite and arm.final_test_accuracy >= base_acc - 0.02,
                        arm.final_test_accuracy))
-    q_results = run_q_sweep((3, 4), d=2000, sigma_0=0.01, steps=2000, p=0.1, seed=1,
-                            log_stride=250, n_test=2000)
+    # The top-level n, mu_scale, sigma_p and eta are required but unread by the q-sweep.
+    q_runs = plan("q-sweep", parse_config(data={
+        "d": 2000, "n": 200, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1, "eta": 0.5,
+        "steps": 2000, "seed": 1, "sigma_0": 0.01, "log_stride": 250, "n_test": 2000,
+        "q_list": [3, 4]}))
     q_ok = []
-    for q, res in q_results.items():
-        ordered = (not res.standard.aborted and not res.label_noise.aborted
-                   and res.label_noise.final_test_accuracy
-                   >= res.standard.final_test_accuracy)
-        q_ok.append((q, ordered, res.standard.final_test_accuracy,
-                     res.label_noise.final_test_accuracy))
+    for run in q_runs:
+        standard, label_noise = run_paired(run)
+        ordered = (not standard.aborted and not label_noise.aborted
+                   and label_noise.final_test_accuracy >= standard.final_test_accuracy)
+        q_ok.append((run.q, ordered, standard.final_test_accuracy,
+                     label_noise.final_test_accuracy))
     ok = all(x[1] for x in arm_ok) and all(x[1] for x in q_ok)
     detail = (f"baseline {base_acc:.3f}; "
               + "; ".join(f"{label} {acc:.3f}" for label, _, acc in arm_ok)
@@ -321,8 +328,8 @@ def test_criterion_11_determinism(section5_runs, tmp_path):
         return emit_outputs(art, out)
 
     first, _ = section5_runs[1]
-    repeat = run_dynamics(spec5(), noise=LabelNoiseSpec.flip(0.1), seed=1,
-                          log_stride=LOG_STRIDE, **S5)
+    repeat = run_dynamics(paired_run(spec5(), noise=LabelNoiseSpec.flip(0.1), seed=1,
+                                     log_stride=LOG_STRIDE, **S5))
     inv_a = emit(first, tmp_path / "a")
     inv_b = emit(repeat, tmp_path / "b")
     byte_equal = all(

@@ -81,6 +81,17 @@ def test_heatmap_requires_grid(config_file, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_heatmap_refuses_a_missing_grid_before_its_workers_note(config_file, tmp_path,
+                                                                 monkeypatch, capsys):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})  # 2 workers oversubscribe
+    out_dir = tmp_path / "hm"
+    assert main_cli(["heatmap", "--config", str(config_file), "--out", str(out_dir),
+                     "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: heatmap requires a 'grid' section") and "note:" not in err
+    assert not out_dir.exists()
+
+
 def test_heatmap_emits_csvs(tmp_path):
     config = {**MINIMAL, "grid": {"snr_values": [0.05], "n_values": [8],
                                   "steps": 10, "eta": 0.3, "seeds_per_cell": 1}}

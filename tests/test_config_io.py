@@ -19,6 +19,8 @@ from lngd.io import (
 )
 from lngd.training import TRACE_COLUMNS, TRACE_DTYPE, LabelNoiseSpec
 
+from helpers import paired_run
+
 MINIMAL = {"d": 50, "n": 10, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1,
            "eta": 0.5, "steps": 20, "seed": 3}
 
@@ -111,9 +113,9 @@ class TestParseConfig:
 
 def tiny_run(seed=3):
     spec = axis_aligned_spec(1.5, 0.5, 40)
-    return run_dynamics(spec, n=8, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20,
-                        log_stride=10, n_test=20, noise=LabelNoiseSpec.flip(0.2),
-                        seed=seed)
+    return run_dynamics(paired_run(spec, n=8, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20,
+                                   log_stride=10, n_test=20, noise=LabelNoiseSpec.flip(0.2),
+                                   seed=seed))
 
 
 def artifacts_for(result, config):

@@ -25,6 +25,8 @@ from lngd.network import reconstruct_weights
 from lngd.streams import derive_seed, stream
 from lngd.training import LabelNoiseSpec
 
+from helpers import paired_run
+
 MIB = 1 << 20
 
 
@@ -55,8 +57,9 @@ def test_init_weights_are_not_copied(small_spec, small_dataset):
     stack = CoefficientStack(small_dataset, w0, 2)
     assert all(state.w0 is w0 for state in stack.states)
     # A paired run hands every arm the one init, read-only so no arm can move it.
-    result = run_dynamics(small_spec, n=8, m=3, q=2, sigma_0=0.1, eta=0.1, steps=2,
-                          noise=LabelNoiseSpec.flip(0.2), seed=5, log_stride=1, n_test=20)
+    result = run_dynamics(paired_run(small_spec, n=8, m=3, q=2, sigma_0=0.1, eta=0.1, steps=2,
+                                     noise=LabelNoiseSpec.flip(0.2), seed=5, log_stride=1,
+                                     n_test=20))
     w0 = result.standard.state.w0
     assert result.label_noise.state.w0 is w0
     assert not w0.flags.writeable
@@ -84,8 +87,9 @@ def test_traced_peak_of_a_section5_run_stays_near_its_arrays():
     generate_dataset(spec, 2, np.random.default_rng(0))  # warm lazy imports and caches
     tracemalloc.start()
     try:
-        run_dynamics(spec, n=n, m=m, q=2, sigma_0=0.01, eta=0.5, steps=10,
-                     noise=LabelNoiseSpec.flip(0.1), seed=1, log_stride=10, n_test=n_test)
+        run_dynamics(paired_run(spec, n=n, m=m, q=2, sigma_0=0.01, eta=0.5, steps=10,
+                                noise=LabelNoiseSpec.flip(0.1), seed=1, log_stride=10,
+                                n_test=n_test))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

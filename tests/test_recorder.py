@@ -18,13 +18,16 @@ import pytest
 import lngd.experiments as experiments
 import lngd.recorder as recorder
 from lngd.cli import main_cli
+from lngd.config import parse_config
 from lngd.data import generate_dataset
 from lngd.decomposition import CoefficientStack
-from lngd.experiments import SweepGrid, _run_heatmap_unit, axis_aligned_spec, run_dynamics
+from lngd.experiments import _heatmap_unit, axis_aligned_spec, plan, run_dynamics
 from lngd.io import sha256_file
 from lngd.recorder import ForkedRecorder, Recorder
 from lngd.streams import stream
 from lngd.training import LabelNoiseSpec
+
+from helpers import paired_run
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -232,9 +235,9 @@ def test_trace_rows_take_each_class_of_rho_in_mask_order():
 
 
 def small_run(**kwargs):
-    return run_dynamics(axis_aligned_spec(1.5, 0.5, 60), n=10, m=3, q=2, sigma_0=0.1, eta=0.1,
-                        steps=40, noise=LabelNoiseSpec.flip(0.2), seed=11, log_stride=10,
-                        n_test=50, **kwargs)
+    run = paired_run(axis_aligned_spec(1.5, 0.5, 60), n=10, m=3, q=2, sigma_0=0.1, eta=0.1,
+                     steps=40, noise=LabelNoiseSpec.flip(0.2), seed=11, log_stride=10, n_test=50)
+    return run_dynamics(run, **kwargs)
 
 
 def test_a_failing_child_raises_and_is_reaped(monkeypatch, transport):
@@ -276,15 +279,17 @@ def test_the_child_stops_at_end_of_input():
 
 
 def test_runs_fork_only_where_allowed(monkeypatch, transport):
-    grid = SweepGrid(snr_values=(0.06,), n_values=(20,), steps=20, seeds_per_cell=1, d=200,
-                     m=4, n_test=50)
+    [run] = plan("heatmap", parse_config(data={
+        "d": 200, "n": 20, "mu_scale": 1.0, "sigma_p": 0.5, "p": 0.1, "eta": 1.0, "steps": 20,
+        "seed": 0, "m": 4, "n_test": 50,
+        "grid": {"snr_values": [0.06], "n_values": [20], "steps": 20, "seeds_per_cell": 1}}))
     forks = transport(True)
-    pooled = _run_heatmap_unit(grid, 0, 0, 0, False)  # as in a heatmap pool worker
+    pooled = _heatmap_unit(run, False)  # as in a heatmap pool worker
     assert not forks
-    assert _run_heatmap_unit(grid, 0, 0, 0) == pooled
+    assert _heatmap_unit(run) == pooled
     assert len(forks) == 1
     monkeypatch.setattr(recorder.threading, "active_count", lambda: 2)
-    assert _run_heatmap_unit(grid, 0, 0, 0) == pooled
+    assert _heatmap_unit(run) == pooled
     assert len(forks) == 1
     transport(False)
     small_run()

@@ -14,12 +14,14 @@ from lngd.network import projection_check
 from lngd.theory import empirical_verdicts
 from lngd.training import LabelNoiseSpec
 
+from helpers import paired_run
+
 
 @pytest.fixture(scope="module")
 def reference_run():
     spec = axis_aligned_spec(2.0, 0.5, 2000)
-    return run_dynamics(spec, n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000,
-                        noise=LabelNoiseSpec.flip(0.1), seed=11, log_stride=100)
+    return run_dynamics(paired_run(spec, n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000,
+                                   noise=LabelNoiseSpec.flip(0.1), seed=11, log_stride=100))
 
 
 def test_memorization_dominates_standard_gd(reference_run):
@@ -55,7 +57,7 @@ def test_label_noise_improves_test_accuracy(reference_run):
 
 def test_projection_check_at_scale(reference_run):
     for arm in (reference_run.standard, reference_run.label_noise):
-        report = projection_check(arm.net, arm.state, reference_run.dataset, t_star=2000)
+        report = projection_check(arm.net, arm.state, arm.dataset, t_star=2000)
         assert report["gamma_discrepancy_max"] <= 1e-9
         assert report["rho_within_bound_frac"] >= 0.99
 
@@ -67,7 +69,7 @@ def test_iota_matches_direct_projections(reference_run):
     # terms, so it is judged against the evaluated theoretical slack (loose
     # at this scale) plus an aggregate band.
     arm = reference_run.label_noise
-    ds = reference_run.dataset
+    ds = reference_run.standard.dataset
     report = projection_check(arm.net, arm.state, ds, t_star=2000)
     disp = arm.net.weights - arm.state.w0  # (d, 2m)
     proj = (ds.noise_matrix @ disp).reshape(len(ds), 2, -1)  # (n, 2, m)

@@ -14,7 +14,7 @@ from lngd.network import (
 )
 from lngd.training import Arm, LabelNoiseSpec, run_training, sample_multipliers
 
-from helpers import point_recorder, train_on_points, train_products
+from helpers import paired_run, point_recorder, train_on_points, train_products
 
 
 class TestLabelNoiseSpec:
@@ -233,9 +233,9 @@ class TestTrainRun:
     """Seed-derived runs through ``run_dynamics``, the entry point that draws data and init."""
 
     def run(self, spec, steps=20, noise=None, seed=11):
-        return run_dynamics(spec, n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=steps,
-                            noise=noise or LabelNoiseSpec.flip(0.2), seed=seed,
-                            log_stride=10, n_test=50)
+        return run_dynamics(paired_run(spec, n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=steps,
+                                       noise=noise or LabelNoiseSpec.flip(0.2), seed=seed,
+                                       log_stride=10, n_test=50))
 
     def test_deterministic_traces(self, small_spec):
         a, b = self.run(small_spec), self.run(small_spec)
@@ -247,8 +247,8 @@ class TestTrainRun:
         # The data stream is independent of T: more steps, same dataset.
         short = self.run(small_spec, steps=10)
         long = self.run(small_spec, steps=30)
-        assert np.array_equal(short.dataset.labels, long.dataset.labels)
-        assert np.array_equal(short.dataset.points, long.dataset.points)
+        assert np.array_equal(short.standard.dataset.labels, long.standard.dataset.labels)
+        assert np.array_equal(short.standard.dataset.points, long.standard.dataset.points)
         for arm_short, arm_long in ((short.standard, long.standard),
                                     (short.label_noise, long.label_noise)):
             assert arm_short.trace.rows[0] == arm_long.trace.rows[0]
