@@ -22,24 +22,24 @@ class ConfigError(ValueError):
 
 
 _RANGES = {
-    "d": ("integer >= 2", lambda v: isinstance(v, int) and v >= 2),
-    "n": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
+    "d": ("integer >= 2", lambda v: _is_int(v) and v >= 2),
+    "n": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
     "mu_scale": ("number > 0", lambda v: _is_num(v) and v > 0),
     "sigma_p": ("number > 0", lambda v: _is_num(v) and v > 0),
     "p": ("number in [0, 1]", lambda v: _is_num(v) and 0.0 <= v <= 1.0),
     "eta": ("number > 0", lambda v: _is_num(v) and v > 0),
-    "steps": ("integer >= 0", lambda v: isinstance(v, int) and v >= 0),
-    "seed": ("integer >= 0", lambda v: isinstance(v, int) and v >= 0),
-    "m": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
-    "q": ("integer >= 2", lambda v: isinstance(v, int) and v >= 2),
+    "steps": ("integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "seed": ("integer >= 0", lambda v: _is_int(v) and v >= 0),
+    "m": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "q": ("integer >= 2", lambda v: _is_int(v) and v >= 2),
     "sigma_0": ("number >= 0", lambda v: _is_num(v) and v >= 0),
-    "log_stride": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
-    "n_test": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
-    "coeff_stride": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
+    "log_stride": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "n_test": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "coeff_stride": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
     "epsilon": ("number in (0, 1)", lambda v: _is_num(v) and 0.0 < v < 1.0),
     "c_test": ("number > 0", lambda v: _is_num(v) and v > 0),
-    "workers": ("integer >= 1", lambda v: isinstance(v, int) and v >= 1),
-    "trials": ("integer >= 100", lambda v: isinstance(v, int) and v >= 100),
+    "workers": ("integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "trials": ("integer >= 100", lambda v: _is_int(v) and v >= 100),
     "delta": ("number in (0, 1)", lambda v: _is_num(v) and 0.0 < v < 1.0),
 }
 
@@ -75,6 +75,11 @@ _NOISE_KEYS = {
 
 def _is_num(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a JSON boolean (``True`` is an ``int``)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _parse_noise(obj, where: str) -> LabelNoiseSpec:
@@ -190,7 +195,7 @@ def parse_config(path: str | Path | None = None, *, data: dict | None = None,
         )
     if values["q_list"] is not None:
         if (not isinstance(values["q_list"], list) or not values["q_list"]
-                or not all(isinstance(v, int) and v >= 2 for v in values["q_list"])):
+                or not all(_is_int(v) and v >= 2 for v in values["q_list"])):
             raise ConfigError("q_list must be a nonempty array of integers >= 2")
         values["q_list"] = tuple(values["q_list"])
     if values["grid"] is not None:
@@ -215,15 +220,15 @@ def _validate_grid(obj) -> dict:
             raise ConfigError(f"grid.{req} must be a nonempty array")
     if not all(_is_num(v) and v > 0 for v in obj["snr_values"]):
         raise ConfigError("grid.snr_values entries must be numbers > 0")
-    if not all(isinstance(v, int) and v >= 1 for v in obj["n_values"]):
+    if not all(_is_int(v) and v >= 1 for v in obj["n_values"]):
         raise ConfigError("grid.n_values entries must be integers >= 1")
     out = dict(obj)
     out.setdefault("seeds_per_cell", 3)
     out.setdefault("steps", 1000)
     out.setdefault("eta", 1.0)
-    if not (isinstance(out["seeds_per_cell"], int) and out["seeds_per_cell"] >= 1):
+    if not (_is_int(out["seeds_per_cell"]) and out["seeds_per_cell"] >= 1):
         raise ConfigError("grid.seeds_per_cell must be an integer >= 1")
-    if not (isinstance(out["steps"], int) and out["steps"] >= 1):
+    if not (_is_int(out["steps"]) and out["steps"] >= 1):
         raise ConfigError("grid.steps must be an integer >= 1")
     if not (_is_num(out["eta"]) and out["eta"] > 0):
         raise ConfigError("grid.eta must be a number > 0")

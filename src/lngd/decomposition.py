@@ -15,9 +15,9 @@ module that owns weights, rebuilds them and checks them against projections.
 Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1. rho is
 stored once, (2, m, n); its same-class entries (y_i = j) are the paper's
 rho_bar and its opposite-class entries (y_i = -j, nonpositive) rho_under;
-``CoefficientState.same_class_mask`` tells them apart. Arms that share a
-dataset and an init are advanced together by ``CoefficientStack``, whose
-per-arm states are views into its arrays.
+``CoefficientStack.same_class``, the one (2, n) mask of y_i == j, tells them
+apart. Arms that share a dataset and an init are advanced together by
+``CoefficientStack``, whose per-arm states are views into its arrays.
 """
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ __all__ = [
     "loss_derivative",
     "sign_error",
     "iota_all",
-    "iota_series",
-    "ratio_summary",
 ]
 
-RATIO_FLOOR = 1e-12
 LABEL_SIGN = np.array([1.0, -1.0])  # y of the two signal patches y mu
 _BRANCH_SIGN = np.array([[1.0], [-1.0]])  # j per branch row
 
@@ -54,13 +51,8 @@ class CoefficientState:
     rho: np.ndarray
     xi_norms_sq: np.ndarray
     w0: np.ndarray  # (d, 2m) initial weights snapshot
-    labels: np.ndarray = field(repr=False)
+    same_class: np.ndarray = field(repr=False)  # the stack's (2, n) mask of y_i == j
     step: int = 0
-    same_class_mask: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # (2, n) boolean: True where y_i == j for the branch on that row.
-        self.same_class_mask = np.stack([self.labels == 1.0, self.labels == -1.0])
 
     @property
     def m(self) -> int:
@@ -76,7 +68,9 @@ class CoefficientStack:
 
     ``coef`` (n + 1, A, 2m) holds arm a's rho_{j,r,i} at [i, a, (j, r)] and
     its j gamma_{j,r} at row n, so every arm's pre-activations come from one
-    product with ``SpanProducts.span``. ``gamma`` (A, 2m) holds the signal
+    product with ``SpanProducts.span``. ``same_class`` (2, n) is True where
+    y_i == j for the branch on that row; every reader of the class layout
+    takes it from here. ``gamma`` (A, 2m) holds the signal
     coefficients themselves; ``states[a]`` is arm a's CoefficientState, whose
     arrays are views into these. ``drho`` (n, A, 2m) receives each step's rho
     increment. ``w0`` and every state's ``w0`` are the caller's init, not a copy.
@@ -90,15 +84,16 @@ class CoefficientStack:
         self.xi_norms_sq = dataset.xi_norms_sq.copy()
         self.signed_xi_norms_sq = self.labels * self.xi_norms_sq  # y_i |xi_i|^2
         self.branch_sign = np.repeat([1.0, -1.0], m)  # j per column
-        self.label_index = (self.labels < 0).astype(np.intp)  # 0 for y = +1, 1 for y = -1
-        self.label_onehot = np.stack([self.labels == 1.0, self.labels == -1.0]).astype(float)
+        self.same_class = np.stack([self.labels == 1.0, self.labels == -1.0])
+        self.label_index = self.same_class[1].astype(np.intp)  # 0 for y = +1, 1 for y = -1
+        self.label_onehot = self.same_class.astype(float)
         self.gamma = np.zeros((arms, two_m))
         self.coef = np.zeros((n + 1, arms, two_m))
         self.drho = np.zeros((n, arms, two_m))
         self.states = [
             CoefficientState(gamma=self.gamma[a].reshape(2, m),
                              rho=self.coef[:n, a].T.reshape(2, m, n),
-                             xi_norms_sq=self.xi_norms_sq, w0=w0, labels=self.labels)
+                             xi_norms_sq=self.xi_norms_sq, w0=w0, same_class=self.same_class)
             for a in range(arms)
         ]
 
@@ -158,9 +153,9 @@ def loss_derivative(z):
     return -np.exp(-np.logaddexp(0.0, np.asarray(z, dtype=np.float64)))
 
 
-def sign_error(f: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of points with y != sign(f); sign(0) counts as an error."""
-    return float(np.mean(np.sign(f) != labels))
+def sign_error(f: np.ndarray, labels: np.ndarray):
+    """Fraction of points (axis 0 of ``f``) with y != sign(f); sign(0) counts as an error."""
+    return np.mean(np.sign(f) != labels, axis=0)
 
 
 def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
@@ -205,21 +200,5 @@ def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
 
 def iota_all(state: CoefficientState) -> np.ndarray:
     """(n,) per-sample memorization scalars iota_i = (1/m) sum_r rho_bar_{y_i, r, i}^2."""
-    j_idx = (state.labels < 0).astype(np.intp)  # 0 for y=+1, 1 for y=-1
-    picked = state.rho[j_idx, :, np.arange(state.n)]  # (n, m) same-class entries
+    picked = state.rho.transpose(2, 0, 1)[state.same_class.T]  # (n, m): rho_{y_i, r, i}
     return np.mean(picked**2, axis=1)
-
-
-def iota_series(trace) -> tuple[np.ndarray, np.ndarray]:
-    """(steps, iotas) arrays from a TrainTrace; iotas has shape (rows, n)."""
-    return trace.rows.step, trace.iota_history
-
-
-def ratio_summary(state: CoefficientState) -> float:
-    """Noise-memorization over signal-learning ratio: max rho_bar over max gamma.
-
-    rho_bar counts as 0 at the opposite-class entries, so the ratio is never
-    negative; it is 0 at step 0, when both sides are still zero.
-    """
-    rho_bar = np.where(state.same_class_mask[:, None, :], state.rho, 0.0)
-    return float(rho_bar.max()) / max(float(state.gamma.max()), RATIO_FLOOR)

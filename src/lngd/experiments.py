@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, FullConfig
 from .data import SignalSpec, StreamedTestSet, redrawable_dataset
 from .io import CoefficientDump
-from .decomposition import CoefficientStack, SpanProducts, iota_series
+from .decomposition import CoefficientStack, SpanProducts
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
 from .theory import (
@@ -107,11 +107,12 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
 
     ``dynamics`` is one run of standard GD against ``config.noise``;
     ``noise-compare`` one run of a standard arm and an arm per ``noise_list``
-    entry; ``q-sweep`` one run per ``q_list`` value at its reference settings;
-    ``heatmap`` one run per (row, col, seed) unit of ``grid``, with
-    |mu| = snr * sigma_p * sqrt(d). Raises ConfigError, before anything
-    trains, where the config lacks the command's section, names a q without
-    reference settings, or gives two arms one trace file.
+    entry; ``q-sweep`` one run per ``q_list`` value at its reference settings
+    and ``heatmap`` one run per (row, col, seed) unit of ``grid``, with
+    |mu| = snr * sigma_p * sqrt(d), each against ``config.noise``. Raises
+    ConfigError, before anything trains, where the config lacks the
+    command's section, names a q without reference settings, or gives two
+    arms one trace file.
     """
     shared = dict(n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0, eta=config.eta,
                   steps=config.steps, seed=config.seed, log_stride=config.log_stride,
@@ -131,7 +132,7 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
             raise ConfigError("heatmap requires a 'grid' section in the config")
         shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
         return [run_of(grid["snr_values"][row] * config.sigma_p * math.sqrt(config.d),
-                       against_standard(LabelNoiseSpec.flip(config.p)), n=grid["n_values"][col],
+                       against_standard(config.noise), n=grid["n_values"][col],
                        eta=grid["eta"], steps=grid["steps"], log_stride=grid["steps"],
                        seed=derive_seed(config.seed, row, col, s))
                 for row, col, s in np.ndindex(shape)]
@@ -154,7 +155,7 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
         runs = []
         for q in qs:
             eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]
-            runs.append(run_of(mu_scale, against_standard(LabelNoiseSpec.flip(config.p)),
+            runs.append(run_of(mu_scale, against_standard(config.noise),
                                sigma_p, q=q, eta=eta, m=m, n=n,
                                seed=derive_seed(config.seed, q), name=f"q{q}_"))
     else:
@@ -199,10 +200,10 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(run.arms)]
-    dumps = [] if dump_dir is None or not run.coeff_stride else [
-        CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", dataset.labels,
-                        run.coeff_stride, steps) for label, _ in run.arms]
     stack = CoefficientStack(dataset, w0, len(arms))
+    dumps = [] if dump_dir is None or not run.coeff_stride else [
+        CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", stack.same_class,
+                        run.coeff_stride, steps) for label, _ in run.arms]
     recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, run.q,
                               log_count(steps, run.log_stride), dumps, may_fork=fork_recorder)
     try:
@@ -235,9 +236,9 @@ def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
         }
         t1 = stage.T1
         if not math.isnan(t1) and arm.trace.final.step >= t1:
-            steps_arr, iotas = iota_series(arm.trace)
             p_arg = arm.noise.p if arm.noise.kind == "flip" else None
-            bd = stage2_boundedness_check(steps_arr, iotas, t1, p=p_arg)
+            bd = stage2_boundedness_check(arm.trace.rows.step, arm.trace.iota_history, t1,
+                                          p=p_arg)
             entry["stage2_boundedness"] = {
                 k: v for k, v in bd.items()
                 if k in ("t1", "band", "all_pass", "median_of_medians", "fixed_point",

@@ -92,24 +92,25 @@ class CoefficientDump:
     ``<stem>_summary.csv``, written while the run goes: ``write`` appends the
     snapshot of every step t with t % stride == 0 or t == last and skips others.
 
-    Both files are made at the first snapshot, so an arm that took none has
-    none, and hashed as their bytes are written. The summary's rho_bar and
-    rho_under are zero-filled outside their entries, as in the dump: each
-    reduction starts from 0 and reads only its own entries.
+    ``same_class`` is the run's (2, n) mask of y_i == j
+    (``CoefficientStack.same_class``). Both files are made at the first
+    snapshot, so an arm that took none has none, and hashed as their bytes
+    are written.
     """
 
-    def __init__(self, path: Path, labels: np.ndarray, stride: int, last: int):
+    def __init__(self, path: Path, same_class: np.ndarray, stride: int, last: int):
         self.paths = (Path(path), Path(path).with_name(f"{Path(path).stem}_summary.csv"))
-        self.same = np.stack([labels == 1.0, labels == -1.0])[:, None, :]  # y_i == j
         # "%.17g" % x == fmt_float(x) for every float, -0.0, inf and nan included.
         self.templates = ["".join(f"{_HEAD}{i}{_GAMMA}%.17g,0\n" if s
                                   else f"{_HEAD}{i}{_GAMMA}0,%.17g\n" for i, s in enumerate(same))
-                          for same in self.same[:, 0].tolist()]
+                          for same in same_class.tolist()]
         self.stride, self.last = stride, last
         self.files = []  # (file, sha256) of the dump and of the summary, once made
 
-    def write(self, step: int, gamma: np.ndarray, rho: np.ndarray) -> None:
-        """Append the snapshot of gamma (2, m) and rho (2, m, n) if ``step`` takes one."""
+    def write(self, step: int, gamma: np.ndarray, rho: np.ndarray, summary) -> None:
+        """Append the snapshot of gamma (2, m) and rho (2, m, n), and the summary row of
+        max_gamma, mean_gamma, max_rho_bar and min_rho_under that the trace row holds
+        (``training._trace_row``), if ``step`` takes one."""
         if step % self.stride and step != self.last:
             return
         if not self.files:
@@ -118,11 +119,7 @@ class CoefficientDump:
             self._append(0, "step,j,r,i,gamma,rho_bar,rho_under\n")
             self._append(1, "step,max_gamma,mean_gamma,max_rho_bar,min_rho_under\n")
         write_coefficients_csv(partial(self._append, 0), self.templates, step, gamma, rho)
-        rho = np.ascontiguousarray(rho)
-        same = np.broadcast_to(self.same, rho.shape)
-        self._append(1, ",".join([str(step), *map(fmt_float, (
-            gamma.max(), gamma.mean(), rho.max(where=same, initial=0.0),
-            rho.min(where=~same, initial=0.0)))]) + "\n")
+        self._append(1, ",".join([str(step), *map(fmt_float, summary)]) + "\n")
 
     def _append(self, k: int, text: str) -> None:
         fh, digest = self.files[k]

@@ -2,10 +2,11 @@
 
 A ``Recorder`` owns everything a trace row needs besides the step itself:
 the test set's products, its labels and a test pre-activation buffer. It
-reads the run's ``CoefficientStack`` where it lies: ``record`` fills each
+reads the run's ``CoefficientStack`` where it lies: ``record`` fills every
 live arm's row and iota at one logged step from the stack's coefficients
-and hands them to the arm's ``io.CoefficientDump``, if any; ``finish``
-returns every arm's rows and iotas and the digests of the dump files written.
+and hands the coefficients and the row's summary to the arm's
+``io.CoefficientDump``, if any; ``finish`` returns every arm's rows and
+iotas and the digests of the dump files written.
 
 ``start_recorder`` runs it in a child process, made with ``os.fork`` and
 two pipes, when a second core is free (``cores.worker_budget() >= 2``) and
@@ -49,7 +50,7 @@ class Recorder:
     def __init__(self, test_labels: np.ndarray, test_chunks, dataset, stack: CoefficientStack,
                  q: int, logs: int, dumps=()):
         self.test = SpanProducts.of(test_chunks, len(test_labels), dataset, stack.w0)
-        self.test_labels = test_labels
+        self.test_labels = test_labels[:, None]  # a column, for sign_error
         self.test_label_rows = (test_labels < 0).astype(np.intp)
         self.q = q
         self.stack = stack
@@ -57,7 +58,7 @@ class Recorder:
         # at[a, j, r, i] is where arm a's rho_{j,r,i} sits in stack.coef, read in (j, r, i) order.
         at = (np.arange(n) * arms * two_m + np.arange(two_m)[:, None] + two_m
               * np.arange(arms)[:, None, None]).reshape(arms, 2, -1, n)
-        same = np.broadcast_to(stack.states[0].same_class_mask[:, None, :], at.shape[1:])
+        same = np.broadcast_to(stack.same_class[:, None, :], at.shape[1:])
         self.rho_bar_at, self.rho_under_at = at[:, same], at[:, ~same]
         self.pre = np.empty((len(test_labels), arms, two_m))
         self.rows = np.recarray((arms, logs), dtype=TRACE_DTYPE)
@@ -76,14 +77,17 @@ class Recorder:
         stack, k = self.stack, self.logged
         f_test, _ = _outputs(self.test.preactivations(stack.coef, out=self.pre), signal_sum,
                              self.test_label_rows, self.q, stack.branch_sign)
-        for a in np.flatnonzero(live):
-            state = stack.states[a]
-            self.iota[a, k] = iota_all(state)
-            _trace_row(self.rows[a], k, t, f[:, a], eps[:, a], state,
-                       stack.coef.take(self.rho_bar_at[a]), stack.coef.take(self.rho_under_at[a]),
-                       stack.labels, sign_error(f_test[:, a], self.test_labels), self.iota[a, k])
-            if self.dumps:
-                self.dumps[a].write(t, state.gamma, state.rho)
+        arms = np.flatnonzero(live)
+        for a in arms:
+            self.iota[a, k] = iota_all(stack.states[a])
+        # (L, n) copies of f and eps: each live arm's means sum one contiguous row, as 1-D means do.
+        summary = _trace_row(self.rows, k, t, live, stack.labels, f.T[live], eps.T[live],
+                             stack.gamma[live], stack.coef.take(self.rho_bar_at[live]),
+                             stack.coef.take(self.rho_under_at[live]),
+                             sign_error(f_test[:, live], self.test_labels), self.iota[live, k])
+        if self.dumps:
+            for a, values in zip(arms, summary):
+                self.dumps[a].write(t, stack.states[a].gamma, stack.states[a].rho, values)
         self.logged += 1
 
     def finish(self) -> tuple[np.recarray, np.ndarray, list[dict]]:

@@ -29,7 +29,6 @@ from .decomposition import (
     CoefficientState,
     SpanProducts,
     logistic_loss,
-    ratio_summary,
     update_coefficients,
 )
 
@@ -59,6 +58,7 @@ TRACE_COLUMNS = [
     "iota_max",
     "flip_count",
 ]
+RATIO_FLOOR = 1e-12  # max_gamma's floor in ratio_rho_over_gamma
 TRACE_DTYPE = np.dtype([(col, np.int64 if col in ("step", "flip_count") else np.float64)
                         for col in TRACE_COLUMNS])
 
@@ -202,28 +202,38 @@ class RunArtifacts:
         return self.trace.final.clean_train_loss
 
 
-def _trace_row(rows, k, step, f, eps, state, rho_bar, rho_under, labels, test_error,
-               iotas) -> None:
-    """Fill record ``k`` of ``rows`` from one arm's outputs, multipliers and state, whose
-    same-class and opposite-class rho entries are ``rho_bar`` and ``rho_under``."""
+def _trace_row(rows, k, step, live, labels, f, eps, gamma, rho_bar, rho_under, test_error,
+               iotas) -> np.ndarray:
+    """Fill record ``k`` of ``rows[a]`` for each of the L arms a where ``live`` is True; return
+    their (L, 4) summary: max_gamma, mean_gamma, and max_rho_bar and min_rho_under clamped at
+    0, as if the other class's entries counted as 0. The ratio is the clamped max_rho_bar
+    over max(max_gamma, RATIO_FLOOR). Every other input holds the L live arms, in order:
+    ``f`` and ``eps`` (L, n), ``gamma`` (L, 2m), ``rho_bar`` and ``rho_under`` (L, n m),
+    ``test_error`` (L,) and ``iotas`` (L, n)."""
     margins = labels * f
     with np.errstate(over="ignore"):  # huge multipliers overflow to +-inf; their loss is exact
         noisy_margins = eps * margins
-    rows[k] = (
+    max_gamma, mean_gamma = gamma.max(axis=1), gamma.mean(axis=1)
+    max_rho_bar, min_rho_under = rho_bar.max(axis=1), rho_under.min(axis=1)
+    top_rho_bar = np.maximum(0.0, max_rho_bar)  # ties keep the entry's zero, as a fold from 0 does
+    columns = (
         step,
-        np.mean(logistic_loss(margins)),
-        np.mean(logistic_loss(noisy_margins)),
+        logistic_loss(margins).mean(axis=1),
+        logistic_loss(noisy_margins).mean(axis=1),
         test_error,
-        state.gamma.max(),
-        state.gamma.mean(),
-        rho_bar.max(),
-        rho_bar.mean(),
-        rho_under.min(),
-        ratio_summary(state),
-        iotas.mean(),
-        iotas.max(),
-        np.sum(eps < 0),
+        max_gamma,
+        mean_gamma,
+        max_rho_bar,
+        rho_bar.mean(axis=1),
+        min_rho_under,
+        top_rho_bar / np.maximum(max_gamma, RATIO_FLOOR),
+        iotas.mean(axis=1),
+        iotas.max(axis=1),
+        np.count_nonzero(eps < 0, axis=1),
     )
+    for name, column in zip(TRACE_COLUMNS, columns):
+        rows[name][live, k] = column
+    return np.stack([max_gamma, mean_gamma, top_rho_bar, np.minimum(0.0, min_rho_under)], axis=1)
 
 
 def _relu_q1(z: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +292,6 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
         if arm.noise.kind != "none" and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
     n, m = len(dataset), stack.gamma.shape[1] // 2
-    labels = dataset.labels
     sign = stack.branch_sign
     logged = 0  # rows recorded for every live arm
     live = np.ones(len(arms), dtype=bool)
@@ -291,7 +300,7 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
     drawn = [a for a, arm in enumerate(arms) if arm.noise.kind != "none"]  # the rest stay ones
     monotone = [a for a, arm in enumerate(arms) if arm.noise.kind == "none"]
     # rho_bar is nondecreasing exactly when no same-class increment is below 0.
-    floor = np.where(np.equal.outer(labels, sign), 0.0, -np.inf)  # (n, 2m)
+    floor = np.where(np.repeat(stack.same_class.T, m, axis=1), 0.0, -np.inf)  # (n, 2m)
     eps = np.ones((n, len(arms)))
     pre = np.empty((n + 1, len(arms), 2 * m))  # rows: xi_1..xi_n, then mu
     act = np.empty((n, len(arms), 2 * m))

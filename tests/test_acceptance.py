@@ -23,7 +23,7 @@ import pytest
 
 from lngd.config import parse_config
 from lngd.data import SignalSpec, generate_dataset
-from lngd.decomposition import iota_series, logistic_loss
+from lngd.decomposition import logistic_loss
 from lngd.experiments import (
     arm_noise_rng,
     axis_aligned_spec,
@@ -220,8 +220,8 @@ def test_criterion_07_stage2_iota_behavior(section5_runs):
     details = []
     for seed in SEEDS:
         res, _ = section5_runs[seed]
-        steps, iotas = iota_series(res.label_noise.trace)
-        bd = stage2_boundedness_check(steps, iotas, t1, p=0.1)
+        trace = res.label_noise.trace
+        bd = stage2_boundedness_check(trace.rows.step, trace.iota_history, t1, p=0.1)
         med = bd["median_of_medians"]
         in_band = 0.5 * fp <= med <= 1.5 * fp
         all_ok = all_ok and bd["all_pass"] and in_band

@@ -75,6 +75,24 @@ class TestParseConfig:
         assert captured.out == ""
         assert captured.err.startswith("error: noise: noise key 'mean'")
 
+    @pytest.mark.parametrize("key", ["n", "seed", "m", "steps", "log_stride", "n_test",
+                                     "coeff_stride", "workers", "grid.n_values",
+                                     "grid.seeds_per_cell", "grid.steps"])
+    def test_booleans_are_not_integers(self, key, tmp_path, capsys):
+        # JSON true is a Python int equal to 1: refused, exit 1, before anything is written.
+        data = {**MINIMAL, "log_stride": 1}
+        if key.startswith("grid."):
+            grid = data["grid"] = {"snr_values": [0.1], "n_values": [10], "steps": 5}
+            grid[key[5:]] = [True] if key == "grid.n_values" else True
+        else:
+            data[key] = True
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(data))
+        command = "heatmap" if key.startswith("grid.") else "dynamics"
+        assert main_cli([command, "--config", str(path), "--out", str(out)]) == 1
+        assert (key if key.startswith("grid.") else f"'{key}' = True") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown noise kind"):
             parse_config(data={**MINIMAL, "noise": {"kind": "beta"}})
@@ -200,19 +218,21 @@ class TestEmitOutputs:
         config = parse_config(data=MINIMAL)
         result = tiny_run()
         art = artifacts_for(result, config)
-        gamma, same = result.label_noise.state.gamma, result.label_noise.state.same_class_mask
+        gamma, same = result.label_noise.state.gamma, result.label_noise.state.same_class
         rho = result.label_noise.state.rho.copy()
         i_opp = np.flatnonzero(~same[1])[-1]
         rho[1, 2, i_opp] = -0.0  # an opposite-class entry: the sign of a zero survives
         i_same = np.flatnonzero(same[0])[0]
         rho[0, 0, i_same], rho[0, 1, i_same], rho[1, 0, i_opp] = np.inf, np.nan, -np.inf
-        dump = CoefficientDump(tmp_path / "coefficients_label_noise.csv",
-                               result.label_noise.dataset.labels, stride=10, last=35)
-        dump.write(15, gamma, rho)  # not a snapshot step
+        dump = CoefficientDump(tmp_path / "coefficients_label_noise.csv", same, stride=10,
+                               last=35)
+        handed = (0.25, -0.0, np.nan, -np.inf)  # written as handed, in fmt_float's form
+        dump.write(15, gamma, rho, handed)  # not a snapshot step
         assert not list(tmp_path.iterdir())  # no file before the first snapshot
-        dump.write(20, gamma, rho)
-        dump.write(25, gamma, rho)
-        dump.write(35, gamma, rho.transpose(2, 0, 1).copy().transpose(1, 2, 0))  # a strided view
+        dump.write(20, gamma, rho, handed)
+        dump.write(25, gamma, rho, handed)
+        dump.write(35, gamma, rho.transpose(2, 0, 1).copy().transpose(1, 2, 0),  # a strided view
+                   np.array(handed))
         art.written.update(dump.close())
         inventory = emit_outputs(art, tmp_path)
         for name in ("coefficients_label_noise.csv", "coefficients_label_noise_summary.csv"):
@@ -233,8 +253,5 @@ class TestEmitOutputs:
         assert lines[1 + 8 + i_same].endswith(",nan,0")
         assert lines[1 + 3 * 8 + i_opp].endswith(",0,-inf")
         summary = (tmp_path / "coefficients_label_noise_summary.csv").read_text().splitlines()
-        rho_bar = np.where(same[:, None, :], rho, 0.0)
-        rho_under = np.where(same[:, None, :], 0.0, rho)
-        row = [fmt_float(v) for v in (gamma.max(), gamma.mean(), rho_bar.max(), rho_under.min())]
         assert summary == ["step,max_gamma,mean_gamma,max_rho_bar,min_rho_under",
-                           ",".join(["20", *row]), ",".join(["35", *row])]
+                           "20,0.25,-0,nan,-inf", "35,0.25,-0,nan,-inf"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lngd.data import Dataset, SignalSpec
-from lngd.decomposition import CoefficientStack, iota_all, ratio_summary
+from lngd.decomposition import CoefficientStack, iota_all
 from lngd.network import (
     Network,
     OracleReplay,
@@ -12,6 +12,7 @@ from lngd.network import (
     projection_check,
     reconstruct_weights,
 )
+from lngd.recorder import Recorder
 from lngd.training import Arm, LabelNoiseSpec
 
 from helpers import train_on_points
@@ -126,15 +127,27 @@ class TestIota:
         assert iota_all(state) == pytest.approx(np.full(len(small_dataset), c**2))
 
 
+def logged_ratio(stack, dataset):
+    """ratio_rho_over_gamma of the one trace row a recorder logs of ``stack``'s one arm."""
+    n, d = len(dataset), dataset.spec.d
+    recorder = Recorder(np.ones(4), [np.zeros((4, d))], dataset, stack, q=2, logs=1)
+    recorder.record(0, np.ones(1, dtype=bool), np.zeros((n, 1)), np.ones((n, 1)),
+                    np.zeros((2, 1)))
+    return recorder.rows[0, 0].ratio_rho_over_gamma
+
+
 class TestRatioSummary:
     def test_step_zero_returns_zero(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
-        assert ratio_summary(state) == 0.0
+        stack = CoefficientStack(small_dataset, net.weights, 1)
+        assert logged_ratio(stack, small_dataset) == 0.0
 
     def test_max_aggregation(self, small_spec, small_dataset):
         net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
+        stack = CoefficientStack(small_dataset, net.weights, 1)
+        state = stack.states[0]
         state.gamma[0, 0] = 0.5
         state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry
-        assert ratio_summary(state) == pytest.approx(8.0)
+        state.rho[1, 1, 3] = -9.0  # the opposite-class entry does not count
+        assert stack.same_class[0, 3]
+        assert logged_ratio(stack, small_dataset) == pytest.approx(8.0)

@@ -320,6 +320,15 @@ class TestPlan:
                                                       LabelNoiseSpec.flip(0.1))))
             assert run.coeff_stride == 0
 
+    @pytest.mark.parametrize("command, name", [("heatmap", "heatmap_desk.json"),
+                                               ("q-sweep", "q_sweep.json")])
+    def test_every_paired_command_trains_the_configs_noise(self, command, name):
+        noise = {"kind": "gaussian", "mean": 1.0, "std": 0.5}
+        runs = plan(command, parse_config(CONFIGS / name, overrides={"noise": noise}))
+        arms = (("standard", LabelNoiseSpec.none()),
+                ("label_noise", LabelNoiseSpec.gaussian(1.0, 0.5)))
+        assert runs and {run.arms for run in runs} == {arms}
+
     def test_concentration_config_parses(self):
         assert parse_config(CONFIGS / "concentration.json").trials == 1000
 

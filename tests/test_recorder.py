@@ -20,12 +20,12 @@ import lngd.recorder as recorder
 from lngd.cli import main_cli
 from lngd.config import parse_config
 from lngd.data import generate_dataset
-from lngd.decomposition import CoefficientStack
+from lngd.decomposition import CoefficientStack, iota_all, logistic_loss
 from lngd.experiments import _heatmap_unit, axis_aligned_spec, plan, run_dynamics
-from lngd.io import sha256_file
+from lngd.io import fmt_float, sha256_file
 from lngd.recorder import ForkedRecorder, Recorder
 from lngd.streams import stream
-from lngd.training import LabelNoiseSpec
+from lngd.training import TRACE_DTYPE, LabelNoiseSpec
 
 from helpers import paired_run
 
@@ -215,23 +215,113 @@ def test_a_slow_child_makes_the_trainer_wait_on_its_one_thread(monkeypatch, tmp_
             assert path.read_bytes() == (tmp_path / "forked" / path.name).read_bytes()
 
 
-def tiny_recorder():
-    """An in-process recorder of 3 arms on 10 points, its coefficients drawn at random."""
+def tiny_recorder(n=10):
+    """An in-process recorder of 3 arms on n points, its coefficients drawn at random."""
     spec = axis_aligned_spec(1.5, 0.5, 60)
-    dataset = generate_dataset(spec, 10, stream(1, "data"))
+    dataset = generate_dataset(spec, n, stream(1, "data"))
     stack = CoefficientStack(dataset, np.zeros((60, 6)), 3)
     stack.coef[...] = np.random.default_rng(0).standard_normal(stack.coef.shape)
     return Recorder(np.ones(4), [np.zeros((4, 60))], dataset, stack, q=2, logs=1)
 
 
 def test_trace_rows_take_each_class_of_rho_in_mask_order():
-    # _trace_row reduces the entries that flat indices pick; the (j, r, i) order of the boolean
-    # mask keeps mean_rho_bar's bits.
+    # The recorder hands _trace_row each live arm's entries that flat indices pick, one row
+    # per arm; the (j, r, i) order of the boolean mask keeps mean_rho_bar's bits.
     rec = tiny_recorder()
     for a, state in enumerate(rec.stack.states):
-        same = np.broadcast_to(state.same_class_mask[:, None, :], state.rho.shape)
+        same = np.broadcast_to(rec.stack.same_class[:, None, :], state.rho.shape)
         assert np.array_equal(rec.stack.coef.take(rec.rho_bar_at[a]), state.rho[same])
         assert np.array_equal(rec.stack.coef.take(rec.rho_under_at[a]), state.rho[~same])
+
+
+class SummarySpy:
+    """Stands in for an arm's io.CoefficientDump and keeps the summary rows it is handed."""
+
+    def __init__(self):
+        self.summaries = []
+
+    def write(self, step, gamma, rho, summary):
+        self.summaries.append(summary)
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["finite", "inf-nan-signed-zero"])
+def test_trace_rows_equal_each_arms_own_reductions(special):
+    # One _trace_row call fills every live arm's row; each equals that arm's own 1-D
+    # reductions bit for bit, and a stopped arm's row is left as it was. The summary handed to
+    # the dump equals the zero-filled extrema of rho, and the ratio the zero-filled max rho_bar
+    # over max(max_gamma, 1e-12), also where rho holds inf, nan and -0.0.
+    rec = tiny_recorder(100)
+    stack, n = rec.stack, len(rec.stack.labels)
+    rng = np.random.default_rng(1)
+    f, eps = rng.standard_normal((n, 3)), np.where(rng.random((n, 3)) < 0.3, -1.0, 1.0)
+    stack.gamma[...] = rng.standard_normal(stack.gamma.shape)
+    same = stack.same_class[:, None, :]
+    rho = stack.states[2].rho
+    rho[...] = np.where(same, -np.abs(rho), np.abs(rho))  # both of arm 2's extrema get clamped
+    if special:
+        first_same, last_opp = np.flatnonzero(same[0, 0])[0], np.flatnonzero(~same[1, 0])[-1]
+        rho = stack.states[0].rho
+        rho[0, 0, first_same], rho[0, 1, first_same], rho[1, 0, last_opp] = np.inf, np.nan, -np.inf
+        rho = stack.states[2].rho  # each extremum is a -0.0 that its clamp keeps
+        rho[0, 1, first_same], rho[1, 2, last_opp] = -0.0, -0.0
+        stack.gamma[2] = -np.abs(stack.gamma[2])  # max_gamma is below the ratio's floor
+    rec.dumps = [SummarySpy() for _ in range(3)]
+    stopped = rec.rows[1, 0].tobytes()
+    rec.record(0, np.array([True, False, True]), f, eps, np.zeros((2, 3)))
+    assert rec.rows[1, 0].tobytes() == stopped and not rec.dumps[1].summaries
+    for a in (0, 2):
+        state = stack.states[a]
+        mask = np.broadcast_to(same, state.rho.shape)
+        rho_bar, rho_under, iotas = state.rho[mask], state.rho[~mask], iota_all(state)
+        margins = stack.labels * f[:, a]
+        # the test points sit at the origin: every f_test is 0, an error
+        floor = max(float(state.gamma.max()), 1e-12)
+        row = (0, np.mean(logistic_loss(margins)), np.mean(logistic_loss(eps[:, a] * margins)),
+               1.0, state.gamma.max(), state.gamma.mean(), rho_bar.max(), rho_bar.mean(),
+               rho_under.min(), np.where(mask, state.rho, 0.0).max() / floor, iotas.mean(),
+               iotas.max(), np.sum(eps[:, a] < 0))
+        got, expected = list(rec.rows[a, 0].tolist()), list(np.array(row, TRACE_DTYPE).tolist())
+        # The ratio has the zero-filled value; a zero ratio keeps the summary's sign of zero.
+        assert np.array_equal(got.pop(9), expected.pop(9), equal_nan=True)
+        assert list(map(fmt_float, got)) == list(map(fmt_float, expected))
+        assert np.array_equal(rec.iota[a, 0], iotas, equal_nan=True)
+        summary = (state.gamma.max(), state.gamma.mean(), state.rho.max(where=mask, initial=0.0),
+                   state.rho.min(where=~mask, initial=0.0))
+        assert list(map(fmt_float, *rec.dumps[a].summaries)) == list(map(fmt_float, summary))
+        assert fmt_float(rec.rows[a, 0].ratio_rho_over_gamma) == fmt_float(summary[2] / floor)
+    if special:
+        assert [fmt_float(v) for v in rec.dumps[0].summaries[0][2:]] == ["nan", "-inf"]
+        assert [fmt_float(v) for v in rec.dumps[2].summaries[0][2:]] == ["-0", "-0"]
+        assert [fmt_float(rec.rows[a, 0].ratio_rho_over_gamma) for a in (0, 2)] == ["nan", "-0"]
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
+def test_the_summary_and_the_ratio_read_the_trace_row(fork, tmp_path, capsys, transport):
+    # One definition per statistic: each summary line is its step's trace row, with max_rho_bar
+    # clamped at 0 from below and min_rho_under at 0 from above, and each row's ratio is its
+    # clamped max_rho_bar over max(max_gamma, 1e-12), bit for bit.
+    config = config_from(tmp_path, None, **{**DYNAMICS_ABORTING, "noise": {"kind": "flip",
+                                                                           "p": 0.1}})
+    forks = transport(fork)
+    assert main_cli(["dynamics", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    no_child_left()
+    assert len(forks) == fork
+    for label in ("standard", "label_noise"):
+        header, *trace = [line.split(",") for line in
+                          (tmp_path / "run" / f"trace_{label}.csv").read_text().splitlines()]
+        rows = {line[0]: dict(zip(header, line)) for line in trace}
+        _, *summary = [line.split(",") for line in (tmp_path / "run" / f"coefficients_{label}"
+                                                     "_summary.csv").read_text().splitlines()]
+        assert [line[0] for line in summary] == ["0", "6", "12", "18", "24", "30", "36", "40"]
+        for step, max_gamma, mean_gamma, max_rho_bar, min_rho_under in summary:
+            row = rows[step]
+            assert (max_gamma, mean_gamma) == (row["max_gamma"], row["mean_gamma"])
+            assert max_rho_bar == fmt_float(max(float(row["max_rho_bar"]), 0.0))
+            assert min_rho_under == fmt_float(min(float(row["min_rho_under"]), 0.0))
+        assert len(rows) == 21 and float(rows["40"]["max_rho_bar"]) > 0.0
+        for row in rows.values():
+            top = max(float(row["max_rho_bar"]), 0.0)
+            assert float(row["ratio_rho_over_gamma"]) == top / max(float(row["max_gamma"]), 1e-12)
 
 
 def small_run(**kwargs):

@@ -8,7 +8,7 @@ slack, and the iota cross-check against direct projections.
 import numpy as np
 import pytest
 
-from lngd.decomposition import iota_all, ratio_summary
+from lngd.decomposition import iota_all
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.network import projection_check
 from lngd.theory import empirical_verdicts
@@ -25,8 +25,9 @@ def reference_run():
 
 
 def test_memorization_dominates_standard_gd(reference_run):
-    gd_ratio = ratio_summary(reference_run.standard.state)
-    ln_ratio = ratio_summary(reference_run.label_noise.state)
+    # The final trace row's ratio: max rho_bar over max gamma at the final state.
+    gd_ratio = reference_run.standard.trace.final.ratio_rho_over_gamma
+    ln_ratio = reference_run.label_noise.trace.final.ratio_rho_over_gamma
     assert gd_ratio > 10.0
     assert ln_ratio < gd_ratio
 
@@ -79,7 +80,7 @@ def test_iota_matches_direct_projections(reference_run):
     iota_state = iota_all(arm.state)
     diff = np.abs(iota_proj - iota_state)
     # |a^2 - b^2| <= |a - b| (|a| + |b|) with |a - b| within the slack
-    rho_bar = np.where(arm.state.same_class_mask[:, None, :], arm.state.rho, 0.0)
+    rho_bar = np.where(arm.state.same_class[:, None, :], arm.state.rho, 0.0)
     slack = report["rho_bound"] * (np.abs(same_class).mean(axis=1) + np.abs(rho_bar).max())
     assert np.all(diff <= slack)
     assert np.median(diff) <= 0.3 * np.median(iota_state)
