@@ -304,9 +304,13 @@ def _run_command(args) -> int:
     config = parse_config(args.config, overrides={
         "seed": args.seed, "trials": getattr(args, "trials", None),
         "workers": getattr(args, "workers", None)})
+    out_dir = _out_dir(args, config)
+    if args.out or args.command in _RUNS:  # a report command writes only to --out
+        found = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not found.is_dir():
+            raise EmitError(f"output directory {out_dir}: {found} is not a directory")
     if args.command in _REPORTS:
         return _REPORTS[args.command](args, config)
-    out_dir = _out_dir(args, config)
     refuse_overwrite(out_dir, args.force)  # before the run writes anything
     files, aborted, failure = _RUNS[args.command](config, now_utc(), out_dir)
     emit_outputs(files, out_dir, force=args.force)

@@ -170,7 +170,7 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
 
 def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
     """Multiplier stream of arm ``idx`` in a paired run (None for standard GD)."""
-    return substream(seed, STREAM_IDS["label_noise"], idx) if noise.kind != "none" else None
+    return substream(seed, STREAM_IDS["label_noise"], idx) if noise.draws else None
 
 
 def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: bool = True,
@@ -236,9 +236,8 @@ def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
         }
         t1 = stage.T1
         if not math.isnan(t1) and arm.trace.final.step >= t1:
-            p_arg = arm.noise.p if arm.noise.kind == "flip" else None
             bd = stage2_boundedness_check(arm.trace.rows.step, arm.trace.iota_history, t1,
-                                          p=p_arg)
+                                          p=arm.noise.to_dict().get("p"))  # a flip rate
             entry["stage2_boundedness"] = {
                 k: v for k, v in bd.items()
                 if k in ("t1", "band", "all_pass", "median_of_medians", "fixed_point",

@@ -16,6 +16,7 @@ tested against, and only ``RunArtifacts.net`` reaches it, on first read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -63,11 +64,45 @@ TRACE_DTYPE = np.dtype([(col, np.int64 if col in ("step", "flip_count") else np.
                         for col in TRACE_COLUMNS])
 
 
+class NoiseLaw(NamedTuple):
+    """One kind of label noise: its parameters in the order a config lists them, its label,
+    the check on its parameters and that check's refusal (the label and the refusal are
+    formats over the parameters), and its draw of n multipliers (None: all ones, and no
+    stream is read)."""
+
+    params: tuple[str, ...]
+    label: str
+    ok: Callable
+    refusal: str
+    draw: Callable | None
+
+
+NOISE_LAWS = {
+    "none": NoiseLaw((), "none", lambda s: True, "", None),
+    "flip": NoiseLaw(("p",), "flip(p={p:g})", lambda s: 0.0 <= s.p <= 1.0,
+                     "flip probability must be in [0, 1], got {p}",
+                     lambda s, n, rng: np.where(rng.random(n) < s.p, -1.0, 1.0)),
+    "gaussian": NoiseLaw(("mean", "std"), "gaussian({mean:g},{std:g})", lambda s: s.std >= 0.0,
+                         "gaussian std must be >= 0, got {std}",
+                         lambda s, n, rng: s.mean + s.std * rng.standard_normal(n)),
+    "uniform": NoiseLaw(("lo", "hi"), "uniform({lo:g},{hi:g})", lambda s: s.lo < s.hi,
+                        "uniform bounds need lo < hi, got [{lo}, {hi}]",
+                        lambda s, n, rng: rng.uniform(s.lo, s.hi, n)),
+}
+
+
+def _law(kind) -> NoiseLaw:
+    if not isinstance(kind, str) or kind not in NOISE_LAWS:
+        raise ValueError(f"unknown noise kind {kind!r}; allowed: {sorted(NOISE_LAWS)}")
+    return NOISE_LAWS[kind]
+
+
 @dataclass(frozen=True)
 class LabelNoiseSpec:
-    """Distribution of the per-sample multipliers applied to y_i at each step."""
+    """Distribution of the per-sample multipliers applied to y_i at each step; its kind's
+    ``NOISE_LAWS`` entry says which fields it reads."""
 
-    kind: str  # none | flip | gaussian | uniform
+    kind: str
     p: float = 0.0
     mean: float = 0.0
     std: float = 0.0
@@ -75,19 +110,12 @@ class LabelNoiseSpec:
     hi: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "none":
-            pass
-        elif self.kind == "flip":
-            if not (0.0 <= self.p <= 1.0):
-                raise ValueError(f"flip probability must be in [0, 1], got {self.p}")
-        elif self.kind == "gaussian":
-            if not (self.std >= 0.0):
-                raise ValueError(f"gaussian std must be >= 0, got {self.std}")
-        elif self.kind == "uniform":
-            if not (self.lo < self.hi):
-                raise ValueError(f"uniform bounds need lo < hi, got [{self.lo}, {self.hi}]")
-        else:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
+        law = _law(self.kind)
+        if not law.ok(self):
+            raise ValueError(law.refusal.format_map(self.to_dict()))
+        for name in law.params:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{self.kind} {name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def none(cls) -> "LabelNoiseSpec":
@@ -105,27 +133,47 @@ class LabelNoiseSpec:
     def uniform(cls, lo: float, hi: float) -> "LabelNoiseSpec":
         return cls(kind="uniform", lo=lo, hi=hi)
 
+    @classmethod
+    def from_dict(cls, obj) -> "LabelNoiseSpec":
+        """The spec of a config's noise object: its ``kind`` and exactly that kind's
+        parameters, each a number (read as a float)."""
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError("noise must be an object with a 'kind' key")
+        kind = obj["kind"]
+        params = _law(kind).params
+        extra = set(obj) - {"kind", *params}
+        if extra:
+            raise ValueError(f"unknown noise keys {sorted(extra)} for kind {kind!r}")
+        missing = set(params) - set(obj)
+        if missing:
+            raise ValueError(f"missing noise keys {sorted(missing)} for kind {kind!r}")
+        for name in params:
+            value = obj[name]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"noise key {name!r} = {value!r} is not a number")
+        return cls(kind, **{name: float(obj[name]) for name in params})
+
+    def to_dict(self) -> dict:
+        """The config's noise object for this spec; ``from_dict`` reads it back."""
+        return {"kind": self.kind, **{name: getattr(self, name)
+                                      for name in NOISE_LAWS[self.kind].params}}
+
+    @property
+    def draws(self) -> bool:
+        """Whether the multipliers are drawn from a stream (every kind but none)."""
+        return NOISE_LAWS[self.kind].draw is not None
+
     def describe(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "flip":
-            return f"flip(p={self.p:g})"
-        if self.kind == "gaussian":
-            return f"gaussian({self.mean:g},{self.std:g})"
-        return f"uniform({self.lo:g},{self.hi:g})"
+        """The label that names this noise's trace file and its noise-compare row."""
+        return NOISE_LAWS[self.kind].label.format_map(self.to_dict())
 
 
 def sample_multipliers(noise: LabelNoiseSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the length-n multiplier vector for one step."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if noise.kind == "none":
-        return np.ones(n)
-    if noise.kind == "flip":
-        return np.where(rng.random(n) < noise.p, -1.0, 1.0)
-    if noise.kind == "gaussian":
-        return noise.mean + noise.std * rng.standard_normal(n)
-    return rng.uniform(noise.lo, noise.hi, n)
+    draw = NOISE_LAWS[noise.kind].draw
+    return np.ones(n) if draw is None else draw(noise, n, rng)
 
 
 @dataclass
@@ -289,7 +337,7 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
     logged before, the reason and the state before the failed update.
     """
     for arm in arms:
-        if arm.noise.kind != "none" and arm.noise_rng is None:
+        if arm.noise.draws and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
     n, m = len(dataset), stack.gamma.shape[1] // 2
     sign = stack.branch_sign
@@ -297,8 +345,8 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
     live = np.ones(len(arms), dtype=bool)
     stopped = {}  # arm -> (step, reason, rows logged) of an aborted arm
     violations = [0] * len(arms)
-    drawn = [a for a, arm in enumerate(arms) if arm.noise.kind != "none"]  # the rest stay ones
-    monotone = [a for a, arm in enumerate(arms) if arm.noise.kind == "none"]
+    drawn = [a for a, arm in enumerate(arms) if arm.noise.draws]  # the rest stay ones
+    monotone = [a for a, arm in enumerate(arms) if not arm.noise.draws]
     # rho_bar is nondecreasing exactly when no same-class increment is below 0.
     floor = np.where(np.repeat(stack.same_class.T, m, axis=1), 0.0, -np.inf)  # (n, 2m)
     eps = np.ones((n, len(arms)))

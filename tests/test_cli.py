@@ -149,6 +149,20 @@ def test_concentration_cli(config_file, tmp_path, capsys):
     assert (out_dir / "concentration_report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["dynamics", "check", "concentration"])
+@pytest.mark.parametrize("inside", [False, True], ids=["file", "under-a-file"])
+def test_out_naming_a_file_is_refused(config_file, tmp_path, capsys, command, inside):
+    # Refused before any work: concentration would otherwise run its whole suite first.
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "run" if inside else taken
+    assert main_cli([command, "--config", str(config_file), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {out}: {taken} is not a directory\n"
+    assert taken.read_text() == "keep"
+
+
 def test_report_commands_refuse_run_flags(config_file, tmp_path, capsys):
     # --assert and --force would be ignored by check and concentration.
     for command in ("check", "concentration"):

@@ -1,11 +1,13 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lngd.cli import main_cli
-from lngd.config import ConfigError, config_to_dict, parse_config
+from lngd.config import SCHEMA, ConfigError, config_to_dict, parse_config
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.io import (
     CoefficientDump,
@@ -17,7 +19,7 @@ from lngd.io import (
     sha256_file,
     write_trace_csv,
 )
-from lngd.training import TRACE_COLUMNS, TRACE_DTYPE, LabelNoiseSpec
+from lngd.training import NOISE_LAWS, TRACE_COLUMNS, TRACE_DTYPE, LabelNoiseSpec
 
 from helpers import paired_run
 
@@ -93,9 +95,35 @@ class TestParseConfig:
         assert (key if key.startswith("grid.") else f"'{key}' = True") in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("mu_scale", "Infinity", "'mu_scale' = inf"),
+        ("sigma_0", "Infinity", "'sigma_0' = inf"),
+        ("eta", "Infinity", "'eta' = inf"),
+        ("noise", '{"kind": "gaussian", "mean": NaN, "std": 1.0}', "noise: gaussian mean"),
+        ("noise", '{"kind": "uniform", "lo": 0, "hi": Infinity}', "noise: uniform hi"),
+        ("grid.snr_values", "[Infinity]", "'grid.snr_values[0]' = inf"),
+        ("grid.eta", "Infinity", "'grid.eta' = inf"),
+        ("m", "null", "'m' = None"),
+    ], ids=["mu_scale", "sigma_0", "eta", "gaussian-mean", "uniform-hi", "grid.snr_values",
+            "grid.eta", "null"])
+    def test_non_finite_numbers_are_refused(self, key, value, named, tmp_path, capsys):
+        # Python's json reads NaN and Infinity; a null is no number either.
+        data = {**MINIMAL, key: "@"}
+        if key.startswith("grid."):
+            data = {**MINIMAL, "grid": {"snr_values": [0.1], "n_values": [10], "steps": 5,
+                                        key[5:]: "@"}}
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps(data).replace('"@"', value))
+        command = "heatmap" if key.startswith("grid.") else "dynamics"
+        assert main_cli([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not out.exists()
+
     def test_noise_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown noise kind"):
-            parse_config(data={**MINIMAL, "noise": {"kind": "beta"}})
+        for kind in ("beta", []):
+            with pytest.raises(ConfigError, match="unknown noise kind"):
+                parse_config(data={**MINIMAL, "noise": {"kind": kind}})
 
     def test_grid_validation(self):
         with pytest.raises(ConfigError, match="grid"):
@@ -103,11 +131,17 @@ class TestParseConfig:
         config = parse_config(data={**MINIMAL, "grid": {"snr_values": [0.1], "n_values": [10]}})
         assert config.grid["seeds_per_cell"] == 3
 
-    def test_round_trip(self):
-        config = parse_config(data={**MINIMAL,
-                                    "noise_list": [{"kind": "gaussian", "mean": 1, "std": 1}],
+    @pytest.mark.parametrize("noise", [{"kind": "none"}, {"kind": "flip", "p": 0.1},
+                                       {"kind": "gaussian", "mean": 1, "std": 1},
+                                       {"kind": "uniform", "lo": -1, "hi": 2}],
+                             ids=lambda noise: noise["kind"])
+    def test_round_trip(self, noise):
+        config = parse_config(data={**MINIMAL, "noise": noise, "noise_list": [noise],
                                     "q_list": [3, 4]})
-        back = parse_config(data=config_to_dict(config))
+        assert config.noise == LabelNoiseSpec.from_dict(noise)
+        emitted = config_to_dict(config)
+        assert emitted["noise"] == emitted["noise_list"][0] == noise
+        back = parse_config(data=emitted)
         assert back == config
         assert back.defaults_applied == {}  # emitted config is fully explicit
 
@@ -127,6 +161,18 @@ class TestParseConfig:
         assert config.sigma_p == 0.5
         assert config.noise == LabelNoiseSpec.flip(0.1)
         assert config.n_test == 2000
+
+
+def test_readme_configuration_names_every_key_and_noise_law():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in SCHEMA if f"`{name}`" not in section] == []
+    # One bullet per noise kind, naming each of its parameters.
+    bullets = {kind[1]: item.split("\n\n")[0] for item in section.split("\n- ")[1:]
+               if (kind := re.match(r"`(\w+)`:", item))}
+    assert sorted(bullets) == sorted(NOISE_LAWS)
+    for kind, law in NOISE_LAWS.items():
+        assert [name for name in law.params if f"`{name}`" not in bullets[kind]] == [], kind
 
 
 def tiny_run(seed=3):

@@ -18,16 +18,35 @@ from helpers import paired_run, point_recorder, train_on_points, train_products
 
 
 class TestLabelNoiseSpec:
-    def test_flip_range_validation(self):
-        with pytest.raises(ValueError):
-            LabelNoiseSpec.flip(1.5)
+    # Each kind: a noise object, its label (it names trace files and noise-compare rows), and
+    # parameters the kind refuses, with the refusal.
+    LAWS = {
+        "none": ({"kind": "none"}, "none", None, None),
+        "flip": ({"kind": "flip", "p": 0.1}, "flip(p=0.1)", {"p": 1.5},
+                 r"^flip probability must be in \[0, 1\], got 1.5$"),
+        "gaussian": ({"kind": "gaussian", "mean": 1.0, "std": 0.5}, "gaussian(1,0.5)",
+                     {"std": -0.5}, "^gaussian std must be >= 0, got -0.5$"),
+        "uniform": ({"kind": "uniform", "lo": -1.0, "hi": 2.0}, "uniform(-1,2)",
+                    {"lo": 2.0, "hi": 2.0}, r"^uniform bounds need lo < hi, got \[2.0, 2.0\]$"),
+    }
 
-    def test_uniform_bounds_validation(self):
-        with pytest.raises(ValueError):
-            LabelNoiseSpec.uniform(2.0, 2.0)
+    @pytest.mark.parametrize("kind", LAWS)
+    def test_each_law(self, kind):
+        obj, label, bad, refusal = self.LAWS[kind]
+        spec = getattr(LabelNoiseSpec, kind)(*list(obj.values())[1:])
+        assert spec.describe() == label
+        assert spec.to_dict() == obj and LabelNoiseSpec.from_dict(obj) == spec
+        assert spec.draws == (kind != "none")
+        if bad:
+            with pytest.raises(ValueError, match=refusal):
+                LabelNoiseSpec.from_dict({**obj, **bad})
+        for name in list(obj)[1:]:
+            for value in (np.inf, -np.inf, np.nan):
+                with pytest.raises(ValueError, match=kind):
+                    LabelNoiseSpec(**{**obj, name: value})
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown noise kind 'laplace'; allowed: "):
             LabelNoiseSpec(kind="laplace")
 
 
