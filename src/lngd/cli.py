@@ -20,7 +20,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, FullConfig, parse_config
 from .cores import blas_threads, usable_cores
-from .data import SignalSpec
 from .experiments import (
     arm_noise_rng,
     axis_aligned_spec,
@@ -75,10 +74,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec_of(config: FullConfig) -> SignalSpec:
-    return axis_aligned_spec(config.mu_scale, config.sigma_p, config.d)
-
-
 def _out_dir(args, config: FullConfig) -> Path:
     if args.out:
         return Path(args.out)
@@ -87,17 +82,17 @@ def _out_dir(args, config: FullConfig) -> Path:
 
 
 def _cmd_check(args, config: FullConfig) -> int:
-    report = check_assumptions(_spec_of(config), config.n, config.m, config.eta,
-                               config.sigma_0, config.p)
-    print(f"assumption report for {args.config} (all_passed={report.all_passed})")
-    for item in report.items:
-        flag = "ok  " if item.passed else "FAIL"
-        print(f"  [{flag}] {item.item}: lhs={item.lhs:.6g} rhs={item.rhs:.6g} "
-              f"ratio={item.ratio:.6g}")
+    report = check_assumptions(config.mu_scale, config.sigma_p, config.d, config.n, config.m,
+                               config.eta, config.sigma_0, config.p)
+    print(f"assumption report for {args.config} (all_passed={report['all_passed']})")
+    for item in report["items"]:
+        flag = "ok  " if item["passed"] else "FAIL"
+        print(f"  [{flag}] {item['item']}: lhs={item['lhs']:.6g} rhs={item['rhs']:.6g} "
+              f"ratio={item['ratio']:.6g}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(report.to_dict(), out / "assumption_report.json")
+        write_json(report, out / "assumption_report.json")
     return EXIT_OK  # report-only by contract, even when items fail
 
 
@@ -207,8 +202,9 @@ def _cmd_q_sweep(config: FullConfig, started: str, out_dir: Path):
 
 def _cmd_concentration(args, config: FullConfig) -> int:
     report = concentration_suite(
-        _spec_of(config), n=config.n, m=config.m, sigma_0=config.sigma_0, p=config.p,
-        trials=config.trials, delta=config.delta, seed=config.seed,
+        axis_aligned_spec(config.mu_scale, config.sigma_p, config.d), n=config.n, m=config.m,
+        sigma_0=config.sigma_0, p=config.p, trials=config.trials, delta=config.delta,
+        seed=config.seed,
     )
     for name in ("noise_geometry", "init_inner_products", "flip_count_per_step",
                  "flip_count_per_sample"):
@@ -237,6 +233,9 @@ def _cmd_decompose(args) -> int:
                           f"{command!r} run")
     if "config" not in manifest:
         raise ConfigError(f"{manifest_path} has no 'config' key")
+    recorded = manifest.get("files", {})
+    if not isinstance(recorded, dict):
+        raise ConfigError(f"{manifest_path}: 'files' is not a JSON object")
     config = parse_config(data=manifest["config"])
     [run] = plan("dynamics", config)
     recon_errors = {label: [] for label, _ in run.arms}
@@ -265,11 +264,11 @@ def _cmd_decompose(args) -> int:
                                   [(run, (result.standard, result.label_noise))],
                                   {"dynamics": result.reports})
         inventory = emit_outputs(artifacts, tmp, force=True)
-    recorded = manifest.get("files", {})
+    # A CSV replayed but not listed, or listed but not replayed, is a mismatch.
     matches = {
-        name: recorded.get(name) == digest
-        for name, digest in inventory.items()
-        if name.endswith(".csv") and name in recorded
+        name: name in inventory and name in recorded and recorded[name] == inventory[name]
+        for name in {**inventory, **recorded}
+        if name.endswith(".csv")
     }
     report = {
         "digests_match": matches,

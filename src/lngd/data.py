@@ -26,7 +26,6 @@ __all__ = [
     "StreamedTestSet",
     "generate_dataset",
     "redrawable_dataset",
-    "compute_snr",
 ]
 
 
@@ -57,11 +56,6 @@ class SignalSpec:
     @cached_property
     def mu_norm_sq(self) -> float:
         return float(self.mu @ self.mu)
-
-
-def compute_snr(spec: SignalSpec) -> float:
-    """Signal-to-noise ratio |mu| / (sigma_p * sqrt(d))."""
-    return spec.mu_norm / (spec.sigma_p * np.sqrt(spec.d))
 
 
 def _project_noise(spec: SignalSpec, z: np.ndarray) -> np.ndarray:

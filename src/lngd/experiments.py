@@ -221,28 +221,24 @@ def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
     dumps go to ``dump_dir``, if given (see ``run_paired``)."""
     arms = run_paired(run, observers=observers, dump_dir=dump_dir)
     standard, label_noise = arms
-    spec, n, m, eta, sigma_0 = run.spec, run.n, run.m, run.eta, run.sigma_0
-    reports: dict = {}
-    stage = estimate_stage_times(spec, n, m, eta, sigma_0, epsilon, "GD")
-    stage_ln = estimate_stage_times(spec, n, m, eta, sigma_0, None, "LNGD")
-    reports["stage_times"] = {"GD": vars(stage), "LNGD": vars(stage_ln)}
+    spec = run.spec
+    stages = estimate_stage_times(spec.mu_norm, spec.sigma_p, spec.d, run.n, run.m, run.eta,
+                                  run.sigma_0, epsilon)
+    reports: dict = {"stage_times": stages}
+    t1 = stages["GD"]["T1"]
     for arm in arms:
         if arm.aborted:
             reports[arm.label] = {"aborted": True, "reason": arm.abort_reason}
             continue
         entry = {
             "coefficient_envelope": coefficient_envelope_monitor(arm.trace, run.steps),
-            "verdicts": empirical_verdicts(arm.trace, epsilon=epsilon, c_test=c_test),
+            "verdicts": empirical_verdicts(arm.trace, arm.noise.draws, run.n, spec.d,
+                                           epsilon=epsilon, c_test=c_test),
         }
-        t1 = stage.T1
         if not math.isnan(t1) and arm.trace.final.step >= t1:
-            bd = stage2_boundedness_check(arm.trace.rows.step, arm.trace.iota_history, t1,
-                                          p=arm.noise.to_dict().get("p"))  # a flip rate
-            entry["stage2_boundedness"] = {
-                k: v for k, v in bd.items()
-                if k in ("t1", "band", "all_pass", "median_of_medians", "fixed_point",
-                         "median_gap")
-            }
+            entry["stage2_boundedness"] = stage2_boundedness_check(
+                arm.trace.rows.step, arm.trace.iota_history, t1,
+                p=arm.noise.to_dict().get("p"))  # a flip rate
         reports[arm.label] = entry
     return DynamicsResult(standard=standard, label_noise=label_noise, reports=reports)
 

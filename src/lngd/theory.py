@@ -2,29 +2,25 @@
 
 Asymptotic statements cannot be binary-checked, so every validator reports
 the evaluated left/right quantities and their ratio alongside pass/fail.
-Hidden constants default to 1 and explicit polylog factors are instantiated
-as log d; tilde-hidden polylogs are dropped. All functions are pure: same
-inputs, same report.
+Hidden constants are 1 and explicit polylog factors are instantiated as
+log d; tilde-hidden polylogs are dropped. Each report is the JSON block it
+is written as. All functions are pure: same inputs, same report.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cores import worker_budget
-from .data import SignalSpec, compute_snr, generate_dataset
+from .data import SignalSpec, generate_dataset
 from .network import init_network
 from .streams import substream
 from .training import LabelNoiseSpec, TrainTrace, sample_multipliers
 
 __all__ = [
-    "AssumptionItem",
-    "AssumptionReport",
-    "StageEstimate",
     "check_assumptions",
     "estimate_stage_times",
     "coefficient_envelope_monitor",
@@ -34,117 +30,81 @@ __all__ = [
     "empirical_verdicts",
 ]
 
-
-@dataclass(frozen=True)
-class AssumptionItem:
-    item: str  # e.g. "i.dimension_vs_n2"
-    kind: str  # "lower" means lhs >= rhs required, "upper" means lhs <= rhs
-    lhs: float
-    rhs: float
-    constant: float
-    passed: bool
-    ratio: float  # lhs / rhs; >= 1 passes "lower", <= 1 passes "upper"
+STAGE2_BAND = (3.0, 5.0)  # sup_{t >= T1} iota_i <= 3 iota_i(T1) + 5
+GD_ERROR_FLOOR, GD_SLACK = 0.24, 0.04  # GD's final test error is at least 0.24 - 0.04
+LNGD_BAND = (0.1, 1.5)  # label-noise GD's final clean train loss
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    items: tuple[AssumptionItem, ...]
-    all_passed: bool
+def check_assumptions(mu_norm: float, sigma_p: float, d: int, n: int, m: int, eta: float,
+                      sigma_0: float, p: float) -> dict:
+    """The five training-regime conditions at |mu| = ``mu_norm``: the payload of
+    ``assumption_report.json``.
 
-    def item(self, name: str) -> AssumptionItem:
-        for it in self.items:
-            if it.item == name:
-                return it
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "items": [vars(it) for it in self.items],
-        }
-
-
-def _item(name: str, kind: str, lhs: float, rhs: float, constant: float) -> AssumptionItem:
-    ratio = lhs / rhs if rhs != 0 else math.inf
-    passed = (ratio >= 1.0) if kind == "lower" else (ratio <= 1.0)
-    return AssumptionItem(item=name, kind=kind, lhs=float(lhs), rhs=float(rhs),
-                          constant=constant, passed=bool(passed), ratio=float(ratio))
-
-
-def check_assumptions(spec: SignalSpec, n: int, m: int, eta: float, sigma_0: float,
-                      p: float, constants: dict[str, float] | None = None) -> AssumptionReport:
-    """Evaluate the five training-regime conditions at the given configuration.
-
-    Report-only: desk-scale configs routinely sit outside the asymptotic
-    regime, so nothing here throws or blocks a run.
+    ``items`` lists each condition as {item, kind, lhs, rhs, constant, passed,
+    ratio}: "lower" requires lhs >= rhs and "upper" lhs <= rhs, so ratio =
+    lhs / rhs passes at >= 1 and <= 1 respectively. Only |mu| is read, so any
+    d can be described. Report-only: desk-scale configs routinely sit outside
+    the asymptotic regime, so nothing here throws or blocks a run.
     """
-    c = {k: 1.0 for k in ("i", "ii", "iii", "iv", "v")}
-    if constants:
-        c.update(constants)
-    d = spec.d
     log_d = math.log(d)
-    snr = compute_snr(spec)
-    mu_sq = spec.mu_norm_sq
-    sp2 = spec.sigma_p**2
-
-    items = [
-        _item("i.dimension_vs_n2", "lower", d, c["i"] * n * n, c["i"]),
-        _item("i.dimension_vs_signal", "lower", d, c["i"] * n * mu_sq / sp2, c["i"]),
-        _item("i.snr_vs_sqrt_n", "upper", snr, c["i"] / math.sqrt(n), c["i"]),
-        _item("ii.width_vs_logd", "lower", m, c["ii"] * log_d, c["ii"]),
-        _item("ii.samples_vs_logd", "lower", n, c["ii"] * log_d, c["ii"]),
-        _item("iii.learning_rate", "upper", eta, c["iii"] / (sp2 * d), c["iii"]),
-        _item("iv.init_lower", "lower", sigma_0,
-              c["iv"] * n / (spec.sigma_p * d**0.75), c["iv"]),
-        _item("iv.init_upper", "upper", sigma_0,
-              c["iv"] * min(1.0 / (spec.mu_norm * d**0.625), 1.0 / (spec.sigma_p * math.sqrt(d))),
-              c["iv"]),
-        _item("v.flip_rate_lower", "lower", p, c["v"] * log_d / math.sqrt(m * n), c["v"]),
-        _item("v.flip_rate_upper", "upper", p, 1.0 / c["v"], c["v"]),
+    mu_sq = mu_norm * mu_norm
+    sp2 = sigma_p**2
+    conditions = [
+        ("i.dimension_vs_n2", "lower", d, n * n),
+        ("i.dimension_vs_signal", "lower", d, n * mu_sq / sp2),
+        ("i.snr_vs_sqrt_n", "upper", mu_norm / (sigma_p * math.sqrt(d)), 1.0 / math.sqrt(n)),
+        ("ii.width_vs_logd", "lower", m, log_d),
+        ("ii.samples_vs_logd", "lower", n, log_d),
+        ("iii.learning_rate", "upper", eta, 1.0 / (sp2 * d)),
+        ("iv.init_lower", "lower", sigma_0, n / (sigma_p * d**0.75)),
+        ("iv.init_upper", "upper", sigma_0,
+         min(1.0 / (mu_norm * d**0.625), 1.0 / (sigma_p * math.sqrt(d)))),
+        ("v.flip_rate_lower", "lower", p, log_d / math.sqrt(m * n)),
+        ("v.flip_rate_upper", "upper", p, 1.0),
     ]
-    return AssumptionReport(items=tuple(items), all_passed=all(it.passed for it in items))
+    items = []
+    for name, kind, lhs, rhs in conditions:
+        ratio = lhs / rhs if rhs != 0 else math.inf
+        passed = ratio >= 1.0 if kind == "lower" else ratio <= 1.0
+        items.append({"item": name, "kind": kind, "lhs": float(lhs), "rhs": float(rhs),
+                      "constant": 1.0, "passed": passed, "ratio": float(ratio)})
+    return {"all_passed": all(it["passed"] for it in items), "items": items}
 
 
-@dataclass(frozen=True)
-class StageEstimate:
-    """Stage-1 horizon T1 and stopping time T2 implied by the stated rates."""
+def estimate_stage_times(mu_norm: float, sigma_p: float, d: int, n: int, m: int, eta: float,
+                         sigma_0: float, epsilon: float) -> dict:
+    """The ``stage_times`` block of ``reports.json``: {"GD": ..., "LNGD": ...}.
 
-    T1: float
-    T2: float
-    algorithm: str  # "GD" or "LNGD"
-    constants_used: dict = field(default_factory=dict)
-    invalid_reason: str | None = None
+    Both algorithms share the stage-1 horizon
+    T1 = nm log(1/(sigma_0 sigma_p sqrt(d))) / (eta sigma_p^2 d); T2 adds the
+    algorithm's stage-2 increment, m^3 n / (eta epsilon sigma_p^2 d) for GD and
+    m log(6/(sigma_0 |mu|)) / (eta |mu|^2) for LNGD (unit hidden constants).
+    A time whose log is not positive and finite is NaN, and ``invalid_reason``
+    says why.
+    """
+    if epsilon is None or not (0.0 < epsilon < 1.0):
+        raise ValueError(f"epsilon must be in (0, 1) for GD, got {epsilon}")
 
+    def entry(algorithm: str, t1: float, t2: float, invalid_reason: str | None = None) -> dict:
+        return {"T1": t1, "T2": t2, "algorithm": algorithm, "constants_used": {"hidden": 1.0},
+                "invalid_reason": invalid_reason}
 
-def estimate_stage_times(spec: SignalSpec, n: int, m: int, eta: float, sigma_0: float,
-                         epsilon: float | None, which: str,
-                         constant: float = 1.0) -> StageEstimate:
-    """T1 = nm log(1/(sigma_0 sigma_p sqrt(d))) / (eta sigma_p^2 d), plus the
-    per-algorithm stage-2 increment (unit hidden constants by default)."""
-    if which not in ("GD", "LNGD"):
-        raise ValueError(f"which must be GD or LNGD, got {which!r}")
-    constants = {"hidden": constant}
-    init_scale = sigma_0 * spec.sigma_p * math.sqrt(spec.d)
-    sp2d = spec.sigma_p**2 * spec.d
-    if init_scale >= 1.0:
-        return StageEstimate(T1=math.nan, T2=math.nan, algorithm=which,
-                             constants_used=constants,
-                             invalid_reason=f"sigma_0 sigma_p sqrt(d) = {init_scale:.4g} >= 1 "
-                                            "makes the stage-1 log nonpositive")
-    t1 = constant * n * m * math.log(1.0 / init_scale) / (eta * sp2d)
-    if which == "GD":
-        if epsilon is None or not (0.0 < epsilon < 1.0):
-            raise ValueError(f"epsilon must be in (0, 1) for GD, got {epsilon}")
-        t2 = t1 + constant * m**3 * n / (eta * epsilon * sp2d)
+    init_scale = sigma_0 * sigma_p * math.sqrt(d)
+    if not 0.0 < init_scale < 1.0:
+        reason = (f"sigma_0 sigma_p sqrt(d) = {init_scale:.4g} >= 1 makes the stage-1 log "
+                  "nonpositive" if init_scale else
+                  "sigma_0 sigma_p sqrt(d) = 0 makes the stage-1 log infinite")
+        return {alg: entry(alg, math.nan, math.nan, reason) for alg in ("GD", "LNGD")}
+    sp2d = sigma_p**2 * d
+    t1 = n * m * math.log(1.0 / init_scale) / (eta * sp2d)
+    sig_scale = sigma_0 * mu_norm
+    if sig_scale >= 6.0:
+        lngd = entry("LNGD", t1, math.nan, f"sigma_0 |mu| = {sig_scale:.4g} >= 6 makes "
+                                           "the stage-2 log nonpositive")
     else:
-        sig_scale = sigma_0 * spec.mu_norm
-        if sig_scale >= 6.0:
-            return StageEstimate(T1=t1, T2=math.nan, algorithm=which,
-                                 constants_used=constants,
-                                 invalid_reason=f"sigma_0 |mu| = {sig_scale:.4g} >= 6 makes "
-                                                "the stage-2 log nonpositive")
-        t2 = t1 + constant * m * math.log(6.0 / sig_scale) / (eta * spec.mu_norm_sq)
-    return StageEstimate(T1=t1, T2=t2, algorithm=which, constants_used=constants)
+        t2 = t1 + m * math.log(6.0 / sig_scale) / (eta * (mu_norm * mu_norm))
+        lngd = entry("LNGD", t1, t2)
+    return {"GD": entry("GD", t1, t1 + m**3 * n / (eta * epsilon * sp2d)), "LNGD": lngd}
 
 
 def coefficient_envelope_monitor(trace: TrainTrace, t_star: int) -> dict:
@@ -183,48 +143,34 @@ def iota_fixed_point(p: float) -> float:
     """
     if not (0.0 < p < 0.5):
         raise ValueError(f"p must be in (0, 0.5), got {p}")
-    return _drift_balance(p)
-
-
-def _drift_balance(p: float) -> float:
     return math.log((1.0 - p) / p)
 
 
 def stage2_boundedness_check(iota_steps: np.ndarray, iota_values: np.ndarray, t1: float,
-                             p: float | None = None,
-                             band: tuple[float, float] = (3.0, 5.0)) -> dict:
-    """Per-sample boundedness of iota after the stage-1 horizon.
+                             p: float | None = None) -> dict:
+    """Per-sample boundedness of iota after the stage-1 horizon: the
+    ``stage2_boundedness`` block of ``reports.json``.
 
-    For each sample: sup_{t >= T1} iota_i <= band[0] * iota_i(T1) + band[1].
-    When a flip rate in (0, 0.5) is supplied, also reports how the
-    across-sample median of stage-2 medians compares to the analytic fixed
-    point; otherwise that comparison is skipped.
+    For each sample: sup_{t >= T1} iota_i <= STAGE2_BAND[0] * iota_i(T1) +
+    STAGE2_BAND[1]. When a flip rate in (0, 0.5) is supplied, also reports how
+    the across-sample median of stage-2 medians compares to the analytic fixed
+    point; otherwise that comparison is None.
     """
     mask = iota_steps >= t1
     if not np.any(mask):
         raise ValueError(f"no logged steps at or after T1 = {t1}")
     stage2 = iota_values[mask]  # (k, n)
-    at_t1 = stage2[0]
-    sup = stage2.max(axis=0)
-    threshold = band[0] * at_t1 + band[1]
-    per_sample_pass = sup <= threshold
-    medians = np.median(stage2, axis=0)
-    report = {
+    threshold = STAGE2_BAND[0] * stage2[0] + STAGE2_BAND[1]
+    median = float(np.median(np.median(stage2, axis=0)))
+    fixed_point = iota_fixed_point(p) if p is not None and 0.0 < p < 0.5 else None
+    return {
         "t1": float(t1),
-        "band": band,
-        "per_sample_pass": per_sample_pass,
-        "all_pass": bool(per_sample_pass.all()),
-        "sup": sup,
-        "sample_medians": medians,
-        "median_of_medians": float(np.median(medians)),
-        "fixed_point": None,
-        "median_gap": None,
+        "band": STAGE2_BAND,
+        "all_pass": bool((stage2.max(axis=0) <= threshold).all()),
+        "median_of_medians": median,
+        "fixed_point": fixed_point,
+        "median_gap": None if fixed_point is None else float(abs(median - fixed_point)),
     }
-    if p is not None and 0.0 < p < 0.5:
-        fp = iota_fixed_point(p)
-        report["fixed_point"] = fp
-        report["median_gap"] = float(abs(report["median_of_medians"] - fp))
-    return report
 
 
 _BLOCK = 25  # trials per pool task: 40 tasks at the default 1000 trials
@@ -336,41 +282,34 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
     return report
 
 
-def empirical_verdicts(trace: TrainTrace, epsilon: float = 0.05, c_test: float = 1.0,
-                     gd_error_floor: float = 0.24, gd_slack: float = 0.04,
-                     lngd_band: tuple[float, float] = (0.1, 1.5)) -> dict:
-    """Empirical verdict for the run's algorithm, judged on the final row.
+def empirical_verdicts(trace: TrainTrace, label_noise: bool, n: int, d: int, *,
+                       epsilon: float, c_test: float) -> dict:
+    """Empirical verdict for an arm trained on n points in d dimensions, judged on its
+    trace's final row.
 
-    Standard GD (no label noise): clean train loss <= epsilon and test error
-    >= gd_error_floor - gd_slack. Label-noise GD: clean train loss inside
-    lngd_band and test error <= 2 exp(-c_test d / n^2). With unit c_test the
+    Standard GD (``label_noise`` False): clean train loss <= epsilon and test
+    error >= GD_ERROR_FLOOR - GD_SLACK. Label-noise GD: clean train loss inside
+    LNGD_BAND and test error <= 2 exp(-c_test d / n^2). With unit c_test the
     test bound is vacuous at desk scale (documented in the report).
     """
     final = trace.final
-    d, n = trace.d, trace.n
-    if trace.noise_kind == "none":
-        train_ok = final.clean_train_loss <= epsilon
-        test_ok = final.test_error_01 >= gd_error_floor - gd_slack
-        return {
-            "algorithm": "GD",
-            "train_loss_final": final.clean_train_loss,
-            "test_error_final": final.test_error_01,
-            "train_ok": bool(train_ok),
-            "test_ok": bool(test_ok),
-            "passed": bool(train_ok and test_ok),
-            "thresholds": {"epsilon": epsilon, "error_floor": gd_error_floor,
-                           "slack": gd_slack},
-        }
-    bound = 2.0 * math.exp(-c_test * d / n**2)
-    train_ok = lngd_band[0] <= final.clean_train_loss <= lngd_band[1]
-    test_ok = final.test_error_01 <= bound
+    loss, error = final.clean_train_loss, final.test_error_01
+    if label_noise:
+        bound = 2.0 * math.exp(-c_test * d / n**2)
+        train_ok = LNGD_BAND[0] <= loss <= LNGD_BAND[1]
+        test_ok = error <= bound
+        thresholds = {"band": list(LNGD_BAND), "c_test": c_test, "test_bound": bound,
+                      "test_bound_vacuous": bool(bound >= 1.0)}
+    else:
+        train_ok = loss <= epsilon
+        test_ok = error >= GD_ERROR_FLOOR - GD_SLACK
+        thresholds = {"epsilon": epsilon, "error_floor": GD_ERROR_FLOOR, "slack": GD_SLACK}
     return {
-        "algorithm": "LNGD",
-        "train_loss_final": final.clean_train_loss,
-        "test_error_final": final.test_error_01,
+        "algorithm": "LNGD" if label_noise else "GD",
+        "train_loss_final": loss,
+        "test_error_final": error,
         "train_ok": bool(train_ok),
         "test_ok": bool(test_ok),
         "passed": bool(train_ok and test_ok),
-        "thresholds": {"band": list(lngd_band), "c_test": c_test, "test_bound": bound,
-                       "test_bound_vacuous": bool(bound >= 1.0)},
+        "thresholds": thresholds,
     }

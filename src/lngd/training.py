@@ -190,9 +190,6 @@ class TrainTrace:
     aborted_at: int | None = None
     abort_reason: str = ""
     rho_bar_monotone_violations: int = 0
-    n: int = 0
-    d: int = 0
-    noise_kind: str = "none"
 
     @property
     def final(self) -> np.record:
@@ -396,7 +393,6 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
     out = []
     for a, (arm, state) in enumerate(zip(arms, stack.states)):
         aborted_at, reason, kept = stopped.get(a, (None, "", logged))
-        trace = TrainTrace(rows[a][:kept], iota[a][:kept], aborted_at, reason, violations[a],
-                           n=n, d=dataset.spec.d, noise_kind=arm.noise.kind)
+        trace = TrainTrace(rows[a][:kept], iota[a][:kept], aborted_at, reason, violations[a])
         out.append(RunArtifacts(arm.label, arm.noise, trace, state, dataset, q, files[a]))
     return out

@@ -213,8 +213,8 @@ def test_criterion_06_coefficient_envelope_monitor(section5_runs):
 
 
 def test_criterion_07_stage2_iota_behavior(section5_runs):
-    t1 = estimate_stage_times(spec5(), S5["n"], S5["m"], S5["eta"], S5["sigma_0"],
-                              0.05, "GD").T1
+    t1 = estimate_stage_times(2.0, 0.5, 2000, S5["n"], S5["m"], S5["eta"], S5["sigma_0"],
+                              0.05)["GD"]["T1"]  # |mu|, sigma_p and d of spec5()
     fp = iota_fixed_point(0.1)
     all_ok = True
     details = []

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lngd import cli
 from lngd.cli import main_cli
 from lngd.io import fmt_float, sha256_file
 
@@ -40,6 +41,24 @@ def test_check_reports_and_exits_zero(config_file, capsys):
     out = capsys.readouterr().out
     assert "assumption report" in out
     assert "FAIL" in out  # desk-scale config misses the asymptotic regime
+
+
+def test_check_describes_the_regime_at_any_d(tmp_path, monkeypatch, capsys):
+    # The regime config of d = 3e10: check reads only |mu|, so it builds no length-d mu.
+    def no_spec(*args):
+        raise AssertionError("check must not build a length-d signal")
+
+    monkeypatch.setattr(cli, "axis_aligned_spec", no_spec)
+    config = {"mu_scale": 0.1, "sigma_p": 0.5, "d": 30_000_000_000, "n": 100, "m": 40,
+              "p": 0.4, "sigma_0": 2.80e-6, "eta": 6.7e-11, "steps": 1, "seed": 1,
+              "log_stride": 1}
+    path = tmp_path / "regime.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "check"
+    assert main_cli(["check", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert "(all_passed=True)" in capsys.readouterr().out
+    report = json.loads((out_dir / "assumption_report.json").read_text())
+    assert report["all_passed"] and len(report["items"]) == 10
 
 
 def test_dynamics_emits_run_directory(config_file, tmp_path, capsys):
@@ -199,6 +218,30 @@ def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     assert report["max_reconstruction_error"] <= 1e-8
 
 
+@pytest.mark.parametrize("edit", ["omit", "extra"])
+def test_decompose_counts_a_csv_on_one_side_as_a_mismatch(config_file, tmp_path, capsys,
+                                                          edit):
+    # A CSV the replay writes but the manifest omits, or one the manifest lists but the
+    # replay does not write, fails the digest check.
+    out_dir = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    if edit == "omit":
+        manifest["files"] = {"trace_standard.csv": manifest["files"]["trace_standard.csv"]}
+        odd = "trace_label_noise.csv"
+    else:
+        odd = "trace_extra.csv"
+        manifest["files"][odd] = "0" * 64
+    manifest_path.write_text(json.dumps(manifest))
+    assert main_cli(["decompose", "--run", str(out_dir), "--assert"]) == 3
+    assert "digests match: False" in capsys.readouterr().out
+    report = json.loads((out_dir / "decompose_reports.json").read_text())
+    assert report["digests_match"][odd] is False
+    assert report["digests_match"]["trace_standard.csv"]
+    assert not report["all_digests_match"]
+
+
 def test_decompose_refuses_a_run_it_cannot_replay(tmp_path, capsys):
     # decompose replays dynamics runs; any other recorded command is a usage
     # error raised before anything is replayed or written.
@@ -226,6 +269,8 @@ def test_decompose_refuses_seed_and_out(tmp_path, capsys):
 @pytest.mark.parametrize("text, reason", [
     (json.dumps({"command": "dynamics"}), "has no 'config' key"),
     ('{"command": "dynamics", ', "is not valid JSON"),
+    (json.dumps({"command": "dynamics", "config": MINIMAL, "files": []}),
+     "'files' is not a JSON object"),
 ])
 def test_decompose_refuses_a_broken_manifest(tmp_path, capsys, text, reason):
     run_dir = tmp_path / "run"
@@ -364,3 +409,50 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main_cli(["--version"])
     assert info.value.code == 0
+
+
+def stage(algorithm, t1, t2, reason=None):
+    """A stage_times entry as reports.json writes it, floats as their written text."""
+    return {"T1": t1, "T2": t2, "algorithm": algorithm, "constants_used": {"hidden": "1.0"},
+            "invalid_reason": reason}
+
+
+ASSUMPTION_ITEMS = ["i.dimension_vs_n2", "i.dimension_vs_signal", "i.snr_vs_sqrt_n",
+                    "ii.width_vs_logd", "ii.samples_vs_logd", "iii.learning_rate",
+                    "iv.init_lower", "iv.init_upper", "v.flip_rate_lower", "v.flip_rate_upper"]
+BIG_INIT = "sigma_0 sigma_p sqrt(d) = 3.162 >= 1 makes the stage-1 log nonpositive"
+ZERO_INIT = "sigma_0 sigma_p sqrt(d) = 0 makes the stage-1 log infinite"
+
+
+@pytest.mark.parametrize("command, overrides, expected", [
+    ("check", {"d": 2000}, (ASSUMPTION_ITEMS,
+                            {"item", "kind", "lhs", "rhs", "constant", "passed", "ratio"},
+                            "2000.0", {"1.0"})),
+    ("dynamics", {}, {"GD": stage("GD", "27.631021115928547", "4347.631021115928"),
+                      "LNGD": stage("LNGD", "27.631021115928547", "76.81608050411437")}),
+    ("dynamics", {"sigma_0": 1.0}, {"GD": stage("GD", "NaN", "NaN", BIG_INIT),
+                                    "LNGD": stage("LNGD", "NaN", "NaN", BIG_INIT)}),
+    ("dynamics", {"mu_scale": 100.0, "eta": 0.001},
+     {"GD": stage("GD", "2763.1021115928547", "434763.10211159283"),
+      "LNGD": stage("LNGD", "2763.1021115928547", "NaN",
+                    "sigma_0 |mu| = 10 >= 6 makes the stage-2 log nonpositive")}),
+    ("dynamics", {"sigma_0": 0.0}, {"GD": stage("GD", "NaN", "NaN", ZERO_INIT),
+                                    "LNGD": stage("LNGD", "NaN", "NaN", ZERO_INIT)}),
+], ids=["check", "valid", "big-init", "big-signal", "zero-init"])
+def test_written_theory_blocks(tmp_path, capsys, command, overrides, expected):
+    # The layout of assumption_report.json and of reports.json's stage_times, read with
+    # every float as its written text. A zero init (sigma_0 = 0) trains, emits and reports
+    # NaN stage times like an init too large for the stage-1 log.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL, **overrides}))
+    out_dir = tmp_path / "out"
+    assert main_cli([command, "--config", str(path), "--out", str(out_dir)]) == 0
+    name = "assumption_report.json" if command == "check" else "reports.json"
+    written = json.loads((out_dir / name).read_text(), parse_float=str, parse_constant=str)
+    if command == "check":
+        items = written["items"]
+        assert ([it["item"] for it in items], {key for it in items for key in it},
+                items[0]["lhs"], {it["constant"] for it in items}) == expected
+    else:
+        assert (out_dir / "manifest.json").exists()
+        assert written["dynamics"]["stage_times"] == expected

@@ -4,7 +4,6 @@ import pytest
 from lngd.data import (
     SignalSpec,
     StreamedTestSet,
-    compute_snr,
     generate_dataset,
     redrawable_dataset,
 )
@@ -179,17 +178,3 @@ class TestGenerateDataset:
             off = gram[~np.eye(20, dtype=bool)]
             passes += np.all(np.abs(off) <= bound)
         assert passes / trials >= 0.99
-
-
-class TestSnr:
-    def test_reference_config(self):
-        spec = axis_aligned_spec(2.0, 0.5, 2000)
-        assert compute_snr(spec) == pytest.approx(0.0894427191, rel=1e-9)
-
-    def test_unit_case(self):
-        spec = SignalSpec(mu=np.array([1.0, 0.0]), sigma_p=np.sqrt(0.5), d=2)
-        assert compute_snr(spec) == pytest.approx(1.0)
-
-    def test_halving_under_doubled_sigma_p(self, spec2d):
-        doubled = SignalSpec(mu=spec2d.mu, sigma_p=2 * spec2d.sigma_p, d=spec2d.d)
-        assert compute_snr(doubled) == pytest.approx(compute_snr(spec2d) / 2)

@@ -45,8 +45,9 @@ def test_label_noise_keeps_loss_at_constant_order(reference_run):
 
 
 def test_empirical_verdicts_pass_on_both_arms(reference_run):
-    gd = empirical_verdicts(reference_run.standard.trace, epsilon=0.05)
-    ln = empirical_verdicts(reference_run.label_noise.trace, c_test=1.0)
+    gd, ln = (empirical_verdicts(arm.trace, arm.noise.draws, 200, 2000, epsilon=0.05,
+                                 c_test=1.0)
+              for arm in (reference_run.standard, reference_run.label_noise))
     assert gd["algorithm"] == "GD" and gd["passed"], gd
     assert ln["algorithm"] == "LNGD" and ln["passed"], ln
 

@@ -18,7 +18,6 @@ from lngd.theory import (
     stage2_boundedness_check,
     empirical_verdicts,
 )
-from lngd.theory import _drift_balance
 from lngd.training import TRACE_COLUMNS, TRACE_DTYPE, TrainTrace
 
 
@@ -26,9 +25,11 @@ def ref_spec():
     return axis_aligned_spec(2.0, 0.5, 2000)
 
 
-def make_trace(rows, noise_kind="none", n=200, d=2000):
-    return TrainTrace(rows=np.rec.array(np.stack(rows)), iota_history=np.zeros((len(rows), n)),
-                      n=n, d=d, noise_kind=noise_kind)
+REF = dict(mu_norm=2.0, sigma_p=0.5, d=2000, n=200, m=20, eta=0.5, sigma_0=0.01)
+
+
+def make_trace(rows, n=200):
+    return TrainTrace(rows=np.rec.array(np.stack(rows)), iota_history=np.zeros((len(rows), n)))
 
 
 def row(step, **kw):
@@ -40,61 +41,61 @@ def row(step, **kw):
     return np.array(tuple(base[col] for col in TRACE_COLUMNS), dtype=TRACE_DTYPE)
 
 
+def item(report, name):
+    [found] = [it for it in report["items"] if it["item"] == name]
+    return found
+
+
 class TestCheckAssumptions:
     def test_reference_config_snr_item(self):
-        report = check_assumptions(ref_spec(), n=200, m=20, eta=0.5, sigma_0=0.01, p=0.1)
-        item = report.item("i.snr_vs_sqrt_n")
-        assert item.ratio == pytest.approx(1.2649110640, rel=1e-9)
-        assert not item.passed  # borderline-fails under unit constants
+        snr = item(check_assumptions(**REF, p=0.1), "i.snr_vs_sqrt_n")
+        assert snr["ratio"] == pytest.approx(1.2649110640, rel=1e-9)
+        assert not snr["passed"]  # borderline-fails under unit constants
 
     def test_zero_flip_rate_fails_lower_bound(self):
-        report = check_assumptions(ref_spec(), n=200, m=20, eta=0.5, sigma_0=0.01, p=0.0)
-        assert not report.item("v.flip_rate_lower").passed
+        report = check_assumptions(**REF, p=0.0)
+        assert not item(report, "v.flip_rate_lower")["passed"]
+        assert not report["all_passed"]
 
     def test_low_dimension_ratio(self):
-        spec = axis_aligned_spec(2.0, 0.5, 10)
-        report = check_assumptions(spec, n=200, m=20, eta=0.5, sigma_0=0.01, p=0.1)
-        item = report.item("i.dimension_vs_n2")
-        assert item.ratio == pytest.approx(2.5e-4, rel=1e-12)
-        assert not item.passed
+        report = check_assumptions(**{**REF, "d": 10}, p=0.1)
+        dim = item(report, "i.dimension_vs_n2")
+        assert dim["ratio"] == pytest.approx(2.5e-4, rel=1e-12)
+        assert not dim["passed"]
 
     def test_report_is_pure(self):
-        a = check_assumptions(ref_spec(), n=200, m=20, eta=0.5, sigma_0=0.01, p=0.1)
-        b = check_assumptions(ref_spec(), n=200, m=20, eta=0.5, sigma_0=0.01, p=0.1)
-        assert a == b
-
-    def test_constants_scale_thresholds(self):
-        lax = check_assumptions(ref_spec(), n=200, m=20, eta=0.5, sigma_0=0.01, p=0.1,
-                                constants={"i": 2.0})
-        assert lax.item("i.snr_vs_sqrt_n").ratio == pytest.approx(1.2649110640 / 2, rel=1e-9)
+        assert check_assumptions(**REF, p=0.1) == check_assumptions(**REF, p=0.1)
 
 
 class TestStageTimes:
     def test_reference_t1(self):
-        est = estimate_stage_times(ref_spec(), 200, 20, 0.5, 0.01, 0.05, "GD")
+        est = estimate_stage_times(**REF, epsilon=0.05)
         # T1 = n m log(1/(sigma_0 sigma_p sqrt(d))) / (eta sigma_p^2 d)
         expected = 200 * 20 * math.log(1 / (0.01 * 0.5 * math.sqrt(2000))) / (0.5 * 0.25 * 2000)
-        assert est.T1 == pytest.approx(expected, rel=1e-12)
-        assert est.T1 == pytest.approx(23.9658, abs=1e-3)
+        assert est["GD"]["T1"] == pytest.approx(expected, rel=1e-12)
+        assert est["GD"]["T1"] == pytest.approx(23.9658, abs=1e-3)
+        assert est["LNGD"]["T1"] == est["GD"]["T1"]  # the stage-1 horizon is shared
 
     def test_eta_homogeneity(self):
-        a = estimate_stage_times(ref_spec(), 200, 20, 0.5, 0.01, 0.05, "GD")
-        b = estimate_stage_times(ref_spec(), 200, 20, 1.0, 0.01, 0.05, "GD")
-        assert b.T1 == pytest.approx(a.T1 / 2, rel=1e-12)
+        a = estimate_stage_times(**REF, epsilon=0.05)
+        b = estimate_stage_times(**{**REF, "eta": 1.0}, epsilon=0.05)
+        assert b["GD"]["T1"] == pytest.approx(a["GD"]["T1"] / 2, rel=1e-12)
 
     def test_lngd_stage2_increment(self):
-        est = estimate_stage_times(ref_spec(), 200, 20, 0.5, 0.01, None, "LNGD")
-        assert est.T2 - est.T1 == pytest.approx(20 * math.log(6 / 0.02) / (0.5 * 4), rel=1e-12)
-        assert est.T2 - est.T1 == pytest.approx(57.0378, abs=1e-3)
+        est = estimate_stage_times(**REF, epsilon=0.05)["LNGD"]
+        assert est["T2"] - est["T1"] == pytest.approx(20 * math.log(6 / 0.02) / (0.5 * 4),
+                                                      rel=1e-12)
+        assert est["T2"] - est["T1"] == pytest.approx(57.0378, abs=1e-3)
 
     def test_invalid_when_log_nonpositive(self):
-        est = estimate_stage_times(ref_spec(), 200, 20, 0.5, 1.0, 0.05, "GD")
-        assert est.invalid_reason is not None
-        assert math.isnan(est.T1)
+        est = estimate_stage_times(**{**REF, "sigma_0": 1.0}, epsilon=0.05)
+        for alg in ("GD", "LNGD"):
+            assert est[alg]["invalid_reason"] is not None
+            assert math.isnan(est[alg]["T1"])
 
     def test_gd_requires_epsilon(self):
         with pytest.raises(ValueError):
-            estimate_stage_times(ref_spec(), 200, 20, 0.5, 0.01, None, "GD")
+            estimate_stage_times(**REF, epsilon=None)
 
 
 class TestProposition1Monitor:
@@ -135,10 +136,6 @@ class TestIotaFixedPoint:
             with pytest.raises(ValueError):
                 iota_fixed_point(bad)
 
-    def test_antisymmetry_of_underlying_formula(self):
-        for p in (0.05, 0.2, 0.45):
-            assert _drift_balance(1 - p) == pytest.approx(-_drift_balance(p), rel=1e-12)
-
 
 class TestStage2Boundedness:
     def test_constant_series_passes(self):
@@ -159,7 +156,7 @@ class TestStage2Boundedness:
     def test_blowup_detected(self):
         steps = np.array([0, 10, 20])
         iotas = np.array([[1.0], [1.0], [9.0]])
-        report = stage2_boundedness_check(steps, iotas, t1=10, band=(3.0, 5.0))
+        report = stage2_boundedness_check(steps, iotas, t1=10)
         assert not report["all_pass"]  # sup 9 > 3 * 1 + 5
 
     def test_requires_stage2_rows(self):
@@ -285,18 +282,21 @@ class TestWorkerBudget:
 class TestTheoremVerdicts:
     def test_gd_verdict(self):
         rows = [row(2000, clean_train_loss=0.01, test_error_01=0.4)]
-        verdict = empirical_verdicts(make_trace(rows, noise_kind="none"), epsilon=0.05)
+        verdict = empirical_verdicts(make_trace(rows), False, 200, 2000, epsilon=0.05,
+                                     c_test=1.0)
         assert verdict["algorithm"] == "GD"
         assert verdict["passed"]
 
     def test_gd_verdict_fails_when_test_error_small(self):
         rows = [row(2000, clean_train_loss=0.01, test_error_01=0.05)]
-        verdict = empirical_verdicts(make_trace(rows, noise_kind="none"))
+        verdict = empirical_verdicts(make_trace(rows), False, 200, 2000, epsilon=0.05,
+                                     c_test=1.0)
         assert not verdict["passed"]
 
     def test_lngd_verdict_band_and_bound(self):
         rows = [row(2000, clean_train_loss=0.3, test_error_01=0.02)]
-        verdict = empirical_verdicts(make_trace(rows, noise_kind="flip"), c_test=1.0)
+        verdict = empirical_verdicts(make_trace(rows), True, 200, 2000, epsilon=0.05,
+                                     c_test=1.0)
         assert verdict["algorithm"] == "LNGD"
         # c_test = 1: bound 2 exp(-2000/40000) = 1.902, vacuous at this scale
         assert verdict["thresholds"]["test_bound"] == pytest.approx(2 * math.exp(-0.05),
@@ -308,6 +308,7 @@ class TestTheoremVerdicts:
         rows = [row(2000, clean_train_loss=0.3, test_error_01=0.06)]
         # c_test tuned so the bound is 0.05: 2 exp(-c 0.05) = 0.05
         c = math.log(2 / 0.05) / 0.05
-        verdict = empirical_verdicts(make_trace(rows, noise_kind="flip"), c_test=c)
+        verdict = empirical_verdicts(make_trace(rows), True, 200, 2000, epsilon=0.05,
+                                     c_test=c)
         assert verdict["thresholds"]["test_bound"] == pytest.approx(0.05, rel=1e-9)
         assert not verdict["test_ok"]
