@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,13 @@ from .experiments import (
     arm_noise_rng,
     axis_aligned_spec,
     plan,
+    refuse_oversized,
     run_dynamics,
     run_heatmap,
     run_paired,
 )
-from .io import EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite, write_json
+from .io import (EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite,
+                 write_heatmap_aggregate_csv, write_heatmap_csv, write_json, write_trace_csv)
 from .network import OracleReplay, reconstruct_weights
 from .theory import check_assumptions, concentration_suite
 
@@ -101,15 +104,16 @@ def _cmd_check(args, config: FullConfig) -> int:
 # message or None); _run_command emits and picks the exit code.
 
 
-def _run_files(config: FullConfig, command: str, started: str, paired, reports=None):
+def _run_files(config: FullConfig, command: str, started: str, paired, reports: dict):
     """The files of each (run, arms) in ``paired``: every arm's trace, at its run's
-    ``trace_file``, and the digests of its dumps; and whether any arm aborted."""
+    ``trace_file``, the digests of its dumps, and ``reports.json``; and whether any arm
+    aborted."""
     artifacts = RunArtifactFiles(config=config, command=command, started_at=started,
-                                 reports=reports or {})
+                                 files={"reports.json": partial(write_json, reports)})
     aborted = False
     for run, arms in paired:
         for arm in arms:
-            artifacts.traces[run.trace_file(arm.label)] = arm.trace
+            artifacts.files[run.trace_file(arm.label)] = partial(write_trace_csv, arm.trace)
             artifacts.written.update(arm.files)
             aborted = aborted or arm.aborted
     return artifacts, aborted
@@ -151,8 +155,10 @@ def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
         gaps.append(ln - gd)
     worst_gap = min((gap for gap in gaps if math.isfinite(gap)), default=None)
     report = {"grid": result.grid, "worst_label_noise_deficit": worst_gap, "cells": cells}
-    artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started,
-                                 reports={"heatmap": report}, heatmap=result)
+    artifacts = RunArtifactFiles(config=config, command="heatmap", started_at=started, files={
+        "reports.json": partial(write_json, {"heatmap": report}),
+        "heatmap.csv": partial(write_heatmap_csv, result),
+        "heatmap_aggregate.csv": partial(write_heatmap_aggregate_csv, result)})
     return (artifacts, any(result.errors.values()),
             None if worst_gap is None or worst_gap >= -0.02 else
             f"label-noise GD worse than standard GD by {-worst_gap:.4f} in some cell")
@@ -165,13 +171,13 @@ def _accuracy(arm):
 def _cmd_noise_compare(config: FullConfig, started: str, out_dir: Path):
     [run] = plan("noise-compare", config)
     baseline, *arms = run_paired(run)
-    artifacts, aborted = _run_files(config, "noise-compare", started, [(run, [baseline, *arms])])
     rows = [{"noise": arm.label, "aborted": arm.aborted,
              "final_test_accuracy": _accuracy(arm),
              "final_clean_loss": None if arm.aborted else arm.final_clean_loss}
             for arm in arms]
     base = _accuracy(baseline)
-    artifacts.reports = {"noise_compare": {"baseline_accuracy": base, "arms": rows}}
+    artifacts, aborted = _run_files(config, "noise-compare", started, [(run, [baseline, *arms])],
+                                    {"noise_compare": {"baseline_accuracy": base, "arms": rows}})
     print(f"standard baseline: accuracy {base if base is not None else 'aborted'}")
     for row in rows:
         print(f"  {row['noise']}: accuracy {row['final_test_accuracy']}")
@@ -183,7 +189,6 @@ def _cmd_noise_compare(config: FullConfig, started: str, out_dir: Path):
 def _cmd_q_sweep(config: FullConfig, started: str, out_dir: Path):
     # plan refuses a q without reference settings, as a ConfigError, before any q trains.
     paired = [(run, run_paired(run)) for run in plan("q-sweep", config)]
-    artifacts, aborted = _run_files(config, "q-sweep", started, paired)
     report = {}
     ordering_ok = True
     for run, (standard, label_noise) in paired:
@@ -195,12 +200,13 @@ def _cmd_q_sweep(config: FullConfig, started: str, out_dir: Path):
         report[f"q={run.q}"] = entry
         print(f"q={run.q}: standard {entry['standard_accuracy']} "
               f"label_noise {entry['label_noise_accuracy']}")
-    artifacts.reports = {"q_sweep": report}
+    artifacts, aborted = _run_files(config, "q-sweep", started, paired, {"q_sweep": report})
     return (artifacts, aborted,
             None if ordering_ok else "label-noise GD lost the ordering in some q")
 
 
 def _cmd_concentration(args, config: FullConfig) -> int:
+    refuse_oversized(config.d, config.n, config.m)
     report = concentration_suite(
         axis_aligned_spec(config.mu_scale, config.sigma_p, config.d), n=config.n, m=config.m,
         sigma_0=config.sigma_0, p=config.p, trials=config.trials, delta=config.delta,

@@ -59,7 +59,7 @@ SCHEMA = {
     "seed": Key("integer", *_at_least(0)),
     "m": Key("integer", *_at_least(1), 20),
     "q": Key("integer", *_at_least(2), 2),
-    "sigma_0": Key("number", *_at_least(0), 0.01),
+    "sigma_0": Key("number", *_POSITIVE, 0.01),  # a zero init cannot move
     "log_stride": Key("integer", *_at_least(1), 10),
     "n_test": Key("integer", *_at_least(1), 2000),
     "coeff_stride": Key("integer", *_at_least(1), 100),

@@ -9,6 +9,7 @@ indices, so results are independent of execution order or worker count.
 from __future__ import annotations
 
 import math
+import os
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
@@ -40,10 +41,25 @@ __all__ = [
     "arm_noise_rng",
     "axis_aligned_spec",
     "plan",
+    "refuse_oversized",
     "run_paired",
     "run_dynamics",
     "run_heatmap",
 ]
+
+
+def refuse_oversized(d: int, n: int, m: int) -> None:
+    """Raise ConfigError if 8 d (n + 2 + 2m) bytes, n training points, mu, a test row and
+    2m filters of length d, exceed the machine's physical memory (where ``os.sysconf``
+    reports it)."""
+    needed = 8 * d * (n + 2 + 2 * m)
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name here
+        return
+    if needed > memory > 0:
+        raise ConfigError(f"d = {d} needs 8 d (n + 2 + 2m) = {needed} bytes at n = {n}, "
+                          f"m = {m}, more than the {memory} bytes of physical memory")
 
 
 def axis_aligned_spec(mu_scale: float, sigma_p: float, d: int) -> SignalSpec:
@@ -111,17 +127,17 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
     and ``heatmap`` one run per (row, col, seed) unit of ``grid``, with
     |mu| = snr * sigma_p * sqrt(d), each against ``config.noise``. Raises
     ConfigError, before anything trains, where the config lacks the
-    command's section, names a q without reference settings, or gives two
-    arms one trace file.
+    command's section, names a q without reference settings, gives two
+    arms one trace file, or fails ``refuse_oversized`` at its largest n and m.
     """
     shared = dict(n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0, eta=config.eta,
                   steps=config.steps, seed=config.seed, log_stride=config.log_stride,
                   n_test=config.n_test)
 
-    def run_of(mu_scale: float, arms, sigma_p: float = config.sigma_p, **fields) -> PairedRun:
-        """A run of ``arms`` on |mu| = ``mu_scale``; ``fields`` override ``shared``."""
-        return PairedRun(axis_aligned_spec(mu_scale, sigma_p, config.d),
-                         **{**shared, "arms": tuple(arms), **fields})
+    def run_of(mu_scale: float, arms, sigma_p: float = config.sigma_p, **fields) -> dict:
+        """The fields of a run of ``arms`` on |mu| = ``mu_scale``, its signal as
+        (mu_scale, sigma_p); ``fields`` override ``shared``."""
+        return {**shared, "spec": (mu_scale, sigma_p), "arms": tuple(arms), **fields}
 
     def against_standard(noise: LabelNoiseSpec):
         return zip(ALGORITHMS, (LabelNoiseSpec.none(), noise))
@@ -131,12 +147,12 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
         if grid is None:
             raise ConfigError("heatmap requires a 'grid' section in the config")
         shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
-        return [run_of(grid["snr_values"][row] * config.sigma_p * math.sqrt(config.d),
+        runs = [run_of(grid["snr_values"][row] * config.sigma_p * math.sqrt(config.d),
                        against_standard(config.noise), n=grid["n_values"][col],
                        eta=grid["eta"], steps=grid["steps"], log_stride=grid["steps"],
                        seed=derive_seed(config.seed, row, col, s))
                 for row, col, s in np.ndindex(shape)]
-    if command == "dynamics":
+    elif command == "dynamics":
         runs = [run_of(config.mu_scale, against_standard(config.noise),
                        coeff_stride=config.coeff_stride)]
     elif command == "noise-compare":
@@ -160,7 +176,12 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
                                seed=derive_seed(config.seed, q), name=f"q{q}_"))
     else:
         raise ValueError(f"{command!r} runs no paired runs")
-    names = [run.trace_file(label) for run in runs for label, _ in run.arms]
+    refuse_oversized(config.d, max(run["n"] for run in runs), max(run["m"] for run in runs))
+    runs = [PairedRun(**{**run, "spec": axis_aligned_spec(*run["spec"], config.d)})
+            for run in runs]
+    # Heatmap units write no trace file.
+    names = [] if command == "heatmap" else [run.trace_file(label) for run in runs
+                                             for label, _ in run.arms]
     clash = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if clash:
         raise ConfigError(f"{command}: two arms would both write {clash}; each noise_list "

@@ -2,9 +2,10 @@
 
 CSV numbers are written with 17 significant digits (lossless for 64-bit
 floats) and newline-only line endings, so re-running with the same seed
-yields byte-identical files. The manifest is written last and records a
-sha256 digest of every other emitted file; a coefficient dump, written
-while the run goes, is hashed as it is written.
+yields byte-identical files. Every file is written through a ``DigestFile``,
+which hashes its bytes as they are written, and every writer returns that
+sha256. The manifest is written last and records the digest of every other
+file of the run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .config import FullConfig, config_to_dict
 from .streams import STREAM_IDS, derive_seed
 from .training import TRACE_COLUMNS, TrainTrace
 
-__all__ = ["EmitError", "CoefficientDump", "fmt_float", "sha256_file", "write_trace_csv",
+__all__ = ["EmitError", "DigestFile", "CoefficientDump", "fmt_float", "write_trace_csv",
            "write_coefficients_csv", "write_heatmap_csv", "emit_outputs"]
 
 
@@ -43,26 +43,38 @@ def _fmt_value(x) -> str:
     return fmt_float(x)
 
 
-def sha256_file(path: Path) -> str:
-    """Hex sha256 of a file, read in 1 MiB blocks into one reused buffer."""
-    digest = hashlib.sha256()
-    block = bytearray(1 << 20)
-    view = memoryview(block)
-    with open(path, "rb", buffering=0) as fh:
-        while size := fh.readinto(block):
-            digest.update(view[:size])
-    return digest.hexdigest()
+class DigestFile:
+    """``path`` opened to be written from the start, hashed as it is written: ``write(text)``
+    appends the UTF-8 bytes of ``text``, and ``close()`` returns their hex sha256."""
+
+    def __init__(self, path: Path):
+        self._file = open(path, "wb")
+        self._sha256 = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        data = text.encode()
+        self._sha256.update(data)
+        self._file.write(data)
+
+    def close(self) -> str:
+        self._file.close()
+        return self._sha256.hexdigest()
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_value(v) for v in row) + "\n")
+def _write_text(path: Path, text: str) -> str:
+    """Write ``text`` to ``path``; its sha256."""
+    file = DigestFile(path)
+    file.write(text)
+    return file.close()
 
 
-def write_trace_csv(trace: TrainTrace, path: Path) -> None:
-    _write_csv(path, TRACE_COLUMNS, trace.rows.tolist())
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    lines = [",".join(header), *(",".join(_fmt_value(v) for v in row) for row in rows), ""]
+    return _write_text(path, "\n".join(lines))
+
+
+def write_trace_csv(trace: TrainTrace, path: Path) -> str:
+    return _write_csv(path, TRACE_COLUMNS, trace.rows.tolist())
 
 
 _HEAD, _GAMMA = "\x00", "\x01"  # stand for "step,j,r," and ",gamma," in a row template
@@ -94,8 +106,7 @@ class CoefficientDump:
 
     ``same_class`` is the run's (2, n) mask of y_i == j
     (``CoefficientStack.same_class``). Both files are made at the first
-    snapshot, so an arm that took none has none, and hashed as their bytes
-    are written.
+    snapshot, so an arm that took none has none; each is a ``DigestFile``.
     """
 
     def __init__(self, path: Path, same_class: np.ndarray, stride: int, last: int):
@@ -105,7 +116,7 @@ class CoefficientDump:
                                   else f"{_HEAD}{i}{_GAMMA}0,%.17g\n" for i, s in enumerate(same))
                           for same in same_class.tolist()]
         self.stride, self.last = stride, last
-        self.files = []  # (file, sha256) of the dump and of the summary, once made
+        self.files = []  # the DigestFile of the dump and of the summary, once made
 
     def write(self, step: int, gamma: np.ndarray, rho: np.ndarray, summary) -> None:
         """Append the snapshot of gamma (2, m) and rho (2, m, n), and the summary row of
@@ -115,34 +126,27 @@ class CoefficientDump:
             return
         if not self.files:
             self.paths[0].parent.mkdir(parents=True, exist_ok=True)
-            self.files = [(open(path, "wb"), hashlib.sha256()) for path in self.paths]
-            self._append(0, "step,j,r,i,gamma,rho_bar,rho_under\n")
-            self._append(1, "step,max_gamma,mean_gamma,max_rho_bar,min_rho_under\n")
-        write_coefficients_csv(partial(self._append, 0), self.templates, step, gamma, rho)
-        self._append(1, ",".join([str(step), *map(fmt_float, summary)]) + "\n")
-
-    def _append(self, k: int, text: str) -> None:
-        fh, digest = self.files[k]
-        data = text.encode()
-        digest.update(data)
-        fh.write(data)
+            self.files = [DigestFile(path) for path in self.paths]
+            self.files[0].write("step,j,r,i,gamma,rho_bar,rho_under\n")
+            self.files[1].write("step,max_gamma,mean_gamma,max_rho_bar,min_rho_under\n")
+        dump, table = self.files
+        write_coefficients_csv(dump.write, self.templates, step, gamma, rho)
+        table.write(",".join([str(step), *map(fmt_float, summary)]) + "\n")
 
     def close(self) -> dict[str, str]:
         """Close the files; {file name: sha256} of those written."""
-        for fh, _ in self.files:
-            fh.close()
         files, self.files = self.files, []
-        return {path.name: digest.hexdigest() for path, (_, digest) in zip(self.paths, files)}
+        return {path.name: file.close() for path, file in zip(self.paths, files)}
 
 
-def write_heatmap_csv(heatmap, path: Path) -> None:
+def write_heatmap_csv(heatmap, path: Path) -> str:
     """One row per finished arm of a ``HeatmapResult``, in (row, col, seed, algorithm) order."""
     header = ["snr", "n", "seed", "algorithm", "test_accuracy"]
-    _write_csv(path, header, ((snr, n, *arm) for _, snr, n, finished, _ in heatmap.by_cell()
-                              for arm in finished))
+    return _write_csv(path, header, ((snr, n, *arm) for _, snr, n, finished, _
+                                     in heatmap.by_cell() for arm in finished))
 
 
-def write_heatmap_aggregate_csv(heatmap, path: Path) -> None:
+def write_heatmap_aggregate_csv(heatmap, path: Path) -> str:
     """One row per cell: mean and std of each algorithm's finished seeds, and the standard count."""
     header = ["snr", "n", "standard_mean", "standard_std", "label_noise_mean",
               "label_noise_std", "seeds"]
@@ -150,7 +154,7 @@ def write_heatmap_aggregate_csv(heatmap, path: Path) -> None:
     for _, snr, n, _, stats in heatmap.by_cell():
         (gd_mean, gd_std, seeds), (ln_mean, ln_std, _) = stats["standard"], stats["label_noise"]
         rows.append((snr, n, gd_mean, gd_std, ln_mean, ln_std, seeds))
-    _write_csv(path, header, rows)
+    return _write_csv(path, header, rows)
 
 
 def _json_default(obj):
@@ -163,24 +167,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+def write_json(payload: dict, path: Path) -> str:
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True,
+                                        default=_json_default) + "\n")
 
 
 @dataclass
 class RunArtifactFiles:
-    """What a run wants written: named CSV/JSON payloads plus manifest extras."""
+    """A run's files: ``files`` maps each file still to be written to its writer, which
+    takes the file's path, writes it and returns its sha256; ``written`` maps each file the
+    run already wrote to its sha256."""
 
     config: FullConfig
     command: str
-    traces: dict = field(default_factory=dict)  # filename -> TrainTrace
-    written: dict = field(default_factory=dict)  # filename -> sha256 of a file the run wrote
-    reports: dict = field(default_factory=dict)  # merged into reports.json
-    heatmap: object = None  # HeatmapResult
     started_at: str = ""
-    finished_at: str = ""
+    files: dict = field(default_factory=dict)
+    written: dict = field(default_factory=dict)
 
 
 def now_utc() -> str:
@@ -213,31 +215,16 @@ def refuse_overwrite(out_dir: str | Path, force: bool, keep=()) -> None:
 
 
 def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool = False) -> dict:
-    """Write all run files plus a digested manifest.json; returns the inventory.
+    """Write every file of ``artifacts.files``, then a manifest.json listing the sha256 of
+    each file of the run; returns that inventory, {file name: sha256}.
 
     Refuses to overwrite an existing manifest unless ``force`` is set.
     """
     refuse_overwrite(out_dir, force, keep=artifacts.written)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    inventory = dict(artifacts.written)
-
-    def record(name: str):
-        inventory[name] = sha256_file(out / name)
-
-    for name, trace in artifacts.traces.items():
-        write_trace_csv(trace, out / name)
-        record(name)
-    if artifacts.reports:
-        write_json(artifacts.reports, out / "reports.json")
-        record("reports.json")
-    if artifacts.heatmap is not None:
-        write_heatmap_csv(artifacts.heatmap, out / "heatmap.csv")
-        record("heatmap.csv")
-        write_heatmap_aggregate_csv(artifacts.heatmap, out / "heatmap_aggregate.csv")
-        record("heatmap_aggregate.csv")
-
+    inventory = {**artifacts.written,
+                 **{name: write(out / name) for name, write in artifacts.files.items()}}
     seed = artifacts.config.seed
     manifest = {
         "tool": "lngd",
@@ -255,7 +242,7 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
         "stream_derivation": "splitmix64",
         "streams": {name: derive_seed(seed, sid) for name, sid in STREAM_IDS.items()},
         "started_at": artifacts.started_at,
-        "finished_at": artifacts.finished_at or now_utc(),
+        "finished_at": now_utc(),
         "files": inventory,
     }
     write_json(manifest, out / "manifest.json")

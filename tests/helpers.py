@@ -1,6 +1,9 @@
-"""Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, and training
-on explicit points (the stack, the products and the recorder ``run_training`` reads, built as in
-``experiments.run_paired``)."""
+"""Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, training on
+explicit points (the stack, the products and the recorder ``run_training`` reads, built as in
+``experiments.run_paired``), and the sha256 of a file's bytes."""
+
+import hashlib
+from pathlib import Path
 
 from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import PairedRun
@@ -15,6 +18,11 @@ def paired_run(spec, *, n, m, q, sigma_0, eta, steps, noise, seed, log_stride=10
                      log_stride=log_stride, n_test=n_test,
                      arms=(("standard", LabelNoiseSpec.none()), ("label_noise", noise)),
                      coeff_stride=coeff_stride)
+
+
+def sha256_of(path) -> str:
+    """Hex sha256 of the bytes of the file at ``path``, read here, apart from the writer."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def train_products(w0, dataset):

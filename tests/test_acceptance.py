@@ -17,6 +17,7 @@ README.md for the full analysis.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from lngd.experiments import (
     run_heatmap,
     run_paired,
 )
-from lngd.io import RunArtifactFiles, emit_outputs
+from lngd.io import RunArtifactFiles, emit_outputs, write_trace_csv
 from lngd.network import (
     OracleReplay,
     full_batch_gradient,
@@ -322,10 +323,9 @@ def test_criterion_11_determinism(section5_runs, tmp_path):
     config = parse_config("configs/section5.json")
 
     def emit(result, out):
-        art = RunArtifactFiles(config=config, command="dynamics")
-        art.traces["trace_standard.csv"] = result.standard.trace
-        art.traces["trace_label_noise.csv"] = result.label_noise.trace
-        return emit_outputs(art, out)
+        traces = {f"trace_{arm.label}.csv": partial(write_trace_csv, arm.trace)
+                  for arm in (result.standard, result.label_noise)}
+        return emit_outputs(RunArtifactFiles(config=config, command="dynamics", files=traces), out)
 
     first, _ = section5_runs[1]
     repeat = run_dynamics(paired_run(spec5(), noise=LabelNoiseSpec.flip(0.1), seed=1,

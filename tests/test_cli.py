@@ -1,11 +1,18 @@
+import builtins
+import io
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lngd import cli
+from lngd import cli, experiments
 from lngd.cli import main_cli
-from lngd.io import fmt_float, sha256_file
+from lngd.config import parse_config
+from lngd.io import fmt_float
+
+from helpers import sha256_of
 
 MINIMAL = {"d": 40, "n": 8, "mu_scale": 1.5, "sigma_p": 0.5, "p": 0.2,
            "eta": 0.1, "steps": 20, "seed": 3, "m": 3, "sigma_0": 0.1,
@@ -43,22 +50,52 @@ def test_check_reports_and_exits_zero(config_file, capsys):
     assert "FAIL" in out  # desk-scale config misses the asymptotic regime
 
 
-def test_check_describes_the_regime_at_any_d(tmp_path, monkeypatch, capsys):
-    # The regime config of d = 3e10: check reads only |mu|, so it builds no length-d mu.
+REGIME = {"mu_scale": 0.1, "sigma_p": 0.5, "d": 30_000_000_000, "n": 100, "m": 40, "p": 0.4,
+          "sigma_0": 2.80e-6, "eta": 6.7e-11, "steps": 1, "seed": 1, "log_stride": 1}
+
+
+@pytest.fixture
+def regime_file(tmp_path, monkeypatch):
+    """The regime config of d = 3e10, with every length-d signal refused."""
     def no_spec(*args):
-        raise AssertionError("check must not build a length-d signal")
+        raise AssertionError("a length-d signal was built for d = 3e10")
 
     monkeypatch.setattr(cli, "axis_aligned_spec", no_spec)
-    config = {"mu_scale": 0.1, "sigma_p": 0.5, "d": 30_000_000_000, "n": 100, "m": 40,
-              "p": 0.4, "sigma_0": 2.80e-6, "eta": 6.7e-11, "steps": 1, "seed": 1,
-              "log_stride": 1}
+    monkeypatch.setattr(experiments, "axis_aligned_spec", no_spec)
     path = tmp_path / "regime.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(REGIME))
+    return path
+
+
+def test_check_describes_the_regime_at_any_d(regime_file, tmp_path, capsys):
+    # check reads only |mu|, so it builds no length-d mu.
     out_dir = tmp_path / "check"
-    assert main_cli(["check", "--config", str(path), "--out", str(out_dir)]) == 0
+    assert main_cli(["check", "--config", str(regime_file), "--out", str(out_dir)]) == 0
     assert "(all_passed=True)" in capsys.readouterr().out
     report = json.loads((out_dir / "assumption_report.json").read_text())
     assert report["all_passed"] and len(report["items"]) == 10
+
+
+@pytest.mark.parametrize("command", ["dynamics", "concentration"])
+def test_a_config_beyond_the_memory_is_refused(regime_file, tmp_path, capsys, command):
+    # 8 d (n + 2 + 2m) = 8 * 3e10 * 182 bytes, 40 TiB: refused before any length-d array.
+    out_dir = tmp_path / "out"
+    assert main_cli([command, "--config", str(regime_file), "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: d = 30000000000 needs 8 d (n + 2 + 2m) = "
+                                   "43680000000000 bytes at n = 100, m = 40, more than the ")
+    assert not out_dir.exists()
+
+
+def test_the_largest_n_and_m_a_command_runs_are_checked(monkeypatch):
+    checked = []
+    monkeypatch.setattr(experiments, "refuse_oversized", lambda *size: checked.append(size))
+    config = parse_config(data={**MINIMAL, "q_list": [2, 4], "grid": {
+        "snr_values": [0.1], "n_values": [8, 30, 12], "steps": 1}})
+    for command in ("dynamics", "heatmap", "q-sweep"):
+        experiments.plan(command, config)
+    assert checked == [(40, 8, 3), (40, 30, 3), (40, 200, 20)]
 
 
 def test_dynamics_emits_run_directory(config_file, tmp_path, capsys):
@@ -69,6 +106,57 @@ def test_dynamics_emits_run_directory(config_file, tmp_path, capsys):
             "trace_label_noise.csv"} <= names
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert set(manifest["files"]) == names - {"manifest.json"}
+
+
+GRID = {"grid": {"snr_values": [0.05, 0.1], "n_values": [8], "steps": 10, "seeds_per_cell": 2}}
+RUNS = {
+    "dynamics": ({"coeff_stride": 10}, []),
+    "heatmap-1": (GRID, ["--workers", "1"]),
+    "heatmap-2": (GRID, ["--workers", "2"]),
+    "noise-compare": ({"noise_list": [{"kind": "flip", "p": 0.2},
+                                      {"kind": "gaussian", "mean": 1.0, "std": 1.0}]}, []),
+    "q-sweep": ({"q_list": [2, 3]}, []),
+}
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_manifest_lists_every_file_with_its_digest(tmp_path, capsys, case):
+    # Exactly the files of the run directory, each with the sha256 of its bytes.
+    overrides, flags = RUNS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**MINIMAL, **overrides}))
+    out_dir = tmp_path / "run"
+    command = case.removesuffix("-1").removesuffix("-2")
+    assert main_cli([command, "--config", str(path), "--out", str(out_dir), *flags]) in (0, 3)
+    files = json.loads((out_dir / "manifest.json").read_text())["files"]
+    assert files == {p.name: sha256_of(p) for p in out_dir.iterdir() if p.name != "manifest.json"}
+    assert len(files) >= 3
+
+
+def test_emit_outputs_reads_no_file_back(config_file, tmp_path, monkeypatch, capsys):
+    # Every digest is taken as its file is written: no file of the run directory is read
+    # while the files and the manifest are written.
+    out_dir = tmp_path / "run"
+    real_open, real_emit = io.open, cli.emit_outputs
+
+    def write_only(file, mode="r", *args, **kwargs):
+        if ("r" in mode or "+" in mode) and isinstance(file, (str, os.PathLike)) \
+                and out_dir in Path(file).parents and os.path.exists(file):
+            raise AssertionError(f"{file} read back")
+        return real_open(file, mode, *args, **kwargs)
+
+    def emit(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", write_only)
+            patch.setattr(io, "open", write_only)
+            return real_emit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_outputs", emit)
+    assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0
+    files = json.loads((out_dir / "manifest.json").read_text())["files"]
+    assert "trace_standard.csv" in files and "coefficients_standard.csv" in files
+    assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir),
+                     "--force"]) == 0
 
 
 def test_dynamics_refuses_overwrite_then_forces(config_file, tmp_path, capsys):
@@ -371,7 +459,7 @@ def test_snapshot_arrays_fit_every_logged_snapshot(steps, log_stride, coeff_stri
         _, summary = read_csv(out_dir / f"coefficients_{label}_summary.csv")
         assert [int(row[0]) for row in summary] == want
         for name in (f"coefficients_{label}.csv", f"coefficients_{label}_summary.csv"):
-            assert files[name] == sha256_file(out_dir / name)
+            assert files[name] == sha256_of(out_dir / name)
 
 
 def strict_constant(name):
@@ -421,7 +509,6 @@ ASSUMPTION_ITEMS = ["i.dimension_vs_n2", "i.dimension_vs_signal", "i.snr_vs_sqrt
                     "ii.width_vs_logd", "ii.samples_vs_logd", "iii.learning_rate",
                     "iv.init_lower", "iv.init_upper", "v.flip_rate_lower", "v.flip_rate_upper"]
 BIG_INIT = "sigma_0 sigma_p sqrt(d) = 3.162 >= 1 makes the stage-1 log nonpositive"
-ZERO_INIT = "sigma_0 sigma_p sqrt(d) = 0 makes the stage-1 log infinite"
 
 
 @pytest.mark.parametrize("command, overrides, expected", [
@@ -436,16 +523,20 @@ ZERO_INIT = "sigma_0 sigma_p sqrt(d) = 0 makes the stage-1 log infinite"
      {"GD": stage("GD", "2763.1021115928547", "434763.10211159283"),
       "LNGD": stage("LNGD", "2763.1021115928547", "NaN",
                     "sigma_0 |mu| = 10 >= 6 makes the stage-2 log nonpositive")}),
-    ("dynamics", {"sigma_0": 0.0}, {"GD": stage("GD", "NaN", "NaN", ZERO_INIT),
-                                    "LNGD": stage("LNGD", "NaN", "NaN", ZERO_INIT)}),
+    ("dynamics", {"sigma_0": 0.0}, "config key 'sigma_0' = 0.0 out of range; allowed: number > 0"),
 ], ids=["check", "valid", "big-init", "big-signal", "zero-init"])
 def test_written_theory_blocks(tmp_path, capsys, command, overrides, expected):
     # The layout of assumption_report.json and of reports.json's stage_times, read with
-    # every float as its written text. A zero init (sigma_0 = 0) trains, emits and reports
-    # NaN stage times like an init too large for the stage-1 log.
+    # every float as its written text. A zero init (sigma_0 = 0), which cannot move, is
+    # refused before the run.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MINIMAL, **overrides}))
     out_dir = tmp_path / "out"
+    if isinstance(expected, str):
+        assert main_cli([command, "--config", str(path), "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out_dir.exists()
+        return
     assert main_cli([command, "--config", str(path), "--out", str(out_dir)]) == 0
     name = "assumption_report.json" if command == "check" else "reports.json"
     written = json.loads((out_dir / name).read_text(), parse_float=str, parse_constant=str)

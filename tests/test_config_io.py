@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,12 @@ from lngd.io import (
     emit_outputs,
     fmt_float,
     refuse_overwrite,
-    sha256_file,
+    write_json,
     write_trace_csv,
 )
 from lngd.training import NOISE_LAWS, TRACE_COLUMNS, TRACE_DTYPE, LabelNoiseSpec
 
-from helpers import paired_run
+from helpers import paired_run, sha256_of
 
 MINIMAL = {"d": 50, "n": 10, "mu_scale": 2.0, "sigma_p": 0.5, "p": 0.1,
            "eta": 0.5, "steps": 20, "seed": 3}
@@ -183,11 +184,10 @@ def tiny_run(seed=3):
 
 
 def artifacts_for(result, config):
-    art = RunArtifactFiles(config=config, command="dynamics")
-    art.traces["trace_standard.csv"] = result.standard.trace
-    art.traces["trace_label_noise.csv"] = result.label_noise.trace
-    art.reports = {"dynamics": result.reports}
-    return art
+    return RunArtifactFiles(config=config, command="dynamics", files={
+        "trace_standard.csv": partial(write_trace_csv, result.standard.trace),
+        "trace_label_noise.csv": partial(write_trace_csv, result.label_noise.trace),
+        "reports.json": partial(write_json, {"dynamics": result.reports})})
 
 
 class TestEmitOutputs:
@@ -211,7 +211,7 @@ class TestEmitOutputs:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["files"] == inventory
         for name, digest in inventory.items():
-            assert sha256_file(tmp_path / name) == digest
+            assert sha256_of(tmp_path / name) == digest
         assert manifest["master_seed"] == config.seed
         assert set(manifest["streams"]) == {"data", "init", "label_noise", "test"}
 
@@ -282,7 +282,7 @@ class TestEmitOutputs:
         art.written.update(dump.close())
         inventory = emit_outputs(art, tmp_path)
         for name in ("coefficients_label_noise.csv", "coefficients_label_noise_summary.csv"):
-            assert inventory[name] == sha256_file(tmp_path / name)  # the digest taken as written
+            assert inventory[name] == sha256_of(tmp_path / name)  # the digest taken as written
         lines = (tmp_path / "coefficients_label_noise.csv").read_text().splitlines()
         assert lines[0] == "step,j,r,i,gamma,rho_bar,rho_under"
         # one row per (step, j, r, i); the column a rho entry does not belong to holds 0

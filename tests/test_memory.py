@@ -1,4 +1,4 @@
-"""Memory properties of a run: no transient copy of the points, the digests or the init, and
+"""Memory properties of a run: no transient copy of the points or the init, and
 no training points held once their products exist."""
 
 import hashlib
@@ -20,7 +20,6 @@ from lngd.cli import main_cli
 from lngd.data import StreamedTestSet, generate_dataset
 from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import axis_aligned_spec, run_dynamics
-from lngd.io import sha256_file
 from lngd.network import reconstruct_weights
 from lngd.streams import derive_seed, stream
 from lngd.training import LabelNoiseSpec
@@ -38,18 +37,6 @@ def test_noise_chunks_share_one_buffer(monkeypatch):
     rest = list(chunks)
     assert [len(x) for x in [first, *rest]] == [3, 3, 3, 1]
     assert all(np.shares_memory(x, first) for x in rest)
-
-
-def test_sha256_file_reads_in_blocks(tmp_path, monkeypatch):
-    data = np.random.default_rng(0).bytes(3 * MIB + 123)  # a partial last block
-    path = tmp_path / "blob"
-    path.write_bytes(data)
-
-    def refuse(self):
-        raise AssertionError("read_bytes loads the whole file")
-
-    monkeypatch.setattr(pathlib.Path, "read_bytes", refuse)
-    assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def test_init_weights_are_not_copied(small_spec, small_dataset):

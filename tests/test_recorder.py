@@ -22,12 +22,12 @@ from lngd.config import parse_config
 from lngd.data import generate_dataset
 from lngd.decomposition import CoefficientStack, iota_all, logistic_loss
 from lngd.experiments import _heatmap_unit, axis_aligned_spec, plan, run_dynamics
-from lngd.io import fmt_float, sha256_file
+from lngd.io import fmt_float
 from lngd.recorder import ForkedRecorder, Recorder
 from lngd.streams import stream
 from lngd.training import TRACE_DTYPE, LabelNoiseSpec
 
-from helpers import paired_run
+from helpers import paired_run, sha256_of
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -121,7 +121,7 @@ def test_both_transports_write_the_same_bytes(case, tmp_path, monkeypatch, capsy
         out = tmp_path / str(fork)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name != "manifest.json"}
         listed = json.loads((out / "manifest.json").read_text())["files"]
-        assert listed == {name: sha256_file(out / name) for name in files}
+        assert listed == {name: sha256_of(out / name) for name in files}
         outcome[fork] = (code, capsys.readouterr().out, files, list(runs))
         no_child_left()
     (code, stdout, files, arms), forked = outcome[False], outcome[True]

@@ -93,6 +93,14 @@ class TestStageTimes:
             assert est[alg]["invalid_reason"] is not None
             assert math.isnan(est[alg]["T1"])
 
+    def test_zero_init_has_no_stage_times(self):
+        # The config refuses sigma_0 = 0; the library still describes it.
+        est = estimate_stage_times(**{**REF, "sigma_0": 0.0}, epsilon=0.05)
+        for alg in ("GD", "LNGD"):
+            assert math.isnan(est[alg]["T1"]) and math.isnan(est[alg]["T2"])
+            assert est[alg]["invalid_reason"] == ("sigma_0 sigma_p sqrt(d) = 0 makes the "
+                                                  "stage-1 log infinite")
+
     def test_gd_requires_epsilon(self):
         with pytest.raises(ValueError):
             estimate_stage_times(**REF, epsilon=None)
