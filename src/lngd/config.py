@@ -160,9 +160,6 @@ def parse_config(path: str | Path | None = None, *, data: dict | None = None,
         data.update({k: v for k, v in overrides.items() if v is not None})
 
     values, defaults_applied = _section(data)
-    if values["steps"] > 0 and values["log_stride"] > values["steps"]:
-        raise ConfigError(f"log_stride = {values['log_stride']} exceeds steps = "
-                          f"{values['steps']}; allowed: integer in [1, steps]")
     if values["noise"] is None:
         values["noise"] = LabelNoiseSpec.flip(float(values["p"]))
         if "noise" in defaults_applied:

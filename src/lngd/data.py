@@ -7,14 +7,11 @@ label and its noise row: a ``Dataset`` is the (n,) labels and the
 (n + 1, d) block of noise rows followed by mu. The noise is sampled by
 explicit projection of an isotropic Gaussian, in place, which realizes the
 rank-(d-1) covariance sigma_p^2 (I - mu mu^T / |mu|^2) exactly at O(d) cost
-per draw. A test set is drawn in 4 MiB row chunks. A training set that
-drops its points once its products exist draws them again from its stream
-when they are next read.
+per draw. A test set is drawn in 4 MiB row chunks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +22,6 @@ __all__ = [
     "Dataset",
     "StreamedTestSet",
     "generate_dataset",
-    "redrawable_dataset",
 ]
 
 
@@ -89,33 +85,24 @@ class Dataset:
 
     ``points`` holds xi_1..xi_n, then mu, so the training points' products
     are one gemm with the noise rows (numpy computes X X^T alone with syrk,
-    whose last bits differ). ``generate_dataset`` draws into it.
-
-    A dataset from ``redrawable_dataset`` may ``drop_points`` once its
-    products exist: it keeps its labels, its spec and |xi_i|^2, and the
-    next read of ``points`` draws them again, bit for bit, from its stream.
+    whose last bits differ). ``generate_dataset`` draws into it. Once the
+    products exist, ``drop_points`` releases the block: labels, spec and
+    |xi_i|^2 stay, and a later read of the points raises.
     """
 
     def __init__(self, labels: np.ndarray, points: np.ndarray, spec: SignalSpec):
         self.labels = labels
         self.spec = spec
         self._points = points
-        self._redraw = None  # () -> a generator in the state the points were drawn from
 
     def __len__(self) -> int:
         return len(self.labels)
 
     @property
     def points(self) -> np.ndarray:
-        """The (n + 1, d) block, drawn again on the first read after ``drop_points``."""
+        """The (n + 1, d) block; RuntimeError after ``drop_points``."""
         if self._points is None:
-            if self._redraw is None:
-                raise RuntimeError("this dataset's points were dropped and have no stream "
-                                   "to be drawn again from")
-            again = generate_dataset(self.spec, len(self), self._redraw())
-            if not np.array_equal(again.labels, self.labels):
-                raise RuntimeError("the redrawn dataset does not match the dropped one")
-            self._points = again._points
+            raise RuntimeError("this dataset's points were dropped once their products existed")
         return self._points
 
     @property
@@ -145,15 +132,6 @@ def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Data
     _project_noise(spec, rng.standard_normal(out=points[:n]))
     points[n] = spec.mu
     return Dataset(labels=labels, points=points, spec=spec)
-
-
-def redrawable_dataset(spec: SignalSpec, n: int,
-                       make_rng: Callable[[], np.random.Generator]) -> Dataset:
-    """``generate_dataset(spec, n, make_rng())``, whose points, once dropped, are drawn
-    again from a fresh ``make_rng()``."""
-    dataset = generate_dataset(spec, n, make_rng())
-    dataset._redraw = make_rng
-    return dataset
 
 
 class StreamedTestSet:

@@ -97,6 +97,16 @@ class CoefficientStack:
             for a in range(arms)
         ]
 
+    def rho_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat offsets into ``coef`` of each arm's rho_bar (y_i == j) and rho_under
+        (y_i != j) entries: two (A, n m) arrays, each row in (j, r, i) order."""
+        n, arms = self.drho.shape[:2]
+        # at[a, j, r, i] is the offset of coef[i, a, (j, r)], arm a's rho_{j,r,i}.
+        at = np.arange(self.coef.size).reshape(self.coef.shape)[:n].transpose(1, 2, 0)
+        at = at.reshape(arms, 2, -1, n)
+        same = np.broadcast_to(self.same_class[:, None, :], at.shape[1:])
+        return at[:, same], at[:, ~same]
+
 
 @dataclass(frozen=True)
 class SpanProducts:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, FullConfig
-from .data import SignalSpec, StreamedTestSet, redrawable_dataset
+from .data import SignalSpec, StreamedTestSet, generate_dataset
 from .io import CoefficientDump
 from .decomposition import CoefficientStack, SpanProducts
 from .network import init_network
@@ -126,10 +126,14 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
     entry; ``q-sweep`` one run per ``q_list`` value at its reference settings
     and ``heatmap`` one run per (row, col, seed) unit of ``grid``, with
     |mu| = snr * sigma_p * sqrt(d), each against ``config.noise``. Raises
-    ConfigError, before anything trains, where the config lacks the
-    command's section, names a q without reference settings, gives two
-    arms one trace file, or fails ``refuse_oversized`` at its largest n and m.
+    ConfigError, before anything trains, where a ``log_stride`` exceeds
+    ``steps`` (``heatmap`` reads neither), where the config lacks the
+    command's section, names a q without reference settings, gives two arms
+    one trace file, or fails ``refuse_oversized`` at its largest n and m.
     """
+    if command != "heatmap" and 0 < config.steps < config.log_stride:
+        raise ConfigError(f"log_stride = {config.log_stride} exceeds steps = {config.steps}; "
+                          f"allowed: integer in [1, steps]")
     shared = dict(n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0, eta=config.eta,
                   steps=config.steps, seed=config.seed, log_stride=config.log_stride,
                   n_test=config.n_test)
@@ -204,18 +208,19 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
     recorder reads it, or its copy in a child. The test set's products are
     built by the trace recorder (``lngd.recorder``), in a child process when
     ``fork_recorder`` and a second core allow it; the training products are
-    computed here, after the recorder starts, and the dataset then drops its
-    points (a later read, as ``arm.net`` makes, draws them again from the
-    ``data`` stream). The arms advance together on the products in one
-    ``run_training`` call; arm ``idx`` draws from its own multiplier stream.
-    The test set is streamed, not kept;
-    ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws it.
+    computed here, after the recorder starts. A run given no observers then
+    drops its training points; observers read weights, and so points, while
+    the arms train, so a run given them keeps its points (``arm.net`` reads
+    them). The arms advance together on the products in one ``run_training``
+    call; arm ``idx`` draws from its own multiplier stream. The test set is
+    streamed, not kept; ``generate_dataset(spec, n_test, stream(seed, "test"))``
+    redraws it.
     Given ``dump_dir`` and a ``coeff_stride``, the recorder writes each arm's
     coefficient dump there (``io.CoefficientDump``) while the arms train;
     ``arm.files`` holds the digests.
     """
     seed, steps = run.seed, run.steps
-    dataset = redrawable_dataset(run.spec, run.n, lambda: stream(seed, "data"))
+    dataset = generate_dataset(run.spec, run.n, stream(seed, "data"))
     test_set = StreamedTestSet(run.spec, run.n_test, stream(seed, "test"))
     w0 = init_network(run.spec.d, run.m, run.q, run.sigma_0, stream(seed, "init")).weights
     w0.flags.writeable = False  # every arm's state holds this array
@@ -229,7 +234,8 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
                               log_count(steps, run.log_stride), dumps, may_fork=fork_recorder)
     try:
         products = SpanProducts.of([dataset.points], run.n + 1, dataset, w0)
-        dataset.drop_points()
+        if not observers:
+            dataset.drop_points()
         return run_training(stack, run.q, dataset, products, recorder, arms, eta=run.eta,
                             steps=steps, log_stride=run.log_stride)
     finally:

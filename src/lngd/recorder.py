@@ -55,11 +55,7 @@ class Recorder:
         self.q = q
         self.stack = stack
         n, arms, two_m = stack.drho.shape
-        # at[a, j, r, i] is where arm a's rho_{j,r,i} sits in stack.coef, read in (j, r, i) order.
-        at = (np.arange(n) * arms * two_m + np.arange(two_m)[:, None] + two_m
-              * np.arange(arms)[:, None, None]).reshape(arms, 2, -1, n)
-        same = np.broadcast_to(stack.same_class[:, None, :], at.shape[1:])
-        self.rho_bar_at, self.rho_under_at = at[:, same], at[:, ~same]
+        self.rho_bar_at, self.rho_under_at = stack.rho_offsets()
         self.pre = np.empty((len(test_labels), arms, two_m))
         self.rows = np.recarray((arms, logs), dtype=TRACE_DTYPE)
         self.iota = np.empty((arms, logs, n))

@@ -223,8 +223,8 @@ class RunArtifacts:
 
     @cached_property
     def net(self):
-        """The final network, its weights rebuilt from the coefficients on first read (a
-        dataset that dropped its points draws them again for it)."""
+        """The final network, its weights rebuilt from the coefficients and the dataset's
+        points on first read."""
         # Imported here, not at module level: network imports this module.
         from .network import Network, reconstruct_weights
 

@@ -1,6 +1,7 @@
 """Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, training on
 explicit points (the stack, the products and the recorder ``run_training`` reads, built as in
-``experiments.run_paired``), and the sha256 of a file's bytes."""
+``experiments.run_paired``), observers that keep a run's points, and the sha256 of a file's
+bytes."""
 
 import hashlib
 from pathlib import Path
@@ -18,6 +19,12 @@ def paired_run(spec, *, n, m, q, sigma_0, eta, steps, noise, seed, log_stride=10
                      log_stride=log_stride, n_test=n_test,
                      arms=(("standard", LabelNoiseSpec.none()), ("label_noise", noise)),
                      coeff_stride=coeff_stride)
+
+
+def keep_points(run):
+    """An observer per arm of ``run`` that does nothing: a run given observers keeps its
+    training points, so that ``arm.net`` can rebuild the weights."""
+    return {label: lambda *_: None for label, _ in run.arms}
 
 
 def sha256_of(path) -> str:

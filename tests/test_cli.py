@@ -98,6 +98,30 @@ def test_the_largest_n_and_m_a_command_runs_are_checked(monkeypatch):
     assert checked == [(40, 8, 3), (40, 30, 3), (40, 200, 20)]
 
 
+SHORT = {"d": 40, "n": 8, "mu_scale": 1.0, "sigma_p": 0.5, "p": 0.1, "eta": 0.1, "steps": 5,
+         "seed": 1, "grid": {"snr_values": [1.0], "n_values": [8], "steps": 5,
+                             "seeds_per_cell": 1}}
+
+
+@pytest.mark.parametrize("command, code", [("check", 0), ("concentration", 0), ("heatmap", 0),
+                                           ("dynamics", 1), ("noise-compare", 1),
+                                           ("q-sweep", 1)])
+def test_only_commands_that_log_by_stride_refuse_one_above_steps(command, code, tmp_path,
+                                                                 capsys):
+    # 5 steps and the default log_stride 10: check and concentration never log, and
+    # heatmap logs at the end of grid.steps.
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT))
+    out_dir = tmp_path / "out"
+    trials = ["--trials", "100"] if command == "concentration" else []
+    assert main_cli([command, "--config", str(path), "--out", str(out_dir), *trials]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == ("error: log_stride = 10 exceeds steps = 5; allowed: integer in "
+                       "[1, steps]\n")
+        assert not out_dir.exists()
+
+
 def test_dynamics_emits_run_directory(config_file, tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0

@@ -5,7 +5,6 @@ from lngd.data import (
     SignalSpec,
     StreamedTestSet,
     generate_dataset,
-    redrawable_dataset,
 )
 from lngd.data import _project_noise
 from lngd.decomposition import SpanProducts
@@ -111,24 +110,16 @@ class TestGenerateDataset:
         assert np.shares_memory(ds.noise_matrix, ds.points)
         assert rng.random() == replay.random()
 
-    def test_dropped_points_are_drawn_again_from_the_stream(self, small_spec):
-        ds = redrawable_dataset(small_spec, 6, lambda: np.random.default_rng(21))
-        points, norms = ds.points.copy(), ds.xi_norms_sq
-        ds.drop_points()
-        assert ds.xi_norms_sq is norms
-        assert ds.points.tobytes() == points.tobytes()
-        assert ds.points is ds.points  # drawn once, then kept
-
-    def test_dropped_points_need_the_same_stream(self, small_spec):
+    def test_dropped_points_refuse_and_the_rest_stays(self, small_spec):
         ds = generate_dataset(small_spec, 6, np.random.default_rng(21))
-        ds.drop_points()
-        with pytest.raises(RuntimeError, match="no stream"):
-            ds.noise_matrix
-        seeds = iter([21, 22])
-        ds = redrawable_dataset(small_spec, 20, lambda: np.random.default_rng(next(seeds)))
-        ds.drop_points()
-        with pytest.raises(RuntimeError, match="does not match"):
-            ds.points
+        kept = generate_dataset(small_spec, 6, np.random.default_rng(21))
+        ds.drop_points()  # |xi_i|^2 was not read before: the drop computes it
+        for read in ("points", "noise_matrix"):
+            with pytest.raises(RuntimeError, match="dropped"):
+                getattr(ds, read)
+        assert np.array_equal(ds.labels, kept.labels) and len(ds) == 6
+        assert ds.xi_norms_sq.tobytes() == kept.xi_norms_sq.tobytes()
+        assert ds.spec is small_spec
 
     @pytest.mark.parametrize("d, n_test", [(60, 1), (60, 50), (2000, 600), (100_000, 13)],
                              ids=["one_point", "under_one_chunk", "ragged_last_chunk",

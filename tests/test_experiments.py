@@ -24,7 +24,7 @@ from lngd.network import init_network
 from lngd.streams import derive_seed, stream
 from lngd.training import Arm, LabelNoiseSpec
 
-from helpers import paired_run, train_on_points
+from helpers import keep_points, paired_run, train_on_points
 
 SMALL = dict(n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20, log_stride=10, n_test=40)
 TINY = dict(d=40, mu_scale=1.5, sigma_p=0.5, p=0.2)  # tiny_spec's config keys
@@ -46,8 +46,8 @@ class TestRunDynamics:
             result.label_noise.trace.rows[0].test_error_01
 
     def test_zero_flip_rate_arms_identical(self, tiny_spec):
-        result = run_dynamics(paired_run(tiny_spec, noise=LabelNoiseSpec.flip(0.0), seed=5,
-                                         **SMALL))
+        run = paired_run(tiny_spec, noise=LabelNoiseSpec.flip(0.0), seed=5, **SMALL)
+        result = run_dynamics(run, observers=keep_points(run))
         assert np.array_equal(result.standard.trace.rows, result.label_noise.trace.rows)
         assert np.array_equal(result.standard.net.weights, result.label_noise.net.weights)
 
@@ -264,7 +264,7 @@ class TestQSweep:
         assert [run.q for run in runs] == [2, 3]
         for run in runs:
             assert (run.eta, run.m, run.n) == Q_SWEEP_DEFAULTS[run.q][:3]
-            for arm in run_paired(run):
+            for arm in run_paired(run, observers=keep_points(run)):
                 assert arm.net.q == run.q
 
     def test_unknown_q_rejected(self):

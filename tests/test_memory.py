@@ -20,7 +20,6 @@ from lngd.cli import main_cli
 from lngd.data import StreamedTestSet, generate_dataset
 from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import axis_aligned_spec, run_dynamics
-from lngd.network import reconstruct_weights
 from lngd.streams import derive_seed, stream
 from lngd.training import LabelNoiseSpec
 
@@ -98,6 +97,33 @@ POINT_FREE = {
 }
 
 
+def note(log, line):
+    """Append ``line`` to ``log`` with this process's id, so forked children's calls count too."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {line}\n")
+
+
+def noted(log, name, fn):
+    return lambda *args, **kwargs: note(log, name) or fn(*args, **kwargs)
+
+
+def noted_calls(log):
+    """(made by this process, what) of every line of ``log``, in order."""
+    lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    return [(int(pid) == os.getpid(), what) for pid, what in lines]
+
+
+def note_draws(monkeypatch, log):
+    """Note every ``generate_dataset`` call in ``lngd``, under each name a module holds it by."""
+    real = data.generate_dataset
+    draw = noted(log, "draw", real)
+    for name, module in list(sys.modules.items()):
+        if name == "lngd" or name.startswith("lngd."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, draw)
+
+
 @pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
 @pytest.mark.parametrize("command", POINT_FREE)
 def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_path,
@@ -105,21 +131,13 @@ def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_pat
     # Every draw, drop and test-product build is logged with its process id, so the
     # forked recorder's calls count too.
     log = tmp_path / "calls.log"
-
-    def note(line):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {line}\n")
-
-    def logged(name, fn):
-        return lambda *args, **kwargs: note(name) or fn(*args, **kwargs)
-
-    monkeypatch.setattr(data, "generate_dataset", logged("draw", data.generate_dataset))
-    monkeypatch.setattr(data.Dataset, "drop_points", logged("drop", data.Dataset.drop_points))
+    note_draws(monkeypatch, log)
+    monkeypatch.setattr(data.Dataset, "drop_points", noted(log, "drop", data.Dataset.drop_points))
     real_init = recorder.Recorder.__init__
 
     def init(self, *args, **kwargs):
         real_init(self, *args, **kwargs)
-        note("test-products " + digest(self.test.span, self.test.w0))
+        note(log, "test-products " + digest(self.test.span, self.test.w0))
 
     monkeypatch.setattr(recorder.Recorder, "__init__", init)
     monkeypatch.setattr(recorder, "worker_budget", lambda: 2 if fork else 1)
@@ -134,13 +152,9 @@ def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_pat
     assert main_cli([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     capsys.readouterr()
 
-    def calls():
-        lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
-        return [(int(pid) == os.getpid(), what) for pid, what in lines]
-
     seeds = ([config["seed"]] if command == "dynamics" else
              [derive_seed(config["seed"], 0, col, 0) for col in (0, 1)])
-    during = calls()
+    during = noted_calls(log)
     here = [what for mine, what in during if mine]
     child = [what for mine, what in during if not mine]
     assert [what for what in here if what in ("draw", "drop")] == ["draw", "drop"] * len(seeds)
@@ -153,13 +167,30 @@ def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_pat
         assert all(arm.dataset is dataset for arm in arms)
         fresh = generate_dataset(dataset.spec, len(dataset), stream(seed, "data"))
         assert np.array_equal(dataset.labels, fresh.labels)
-        for arm in arms:  # the first read draws the points again, once
-            want = np.hstack(reconstruct_weights(arm.state, fresh))
-            assert arm.net.weights.tobytes() == want.tobytes()
-        assert dataset.points.tobytes() == fresh.points.tobytes()
+        for arm in arms:  # the points are gone: no weights, and no second draw
+            with pytest.raises(RuntimeError, match="dropped"):
+                arm.net
+        with pytest.raises(RuntimeError, match="dropped"):
+            dataset.points
         assert dataset.xi_norms_sq.tobytes() == fresh.xi_norms_sq.tobytes()
         w0 = arms[0].state.w0
         test = StreamedTestSet(dataset.spec, config["n_test"], stream(seed, "test"))
         want = SpanProducts.of(test.noise_chunks(), config["n_test"], fresh, w0)
         assert test_digest == digest(want.span, want.w0)
-    assert calls()[len(during):] == [(True, "draw")] * len(seeds)
+    assert noted_calls(log) == during
+
+
+@pytest.mark.parametrize("fork", [False, True], ids=["in-process", "forked"])
+def test_decompose_draws_the_training_set_once(fork, tmp_path, monkeypatch, capsys):
+    # decompose's observers read points while the arms train, so its run keeps the
+    # points it drew instead of drawing them again.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(POINT_FREE["dynamics"]))
+    run_dir = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(path), "--out", str(run_dir)]) == 0
+    log = tmp_path / "calls.log"
+    note_draws(monkeypatch, log)
+    monkeypatch.setattr(recorder, "worker_budget", lambda: 2 if fork else 1)
+    assert main_cli(["decompose", "--run", str(run_dir), "--assert"]) == 0
+    capsys.readouterr()
+    assert noted_calls(log) == [(True, "draw")]

@@ -14,14 +14,15 @@ from lngd.network import projection_check
 from lngd.theory import empirical_verdicts
 from lngd.training import LabelNoiseSpec
 
-from helpers import paired_run
+from helpers import keep_points, paired_run
 
 
 @pytest.fixture(scope="module")
 def reference_run():
     spec = axis_aligned_spec(2.0, 0.5, 2000)
-    return run_dynamics(paired_run(spec, n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000,
-                                   noise=LabelNoiseSpec.flip(0.1), seed=11, log_stride=100))
+    run = paired_run(spec, n=200, m=20, q=2, sigma_0=0.01, eta=0.5, steps=2000,
+                     noise=LabelNoiseSpec.flip(0.1), seed=11, log_stride=100)
+    return run_dynamics(run, observers=keep_points(run))  # the projection checks read points
 
 
 def test_memorization_dominates_standard_gd(reference_run):

@@ -14,7 +14,7 @@ from lngd.network import (
 )
 from lngd.training import Arm, LabelNoiseSpec, run_training, sample_multipliers
 
-from helpers import paired_run, point_recorder, train_on_points, train_products
+from helpers import keep_points, paired_run, point_recorder, train_on_points, train_products
 
 
 class TestLabelNoiseSpec:
@@ -249,12 +249,14 @@ class TestRunTraining:
 
 
 class TestTrainRun:
-    """Seed-derived runs through ``run_dynamics``, the entry point that draws data and init."""
+    """Seed-derived runs through ``run_dynamics``, the entry point that draws data and init;
+    each keeps its points for the weights and the dataset checks."""
 
     def run(self, spec, steps=20, noise=None, seed=11):
-        return run_dynamics(paired_run(spec, n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=steps,
-                                       noise=noise or LabelNoiseSpec.flip(0.2), seed=seed,
-                                       log_stride=10, n_test=50))
+        run = paired_run(spec, n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=steps,
+                         noise=noise or LabelNoiseSpec.flip(0.2), seed=seed, log_stride=10,
+                         n_test=50)
+        return run_dynamics(run, observers=keep_points(run))
 
     def test_deterministic_traces(self, small_spec):
         a, b = self.run(small_spec), self.run(small_spec)
