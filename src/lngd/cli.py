@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, FullConfig, parse_config
-from .cores import blas_threads, usable_cores
 from .experiments import (
     arm_noise_rng,
     axis_aligned_spec,
@@ -121,7 +120,7 @@ def _run_files(config: FullConfig, command: str, started: str, paired, reports: 
 
 def _cmd_dynamics(config: FullConfig, started: str, out_dir: Path):
     [run] = plan("dynamics", config)
-    result = run_dynamics(run, epsilon=config.epsilon, c_test=config.c_test, dump_dir=out_dir)
+    result = run_dynamics(run, dump_dir=out_dir)
     arms = (result.standard, result.label_noise)
     artifacts, aborted = _run_files(config, "dynamics", started, [(run, arms)],
                                     {"dynamics": result.reports})
@@ -137,13 +136,6 @@ def _cmd_dynamics(config: FullConfig, started: str, out_dir: Path):
 
 
 def _cmd_heatmap(config: FullConfig, started: str, out_dir: Path):
-    plan("heatmap", config)  # refuses a config without a grid before the note below
-    cores = usable_cores()
-    blas = blas_threads(cores)
-    if config.workers > 1 and config.workers * blas > cores:
-        print(f"note: {config.workers} workers x {blas} BLAS threads exceed the {cores} "
-              "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
-              file=sys.stderr)
     result = run_heatmap(config)
     cells, gaps = [], []
     for key, snr, n, _, stats in result.by_cell():
@@ -264,8 +256,7 @@ def _cmd_decompose(args) -> int:
     observers = {label: recon_observer(idx, label, noise)
                  for idx, (label, noise) in enumerate(run.arms)}
     with tempfile.TemporaryDirectory() as tmp:
-        result = run_dynamics(run, epsilon=config.epsilon, c_test=config.c_test,
-                              observers=observers, dump_dir=Path(tmp))
+        result = run_dynamics(run, observers=observers, dump_dir=Path(tmp))
         artifacts, _ = _run_files(config, command, now_utc(),
                                   [(run, (result.standard, result.label_noise))],
                                   {"dynamics": result.reports})

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import traceback
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, FullConfig
+from .cores import blas_threads, usable_cores
 from .data import SignalSpec, StreamedTestSet, generate_dataset
 from .io import CoefficientDump
 from .decomposition import CoefficientStack, SpanProducts
@@ -80,29 +82,23 @@ def _slug(label: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in label).strip("_")
 
 
-@dataclass(frozen=True)
-class PairedRun:
-    """One paired run: its arms share the data, the init and the test set.
+@dataclass(frozen=True, kw_only=True)
+class PairedRun(FullConfig):
+    """One paired run: a config and the arms it trains on one data, init and test set.
 
     ``arms`` lists (label, noise) in stream order: arm ``idx`` draws its
     multipliers from ``arm_noise_rng(seed, idx, noise)``. Arm ``label``'s
-    trace goes to ``trace_file(label)``; ``coeff_stride`` 0 means no
-    coefficient dump.
+    trace goes to ``trace_file(label)``.
     """
 
-    spec: SignalSpec
-    n: int
-    m: int
-    q: int
-    sigma_0: float
-    eta: float
-    steps: int
-    seed: int
-    log_stride: int
-    n_test: int
     arms: tuple[tuple[str, LabelNoiseSpec], ...]
     name: str = ""
-    coeff_stride: int = 0
+
+    @cached_property
+    def spec(self) -> SignalSpec:
+        """The signal of ``mu_scale``, built on first read so that ``plan`` makes no
+        length-d array."""
+        return axis_aligned_spec(self.mu_scale, self.sigma_p, self.d)
 
     def trace_file(self, label: str) -> str:
         return f"trace_{self.name}{_slug(label)}.csv"
@@ -110,16 +106,17 @@ class PairedRun:
 
 ALGORITHMS = ("standard", "label_noise")  # a paired run's arms; HeatmapResult's last axis
 
+# The reference settings of each q the q-sweep runs.
 Q_SWEEP_DEFAULTS = {
-    # q: (eta, m, n, mu_scale, sigma_p)
-    2: (0.5, 20, 200, 2.0, 0.5),
-    3: (0.5, 20, 200, 2.0, 0.5),
-    4: (0.1, 20, 50, 5.0, 0.5),
+    2: {"eta": 0.5, "m": 20, "n": 200, "mu_scale": 2.0, "sigma_p": 0.5},
+    3: {"eta": 0.5, "m": 20, "n": 200, "mu_scale": 2.0, "sigma_p": 0.5},
+    4: {"eta": 0.1, "m": 20, "n": 50, "mu_scale": 5.0, "sigma_p": 0.5},
 }
 
 
 def plan(command: str, config: FullConfig) -> list[PairedRun]:
-    """The paired runs of a run command on ``config``, in the order they train and report.
+    """The paired runs of a run command on ``config``, in the order they train and report;
+    each is ``config`` with the arms it trains and the keys the command overrides.
 
     ``dynamics`` is one run of standard GD against ``config.noise``;
     ``noise-compare`` one run of a standard arm and an arm per ``noise_list``
@@ -134,37 +131,25 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
     if command != "heatmap" and 0 < config.steps < config.log_stride:
         raise ConfigError(f"log_stride = {config.log_stride} exceeds steps = {config.steps}; "
                           f"allowed: integer in [1, steps]")
-    shared = dict(n=config.n, m=config.m, q=config.q, sigma_0=config.sigma_0, eta=config.eta,
-                  steps=config.steps, seed=config.seed, log_stride=config.log_stride,
-                  n_test=config.n_test)
-
-    def run_of(mu_scale: float, arms, sigma_p: float = config.sigma_p, **fields) -> dict:
-        """The fields of a run of ``arms`` on |mu| = ``mu_scale``, its signal as
-        (mu_scale, sigma_p); ``fields`` override ``shared``."""
-        return {**shared, "spec": (mu_scale, sigma_p), "arms": tuple(arms), **fields}
-
-    def against_standard(noise: LabelNoiseSpec):
-        return zip(ALGORITHMS, (LabelNoiseSpec.none(), noise))
-
+    base = PairedRun(**vars(config), arms=tuple(zip(ALGORITHMS, (LabelNoiseSpec.none(),
+                                                                  config.noise))))
     if command == "heatmap":
         grid = config.grid
         if grid is None:
             raise ConfigError("heatmap requires a 'grid' section in the config")
         shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
-        runs = [run_of(grid["snr_values"][row] * config.sigma_p * math.sqrt(config.d),
-                       against_standard(config.noise), n=grid["n_values"][col],
-                       eta=grid["eta"], steps=grid["steps"], log_stride=grid["steps"],
-                       seed=derive_seed(config.seed, row, col, s))
+        runs = [replace(base, mu_scale=grid["snr_values"][row] * config.sigma_p
+                        * math.sqrt(config.d), n=grid["n_values"][col], eta=grid["eta"],
+                        steps=grid["steps"], log_stride=grid["steps"],
+                        seed=derive_seed(config.seed, row, col, s))
                 for row, col, s in np.ndindex(shape)]
     elif command == "dynamics":
-        runs = [run_of(config.mu_scale, against_standard(config.noise),
-                       coeff_stride=config.coeff_stride)]
+        runs = [base]
     elif command == "noise-compare":
         if not config.noise_list:
             raise ConfigError("noise-compare requires a 'noise_list' section in the config")
-        runs = [run_of(config.mu_scale, [("standard", LabelNoiseSpec.none()),
-                                         *((noise.describe(), noise)
-                                           for noise in config.noise_list)])]
+        runs = [replace(base, arms=(("standard", LabelNoiseSpec.none()),
+                                    *((noise.describe(), noise) for noise in config.noise_list)))]
     elif command == "q-sweep":
         qs = config.q_list or tuple(Q_SWEEP_DEFAULTS)
         unknown = [q for q in qs if q not in Q_SWEEP_DEFAULTS]
@@ -172,17 +157,11 @@ def plan(command: str, config: FullConfig) -> list[PairedRun]:
             raise ConfigError(f"q_list: no reference hyperparameters for "
                               f"{', '.join(f'q={q}' for q in unknown)}; "
                               f"allowed: {sorted(Q_SWEEP_DEFAULTS)}")
-        runs = []
-        for q in qs:
-            eta, m, n, mu_scale, sigma_p = Q_SWEEP_DEFAULTS[q]
-            runs.append(run_of(mu_scale, against_standard(config.noise),
-                               sigma_p, q=q, eta=eta, m=m, n=n,
-                               seed=derive_seed(config.seed, q), name=f"q{q}_"))
+        runs = [replace(base, q=q, seed=derive_seed(config.seed, q), name=f"q{q}_",
+                        **Q_SWEEP_DEFAULTS[q]) for q in qs]
     else:
         raise ValueError(f"{command!r} runs no paired runs")
-    refuse_oversized(config.d, max(run["n"] for run in runs), max(run["m"] for run in runs))
-    runs = [PairedRun(**{**run, "spec": axis_aligned_spec(*run["spec"], config.d)})
-            for run in runs]
+    refuse_oversized(config.d, max(run.n for run in runs), max(run.m for run in runs))
     # Heatmap units write no trace file.
     names = [] if command == "heatmap" else [run.trace_file(label) for run in runs
                                              for label, _ in run.arms]
@@ -215,8 +194,8 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
     call; arm ``idx`` draws from its own multiplier stream. The test set is
     streamed, not kept; ``generate_dataset(spec, n_test, stream(seed, "test"))``
     redraws it.
-    Given ``dump_dir`` and a ``coeff_stride``, the recorder writes each arm's
-    coefficient dump there (``io.CoefficientDump``) while the arms train;
+    Given ``dump_dir``, the recorder writes each arm's coefficient dump there,
+    every ``coeff_stride`` steps (``io.CoefficientDump``) while the arms train;
     ``arm.files`` holds the digests.
     """
     seed, steps = run.seed, run.steps
@@ -227,7 +206,7 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(run.arms)]
     stack = CoefficientStack(dataset, w0, len(arms))
-    dumps = [] if dump_dir is None or not run.coeff_stride else [
+    dumps = [] if dump_dir is None else [
         CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", stack.same_class,
                         run.coeff_stride, steps) for label, _ in run.arms]
     recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, run.q,
@@ -242,15 +221,15 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
         recorder.close()
 
 
-def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
-                 observers: dict | None = None, dump_dir: Path | None = None) -> DynamicsResult:
-    """The standard-GD and label-noise-GD arms of ``run``, with reports; the coefficient
-    dumps go to ``dump_dir``, if given (see ``run_paired``)."""
+def run_dynamics(run: PairedRun, *, observers: dict | None = None,
+                 dump_dir: Path | None = None) -> DynamicsResult:
+    """The standard-GD and label-noise-GD arms of ``run``, with reports at its ``epsilon``
+    and ``c_test``; the coefficient dumps go to ``dump_dir``, if given (see ``run_paired``)."""
     arms = run_paired(run, observers=observers, dump_dir=dump_dir)
     standard, label_noise = arms
     spec = run.spec
     stages = estimate_stage_times(spec.mu_norm, spec.sigma_p, spec.d, run.n, run.m, run.eta,
-                                  run.sigma_0, epsilon)
+                                  run.sigma_0, run.epsilon)
     reports: dict = {"stage_times": stages}
     t1 = stages["GD"]["T1"]
     for arm in arms:
@@ -260,7 +239,7 @@ def run_dynamics(run: PairedRun, *, epsilon: float = 0.05, c_test: float = 1.0,
         entry = {
             "coefficient_envelope": coefficient_envelope_monitor(arm.trace, run.steps),
             "verdicts": empirical_verdicts(arm.trace, arm.noise.draws, run.n, spec.d,
-                                           epsilon=epsilon, c_test=c_test),
+                                           epsilon=run.epsilon, c_test=run.c_test),
         }
         if not math.isnan(t1) and arm.trace.final.step >= t1:
             entry["stage2_boundedness"] = stage2_boundedness_check(
@@ -336,11 +315,18 @@ def _unit_outcome(unit) -> list:
 
 def run_heatmap(config: FullConfig) -> HeatmapResult:
     """Evaluate every (snr, n, seed) unit of ``plan("heatmap", config)`` on
-    ``config.workers`` processes; failures are recorded, not fatal."""
+    ``config.workers`` processes; failures are recorded, not fatal. A pool whose
+    workers' BLAS threads exceed the usable cores is noted on stderr before it starts."""
     runs = plan("heatmap", config)
     grid = config.grid
     shape = (len(grid["snr_values"]), len(grid["n_values"]), grid["seeds_per_cell"])
     if config.workers > 1:
+        cores = usable_cores()
+        blas = blas_threads(cores)
+        if config.workers * blas > cores:
+            print(f"note: {config.workers} workers x {blas} BLAS threads exceed the {cores} "
+                  "usable cores; set OPENBLAS_NUM_THREADS=1 or use fewer workers",
+                  file=sys.stderr)
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:

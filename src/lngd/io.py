@@ -147,13 +147,15 @@ def write_heatmap_csv(heatmap, path: Path) -> str:
 
 
 def write_heatmap_aggregate_csv(heatmap, path: Path) -> str:
-    """One row per cell: mean and std of each algorithm's finished seeds, and the standard count."""
+    """One row per cell: mean and std of each algorithm's finished seeds, the standard count
+    in ``seeds`` and the label-noise count in ``label_noise_seeds``."""
     header = ["snr", "n", "standard_mean", "standard_std", "label_noise_mean",
-              "label_noise_std", "seeds"]
+              "label_noise_std", "seeds", "label_noise_seeds"]
     rows = []
     for _, snr, n, _, stats in heatmap.by_cell():
-        (gd_mean, gd_std, seeds), (ln_mean, ln_std, _) = stats["standard"], stats["label_noise"]
-        rows.append((snr, n, gd_mean, gd_std, ln_mean, ln_std, seeds))
+        (gd_mean, gd_std, seeds), (ln_mean, ln_std, ln_seeds) = (stats["standard"],
+                                                                 stats["label_noise"])
+        rows.append((snr, n, gd_mean, gd_std, ln_mean, ln_std, seeds, ln_seeds))
     return _write_csv(path, header, rows)
 
 

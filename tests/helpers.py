@@ -6,6 +6,7 @@ bytes."""
 import hashlib
 from pathlib import Path
 
+from lngd.config import parse_config
 from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import PairedRun
 from lngd.recorder import Recorder
@@ -14,11 +15,15 @@ from lngd.training import LabelNoiseSpec, log_count, run_training
 
 def paired_run(spec, *, n, m, q, sigma_0, eta, steps, noise, seed, log_stride=10, n_test=2000,
                coeff_stride=100):
-    """Standard GD against ``noise``, as ``plan("dynamics", config)`` describes it."""
-    return PairedRun(spec, n=n, m=m, q=q, sigma_0=sigma_0, eta=eta, steps=steps, seed=seed,
-                     log_stride=log_stride, n_test=n_test,
-                     arms=(("standard", LabelNoiseSpec.none()), ("label_noise", noise)),
-                     coeff_stride=coeff_stride)
+    """Standard GD against ``noise`` on the axis-aligned ``spec``, as ``plan("dynamics",
+    config)`` describes it: the config of these keys, with |mu| read as ``spec.mu[0]``."""
+    assert spec.mu.shape == (spec.d,) and not spec.mu[1:].any(), "spec is not axis-aligned"
+    config = parse_config(data=dict(
+        d=spec.d, n=n, mu_scale=float(spec.mu[0]), sigma_p=spec.sigma_p, p=noise.p, eta=eta,
+        steps=steps, seed=seed, m=m, q=q, sigma_0=sigma_0, log_stride=log_stride,
+        n_test=n_test, coeff_stride=coeff_stride, noise=noise.to_dict()))
+    return PairedRun(**vars(config),
+                     arms=(("standard", LabelNoiseSpec.none()), ("label_noise", noise)))
 
 
 def keep_points(run):

@@ -143,18 +143,80 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", RUNS)
-def test_manifest_lists_every_file_with_its_digest(tmp_path, capsys, case):
-    # Exactly the files of the run directory, each with the sha256 of its bytes.
+def run_case(tmp_path, case):
+    """The command of ``RUNS[case]`` and the run directory it wrote."""
     overrides, flags = RUNS[case]
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**MINIMAL, **overrides}))
     out_dir = tmp_path / "run"
     command = case.removesuffix("-1").removesuffix("-2")
     assert main_cli([command, "--config", str(path), "--out", str(out_dir), *flags]) in (0, 3)
+    return command, out_dir
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_manifest_lists_every_file_with_its_digest(tmp_path, capsys, case):
+    # Exactly the files of the run directory, each with the sha256 of its bytes.
+    _, out_dir = run_case(tmp_path, case)
     files = json.loads((out_dir / "manifest.json").read_text())["files"]
     assert files == {p.name: sha256_of(p) for p in out_dir.iterdir() if p.name != "manifest.json"}
     assert len(files) >= 3
+
+
+@pytest.mark.parametrize("case", RUNS)
+def test_only_dynamics_writes_coefficient_dumps(tmp_path, capsys, case):
+    # Only dynamics gives its run a dump directory, and there both arms dump.
+    command, out_dir = run_case(tmp_path, case)
+    dumps = {f"coefficients_{label}{part}.csv" for label in experiments.ALGORITHMS
+             for part in ("", "_summary")}
+    assert {p.name for p in out_dir.glob("coefficients_*")} == (
+        dumps if command == "dynamics" else set())
+
+
+@pytest.mark.parametrize("case", ["heatmap-1", "heatmap-2"])
+def test_a_heatmap_command_plans_once(tmp_path, monkeypatch, capsys, case):
+    calls = []
+    real_plan = experiments.plan
+
+    def counting_plan(command, config):
+        calls.append(command)
+        return real_plan(command, config)
+
+    monkeypatch.setattr(experiments, "plan", counting_plan)
+    monkeypatch.setattr(cli, "plan", counting_plan)
+    run_case(tmp_path, case)
+    assert calls == ["heatmap"]
+
+
+def test_a_run_command_without_out_writes_under_lngd_out_root(config_file, tmp_path,
+                                                               monkeypatch, capsys):
+    root = tmp_path / "root"
+    monkeypatch.setenv("LNGD_OUT_ROOT", str(root))
+    assert main_cli(["dynamics", "--config", str(config_file), "--seed", "1"]) == 0
+    assert (root / "dynamics_seed1" / "manifest.json").is_file()
+
+
+def test_a_run_command_without_out_or_root_writes_under_runs(config_file, tmp_path,
+                                                              monkeypatch, capsys):
+    monkeypatch.delenv("LNGD_OUT_ROOT", raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main_cli(["dynamics", "--config", str(config_file), "--seed", "1"]) == 0
+    assert (work / "runs" / "dynamics_seed1" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("root", [None, "root"])
+def test_check_without_out_writes_nothing(config_file, tmp_path, monkeypatch, capsys, root):
+    if root:
+        monkeypatch.setenv("LNGD_OUT_ROOT", str(tmp_path / root))
+    else:
+        monkeypatch.delenv("LNGD_OUT_ROOT", raising=False)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main_cli(["check", "--config", str(config_file)]) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "work"]
 
 
 def test_emit_outputs_reads_no_file_back(config_file, tmp_path, monkeypatch, capsys):

@@ -1,15 +1,17 @@
 import json
 import math
 import pathlib
+import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import lngd.cli as cli
 import lngd.experiments as experiments
-from lngd.config import ConfigError, parse_config
-from lngd.data import generate_dataset
+from lngd.config import SCHEMA, ConfigError, parse_config
+from lngd.data import SignalSpec, generate_dataset
 from lngd.experiments import (
     ALGORITHMS,
     Q_SWEEP_DEFAULTS,
@@ -25,6 +27,9 @@ from lngd.streams import derive_seed, stream
 from lngd.training import Arm, LabelNoiseSpec
 
 from helpers import keep_points, paired_run, train_on_points
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402  the benchmark's configs
 
 SMALL = dict(n=10, m=3, q=2, sigma_0=0.1, eta=0.1, steps=20, log_stride=10, n_test=40)
 TINY = dict(d=40, mu_scale=1.5, sigma_p=0.5, p=0.2)  # tiny_spec's config keys
@@ -183,9 +188,15 @@ class TestHeatmap:
             for a in range(2):
                 done = [v for v in expected[row, col, :, a] if not math.isnan(v)]  # seed order
                 cell += [fmt_float(np.mean(done)), fmt_float(np.std(done))] if done else ["nan"] * 2
-            aggregate.append(",".join(cell + [str(survivors[row, col])]))
+            aggregate.append(",".join(cell + [str(survivors[row, col]),
+                                              str(finished[row, col, :, 1].sum())]))
         assert (tmp_path / "heatmap.csv").read_text().splitlines()[1:] == rows
-        assert (tmp_path / "heatmap_aggregate.csv").read_text().splitlines()[1:] == aggregate
+        lines = (tmp_path / "heatmap_aggregate.csv").read_text().splitlines()
+        assert lines[0].endswith(",seeds,label_noise_seeds")
+        assert lines[1:] == aggregate
+        # Every label-noise arm aborted: no cell counts a label-noise seed, though some count
+        # standard ones.
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == ["0"] * 4
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +274,8 @@ class TestQSweep:
         runs = plan("q-sweep", parse_config(data=q_sweep_config((2, 3))))
         assert [run.q for run in runs] == [2, 3]
         for run in runs:
-            assert (run.eta, run.m, run.n) == Q_SWEEP_DEFAULTS[run.q][:3]
+            reference = Q_SWEEP_DEFAULTS[run.q]
+            assert {key: getattr(run, key) for key in reference} == reference
             for arm in run_paired(run, observers=keep_points(run)):
                 assert arm.net.q == run.q
 
@@ -295,6 +307,17 @@ REFERENCE_TRACES = {
 }
 
 
+# The keys each command sets in the runs it plans; a run holds every other key as its config.
+OVERRIDDEN = {"dynamics": (), "noise-compare": (),
+              "heatmap": ("mu_scale", "n", "eta", "steps", "log_stride", "seed"),
+              "q-sweep": ("q", "seed", *Q_SWEEP_DEFAULTS[2])}
+PLANNED_CONFIGS = {
+    **{path.name: partial(parse_config, path) for path in sorted(CONFIGS.glob("*.json"))},
+    **{f"benchmark-{name}": partial(parse_config, data=workload.make_config(1, False))
+       for name, workload in WORKLOADS.items()},
+}
+
+
 class TestPlan:
     """``plan`` on the reference configs and on configs it must refuse; nothing trains."""
 
@@ -303,7 +326,6 @@ class TestPlan:
         command, traces = REFERENCE_TRACES[name]
         runs = plan(command, parse_config(CONFIGS / name))
         assert [run.trace_file(label) for run in runs for label, _ in run.arms] == traces
-        assert [run.coeff_stride > 0 for run in runs] == [command == "dynamics"] * len(runs)
 
     def test_reference_heatmap_units_seeds_and_mu(self):
         # 3 SNRs x 2 n x 3 seeds in (row, col, seed) order, |mu| = snr * sigma_p * sqrt(d).
@@ -318,7 +340,6 @@ class TestPlan:
             assert (run.n, run.steps, run.log_stride, run.eta) == ((100, 300)[col], 1000, 1000, 1.0)
             assert run.arms == tuple(zip(ALGORITHMS, (LabelNoiseSpec.none(),
                                                       LabelNoiseSpec.flip(0.1))))
-            assert run.coeff_stride == 0
 
     @pytest.mark.parametrize("command, name", [("heatmap", "heatmap_desk.json"),
                                                ("q-sweep", "q_sweep.json")])
@@ -328,6 +349,34 @@ class TestPlan:
         arms = (("standard", LabelNoiseSpec.none()),
                 ("label_noise", LabelNoiseSpec.gaussian(1.0, 0.5)))
         assert runs and {run.arms for run in runs} == {arms}
+
+    @pytest.mark.parametrize("name", PLANNED_CONFIGS)
+    def test_runs_are_the_config_but_for_the_keys_their_command_overrides(self, name):
+        config = PLANNED_CONFIGS[name]()
+        planned = 0
+        for command, overridden in OVERRIDDEN.items():
+            try:
+                runs = plan(command, config)
+            except ConfigError:  # the config lacks the command's section
+                continue
+            kept = [key for key in SCHEMA if "." not in key and key not in overridden]
+            for run in runs:
+                assert [getattr(run, key) for key in kept] == [getattr(config, key)
+                                                               for key in kept]
+            planned += len(runs)
+        assert planned
+
+    def test_plan_builds_no_signal_spec(self, monkeypatch):
+        built = []
+        init = SignalSpec.__init__
+        monkeypatch.setattr(SignalSpec, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        runs = [run for name, (command, _) in REFERENCE_TRACES.items()
+                for run in plan(command, parse_config(CONFIGS / name))]
+        runs += plan("heatmap", parse_config(CONFIGS / "heatmap_desk.json"))
+        assert len(runs) == 1 + 1 + 3 + 18 and not built
+        assert runs[0].spec is runs[0].spec  # built on its first read, once
+        assert len(built) == 1
 
     def test_concentration_config_parses(self):
         assert parse_config(CONFIGS / "concentration.json").trials == 1000
