@@ -20,9 +20,12 @@ import numpy as np
 __all__ = [
     "SignalSpec",
     "Dataset",
-    "StreamedTestSet",
+    "TEST_CHUNK_VALUES",
     "generate_dataset",
+    "stream_test_set",
 ]
+
+TEST_CHUNK_VALUES = 2**19  # float64 values per test chunk, 4 MiB; max(1, this // d) rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,33 +137,21 @@ def generate_dataset(spec: SignalSpec, n: int, rng: np.random.Generator) -> Data
     return Dataset(labels=labels, points=points, spec=spec)
 
 
-class StreamedTestSet:
-    """``generate_dataset(spec, n, rng)``'s points, the noise drawn for one pass in row chunks.
+def stream_test_set(spec: SignalSpec, n: int, rng: np.random.Generator):
+    """``generate_dataset(spec, n, rng)``'s labels, drawn now, and a generator of its
+    projected noise rows as (k, d) blocks in draw order.
 
-    ``standard_normal`` fills sequentially, so the chunks hold the same
-    values and leave ``rng`` in the same state. Every chunk is drawn into
-    one reused (rows, d) buffer, so a pass holds 4 MiB of points at a time.
+    ``standard_normal`` fills sequentially, so the blocks hold the same
+    values and leave ``rng`` in the same state. The generator draws only
+    when read, every block into one reused (rows, d) buffer: a block is
+    valid only until the next one is drawn.
     """
+    labels = _draw_labels(n, rng)
 
-    CHUNK_VALUES = 2**19  # float64 values per chunk, 4 MiB; max(1, CHUNK_VALUES // d) rows
-
-    def __init__(self, spec: SignalSpec, n: int, rng: np.random.Generator):
-        self.labels = _draw_labels(n, rng)
-        self._chunks = self._draw(spec, n, rng)  # lazy: draws on iteration
-
-    def _draw(self, spec: SignalSpec, n: int, rng: np.random.Generator):
-        rows = max(1, self.CHUNK_VALUES // spec.d)
+    def chunks():
+        rows = max(1, TEST_CHUNK_VALUES // spec.d)
         buf = np.empty((min(rows, n), spec.d))
         for a in range(0, n, rows):
             yield _project_noise(spec, rng.standard_normal(out=buf[:min(rows, n - a)]))
 
-    def noise_chunks(self):
-        """The projected noise rows as (k, d) blocks in draw order; a second call raises.
-
-        The blocks are views of one buffer: a block is valid only until the
-        next one is drawn.
-        """
-        chunks, self._chunks = self._chunks, None
-        if chunks is None:
-            raise RuntimeError("a streamed test set can be read only once")
-        return chunks
+    return labels, chunks()

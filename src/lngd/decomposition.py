@@ -141,11 +141,10 @@ class SpanProducts:
             raise ValueError(f"chunks held {start} points, expected {rows}")
         return out
 
-    def preactivations(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(N, A, 2m) inner products <w_{j,r}, x> of every arm at the stacked ``coef``."""
+    def preactivations(self, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The (N, A, 2m) inner products <w_{j,r}, x> of every arm at the stacked ``coef``,
+        written into ``out``."""
         rows, arms, two_m = coef.shape
-        if out is None:
-            out = np.empty((len(self.w0), arms, two_m))
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(self.span, coef.reshape(rows, arms * two_m),
                       out=out.reshape(len(self.w0), arms * two_m))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ConfigError, FullConfig
 from .cores import blas_threads, usable_cores
-from .data import SignalSpec, StreamedTestSet, generate_dataset
+from .data import SignalSpec, generate_dataset, stream_test_set
 from .io import CoefficientDump
 from .decomposition import CoefficientStack, SpanProducts
 from .network import init_network
@@ -177,30 +177,26 @@ def arm_noise_rng(seed: int, idx: int, noise: LabelNoiseSpec):
     return substream(seed, STREAM_IDS["label_noise"], idx) if noise.draws else None
 
 
-def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: bool = True,
+def run_paired(run: PairedRun, *, observers: dict | None = None,
                dump_dir: Path | None = None) -> list[RunArtifacts]:
     """Train one arm per (label, noise) of ``run`` on shared data/init/test; each arm
     carries the dataset.
 
-    This is where points become products, and where the run's one
-    ``CoefficientStack`` is made: the trainer advances it and the trace
-    recorder reads it, or its copy in a child. The test set's products are
-    built by the trace recorder (``lngd.recorder``), in a child process when
-    ``fork_recorder`` and a second core allow it; the training products are
-    computed here, after the recorder starts. A run given no observers then
-    drops its training points; observers read weights, and so points, while
-    the arms train, so a run given them keeps its points (``arm.net`` reads
-    them). The arms advance together on the products in one ``run_training``
-    call; arm ``idx`` draws from its own multiplier stream. The test set is
-    streamed, not kept; ``generate_dataset(spec, n_test, stream(seed, "test"))``
-    redraws it.
-    Given ``dump_dir``, the recorder writes each arm's coefficient dump there,
-    every ``coeff_stride`` steps (``io.CoefficientDump``) while the arms train;
+    The run's one ``CoefficientStack`` is made here: the trainer advances it,
+    and the trace recorder (``lngd.recorder``) reads it, or its copy in a
+    child, and builds the test products as ``stream_test_set`` streams the
+    test set; ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws
+    it. The training products are computed after the recorder starts; a run
+    given no observers then drops its training points (observers read
+    weights, and so points, while the arms train). The arms advance together
+    in one ``run_training`` call; arm ``idx`` draws from its own multiplier
+    stream. Given ``dump_dir``, the recorder writes each arm's coefficient
+    dump there every ``coeff_stride`` steps (``io.CoefficientDump``);
     ``arm.files`` holds the digests.
     """
     seed, steps = run.seed, run.steps
     dataset = generate_dataset(run.spec, run.n, stream(seed, "data"))
-    test_set = StreamedTestSet(run.spec, run.n_test, stream(seed, "test"))
+    test_labels, test_chunks = stream_test_set(run.spec, run.n_test, stream(seed, "test"))
     w0 = init_network(run.spec.d, run.m, run.q, run.sigma_0, stream(seed, "init")).weights
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
@@ -209,8 +205,8 @@ def run_paired(run: PairedRun, *, observers: dict | None = None, fork_recorder: 
     dumps = [] if dump_dir is None else [
         CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", stack.same_class,
                         run.coeff_stride, steps) for label, _ in run.arms]
-    recorder = start_recorder(test_set.labels, test_set.noise_chunks(), dataset, stack, run.q,
-                              log_count(steps, run.log_stride), dumps, may_fork=fork_recorder)
+    recorder = start_recorder(test_labels, test_chunks, dataset, stack, run.q,
+                              log_count(steps, run.log_stride), dumps)
     try:
         products = SpanProducts.of([dataset.points], run.n + 1, dataset, w0)
         if not observers:
@@ -289,9 +285,9 @@ class HeatmapResult:
                 yield (row, col), snr, n, finished, stats
 
 
-def _heatmap_unit(run: PairedRun, fork_recorder: bool = True) -> list:
-    """Each arm's final test accuracy, or its abort reason; a pool worker does not fork."""
-    arms = run_paired(run, fork_recorder=fork_recorder)
+def _heatmap_unit(run: PairedRun) -> list:
+    """Each arm's final test accuracy, or its abort reason."""
+    arms = run_paired(run)
     return [arm.abort_reason if arm.aborted else arm.final_test_accuracy for arm in arms]
 
 
@@ -330,7 +326,7 @@ def run_heatmap(config: FullConfig) -> HeatmapResult:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_heatmap_unit, run, False) for run in runs]
+            futures = [pool.submit(_heatmap_unit, run) for run in runs]
             outcomes = [_unit_outcome(fut.result) for fut in futures]
     else:
         outcomes = [_unit_outcome(partial(_heatmap_unit, run)) for run in runs]

@@ -10,16 +10,16 @@ iotas and the digests of the dump files written.
 
 ``start_recorder`` runs it in a child process, made with ``os.fork`` and
 two pipes, when a second core is free (``cores.worker_budget() >= 2``) and
-this process has no other thread; otherwise it runs in process, on the
-trainer's own stack. Both run the same ``Recorder`` code on the same
-numbers, so only the transport differs. The parent writes each logged state
-from where its arrays lie, gathered by ``os.writev``; the child, on its one
-thread, reads it by ``os.readv`` into its inherited copy of the stack and
-records it. The pipe is the only queue: a trainer that is ahead of the
-child by a pipe's worth of states waits. The child ends with ``os._exit``.
-The parent reaps it in ``close``, which kills it first unless ``finish``
-has already collected its result. If the parent dies, the child reads end
-of file and exits.
+this process has no other thread and is no ``multiprocessing`` pool worker;
+otherwise it runs in process, on the trainer's own stack. Both run the same
+``Recorder`` code on the same numbers, so only the transport differs. The
+parent writes each logged state from where its arrays lie, gathered by
+``os.writev``; the child, on its one thread, reads it by ``os.readv`` into
+its inherited copy of the stack and records it. The pipe is the only
+queue: a trainer that is ahead of the child by a pipe's worth of states
+waits. The child ends with ``os._exit``. The parent reaps it in ``close``,
+which kills it first unless ``finish`` has already collected its result. If
+the parent dies, the child reads end of file and exits.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import sys
 import threading
 import traceback
 
@@ -43,7 +44,7 @@ class Recorder:
     """Trace rows and iotas of the arms of ``stack`` at ``logs`` logged steps.
 
     ``test_chunks`` yields the test noise rows as (k, d) blocks (see
-    ``data.StreamedTestSet.noise_chunks``); they are read here, once, into
+    ``data.stream_test_set``); they are read here, once, into
     the test ``SpanProducts`` of the stack's init.
     """
 
@@ -246,14 +247,13 @@ class ForkedRecorder:
 
 
 def start_recorder(test_labels: np.ndarray, test_chunks, dataset, stack: CoefficientStack,
-                   q: int, logs: int, dumps=(), *,
-                   may_fork: bool = True) -> Recorder | ForkedRecorder:
-    """A ``Recorder`` of ``stack``, in a child process when ``may_fork`` and a second core
-    allow it.
+                   q: int, logs: int, dumps=()) -> Recorder | ForkedRecorder:
+    """A ``Recorder`` of ``stack``, in a child process when a second core allows it.
 
     A forked child starts with only the thread that forked it, so a process
-    running other threads keeps the recorder in process. A child drops its
-    copy of the dataset's points once its test products are built.
+    running other threads keeps the recorder in process, and so does a
+    ``multiprocessing`` pool worker, whose pool budgets the cores. A child
+    drops its copy of the dataset's points once its test products are built.
     """
 
     def build() -> Recorder:
@@ -264,7 +264,8 @@ def start_recorder(test_labels: np.ndarray, test_chunks, dataset, stack: Coeffic
         dataset.drop_points()
         return recorder
 
-    if (may_fork and hasattr(os, "fork") and threading.active_count() == 1
-            and worker_budget() >= 2):
+    mp = sys.modules.get("multiprocessing")  # a pool worker has it loaded; no run imports it
+    if (hasattr(os, "fork") and threading.active_count() == 1
+            and (mp is None or mp.parent_process() is None) and worker_budget() >= 2):
         return ForkedRecorder(build_in_child, stack, logs)
     return build()

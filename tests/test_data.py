@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import lngd.data
 from lngd.data import (
     SignalSpec,
-    StreamedTestSet,
     generate_dataset,
+    stream_test_set,
 )
 from lngd.data import _project_noise
 from lngd.decomposition import SpanProducts
@@ -126,7 +127,7 @@ class TestGenerateDataset:
                                   "few_rows_per_chunk"])
     def test_streamed_test_set_matches_one_block_draw(self, d, n_test):
         # The streamed draw reads the same points from the same stream as
-        # generate_dataset, in chunks of at most CHUNK_VALUES // d rows. Row
+        # generate_dataset, in chunks of at most TEST_CHUNK_VALUES // d rows. Row
         # blocks can change which BLAS kernel computes a row, so the span
         # coordinates are held to 1e-12. The init projections are held to
         # identity at the width of the reference configs (m = 20); at 2m <= 6
@@ -136,7 +137,7 @@ class TestGenerateDataset:
         w0 = np.random.default_rng(4).standard_normal((d, 40))
         block_rng, stream_rng = np.random.default_rng(8), np.random.default_rng(8)
         block = generate_dataset(spec, n_test, block_rng)
-        streamed = StreamedTestSet(spec, n_test, stream_rng)
+        labels, chunks = stream_test_set(spec, n_test, stream_rng)
         sizes = []
 
         def counted(chunks):
@@ -144,16 +145,16 @@ class TestGenerateDataset:
                 sizes.append(len(x))
                 yield x
 
-        got = SpanProducts.of(counted(streamed.noise_chunks()), n_test, train, w0)
+        got = SpanProducts.of(counted(chunks), n_test, train, w0)
         want = SpanProducts.of([block.noise_matrix], n_test, train, w0)
-        rows = max(1, StreamedTestSet.CHUNK_VALUES // d)
+        rows = max(1, lngd.data.TEST_CHUNK_VALUES // d)
         assert sum(sizes) == n_test and max(sizes) == min(n_test, rows)
-        assert np.array_equal(streamed.labels, block.labels)
+        assert np.array_equal(labels, block.labels)
         assert np.array_equal(got.w0, want.w0)
         assert np.abs(got.span - want.span).max() <= 1e-12 * np.abs(want.span).max()
         assert stream_rng.random() == block_rng.random()
-        with pytest.raises(RuntimeError):
-            streamed.noise_chunks()
+        with pytest.raises(ValueError, match="held 0 points"):  # the chunks are read once
+            SpanProducts.of(chunks, n_test, train, w0)
 
     def test_pairwise_overlap_concentration(self):
         # |<xi_i, xi_j>| <= 2 sigma_p^2 sqrt(d log(4 n^2 / delta)) in >= 99%

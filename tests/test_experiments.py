@@ -134,7 +134,7 @@ class TestHeatmap:
         assert not calls
 
     def test_failed_unit_keeps_traceback(self, monkeypatch):
-        def failing_unit(run, fork_recorder=True):
+        def failing_unit(run):
             raise ValueError(f"boom in unit of seed {run.seed}")
 
         monkeypatch.setattr(experiments, "_heatmap_unit", failing_unit)
@@ -155,10 +155,10 @@ class TestHeatmap:
                          seeds_per_cell=3, d=60, q=4, n_test=40, master_seed=5)
         unit, raising = experiments._heatmap_unit, (0, 1, 1)
 
-        def patched_unit(run, fork_recorder=True):
+        def patched_unit(run):
             if run.seed == derive_seed(5, *raising):
                 raise RuntimeError("unit failed")
-            return unit(run, fork_recorder)
+            return unit(run)
 
         monkeypatch.setattr(experiments, "_heatmap_unit", patched_unit)
         result = run_heatmap(grid)

@@ -17,7 +17,7 @@ import lngd.data as data
 import lngd.experiments as experiments
 import lngd.recorder as recorder
 from lngd.cli import main_cli
-from lngd.data import StreamedTestSet, generate_dataset
+from lngd.data import generate_dataset, stream_test_set
 from lngd.decomposition import CoefficientStack, SpanProducts
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.streams import derive_seed, stream
@@ -28,10 +28,10 @@ from helpers import paired_run
 MIB = 1 << 20
 
 
-def test_noise_chunks_share_one_buffer(monkeypatch):
-    monkeypatch.setattr(StreamedTestSet, "CHUNK_VALUES", 60)  # 3 rows of d = 20
+def test_test_chunks_share_one_buffer(monkeypatch):
     spec = axis_aligned_spec(1.5, 0.5, 20)
-    chunks = StreamedTestSet(spec, 10, np.random.default_rng(8)).noise_chunks()
+    _, chunks = stream_test_set(spec, 10, np.random.default_rng(8))
+    monkeypatch.setattr(data, "TEST_CHUNK_VALUES", 60)  # 3 rows of d = 20, read on the first draw
     first = next(chunks)
     rest = list(chunks)
     assert [len(x) for x in [first, *rest]] == [3, 3, 3, 1]
@@ -64,7 +64,7 @@ def test_traced_peak_of_a_section5_run_stays_near_its_arrays():
     # test) products and w0, and holds one test chunk while it draws the test
     # set; everything else it allocates at once must fit in 1.5 MiB.
     d, n, m, n_test = 2000, 200, 20, 2000
-    chunk_rows = min(StreamedTestSet.CHUNK_VALUES // d, n_test)
+    chunk_rows = min(data.TEST_CHUNK_VALUES // d, n_test)
     named = 8 * ((n + 1) * d  # points: xi_1..xi_n, mu
                  + (n + 1 + n_test) * (2 * m + n + 1)  # train and test SpanProducts
                  + d * 2 * m  # w0
@@ -174,8 +174,8 @@ def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_pat
             dataset.points
         assert dataset.xi_norms_sq.tobytes() == fresh.xi_norms_sq.tobytes()
         w0 = arms[0].state.w0
-        test = StreamedTestSet(dataset.spec, config["n_test"], stream(seed, "test"))
-        want = SpanProducts.of(test.noise_chunks(), config["n_test"], fresh, w0)
+        _, test_chunks = stream_test_set(dataset.spec, config["n_test"], stream(seed, "test"))
+        want = SpanProducts.of(test_chunks, config["n_test"], fresh, w0)
         assert test_digest == digest(want.span, want.w0)
     assert noted_calls(log) == during
 

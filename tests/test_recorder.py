@@ -6,6 +6,7 @@ runs never fork; these tests set the budget to force either transport.
 """
 
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -374,7 +375,9 @@ def test_runs_fork_only_where_allowed(monkeypatch, transport):
         "seed": 0, "m": 4, "n_test": 50,
         "grid": {"snr_values": [0.06], "n_values": [20], "steps": 20, "seeds_per_cell": 1}}))
     forks = transport(True)
-    pooled = _heatmap_unit(run, False)  # as in a heatmap pool worker
+    with monkeypatch.context() as pool_worker:  # as in a heatmap pool worker
+        pool_worker.setattr(multiprocessing, "parent_process", lambda: object())
+        pooled = _heatmap_unit(run)
     assert not forks
     assert _heatmap_unit(run) == pooled
     assert len(forks) == 1
