@@ -29,8 +29,9 @@ from .experiments import (
     run_heatmap,
     run_paired,
 )
-from .io import (EmitError, RunArtifactFiles, emit_outputs, now_utc, refuse_overwrite,
-                 write_heatmap_aggregate_csv, write_heatmap_csv, write_json, write_trace_csv)
+from .io import (DECOMPOSE_REPORTS, EmitError, RunArtifactFiles, emit_outputs, now_utc,
+                 refuse_overwrite, write_heatmap_aggregate_csv, write_heatmap_csv, write_json,
+                 write_trace_csv)
 from .network import OracleReplay, reconstruct_weights
 from .theory import check_assumptions, concentration_suite
 
@@ -244,7 +245,7 @@ def _cmd_decompose(args) -> int:
         oracle = OracleReplay(run.q, run.eta, noise, arm_noise_rng(run.seed, idx, noise))
 
         def observer(step, state, dataset):
-            w = oracle.advance(step, state, dataset).weights
+            w = oracle.advance(step, state, dataset)
             w_plus, w_minus = reconstruct_weights(state, dataset)
             err = (np.linalg.norm(np.hstack([w_plus, w_minus]) - w)
                    / max(np.linalg.norm(w), 1e-300))
@@ -276,7 +277,7 @@ def _cmd_decompose(args) -> int:
         ),
         "reports": result.reports,
     }
-    write_json(report, run_dir / "decompose_reports.json")
+    write_json(report, run_dir / DECOMPOSE_REPORTS)
     print(f"digests match: {report['all_digests_match']}; "
           f"max reconstruction error: {report['max_reconstruction_error']:.3e}")
     if args.assert_ and not (report["all_digests_match"]

@@ -197,7 +197,7 @@ def run_paired(run: PairedRun, *, observers: dict | None = None,
     seed, steps = run.seed, run.steps
     dataset = generate_dataset(run.spec, run.n, stream(seed, "data"))
     test_labels, test_chunks = stream_test_set(run.spec, run.n_test, stream(seed, "test"))
-    w0 = init_network(run.spec.d, run.m, run.q, run.sigma_0, stream(seed, "init")).weights
+    w0 = init_network(run.spec.d, run.m, run.sigma_0, stream(seed, "init"))
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(run.arms)]

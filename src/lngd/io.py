@@ -18,13 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cores
 from .config import FullConfig, config_to_dict
 from .streams import STREAM_IDS, derive_seed
 from .training import TRACE_COLUMNS, TrainTrace
 
 __all__ = ["EmitError", "DigestFile", "CoefficientDump", "fmt_float", "write_trace_csv",
-           "write_coefficients_csv", "write_heatmap_csv", "emit_outputs"]
+           "write_coefficients_csv", "write_heatmap_csv", "emit_outputs", "DECOMPOSE_REPORTS"]
+
+# Written into a run directory by ``lngd decompose``, beside the run's own files; it
+# describes that run, so a forced rerun removes it with the old manifest.
+DECOMPOSE_REPORTS = "decompose_reports.json"
 
 
 class EmitError(RuntimeError):
@@ -196,10 +200,10 @@ def refuse_overwrite(out_dir: str | Path, force: bool, keep=()) -> None:
 
     With ``force`` the old manifest is removed, and with it every file it
     lists by a plain name in ``out_dir``, except those in ``keep`` (files this
-    run has written). So a run that fails after it starts writing leaves no
-    manifest listing files it has overwritten, and a run that writes fewer
-    files leaves none of the old run's behind. An unreadable manifest is
-    only removed.
+    run has written), and the old run's ``DECOMPOSE_REPORTS``. So a run that
+    fails after it starts writing leaves no manifest listing files it has
+    overwritten, and a run that writes fewer files leaves none of the old
+    run's behind. An unreadable manifest is only removed, with the report.
     """
     out = Path(out_dir)
     manifest_path = out / "manifest.json"
@@ -209,11 +213,21 @@ def refuse_overwrite(out_dir: str | Path, force: bool, keep=()) -> None:
         listed = json.loads(manifest_path.read_text())["files"]
     except (OSError, ValueError, LookupError, TypeError):  # none, or not a manifest
         listed = {}
-    for name in listed if isinstance(listed, dict) else ():
+    if not isinstance(listed, dict):
+        listed = {}
+    for name in [*listed, DECOMPOSE_REPORTS]:
         plain = Path(name).name == name and name not in ("..", "manifest.json")
         if plain and name not in keep and not (out / name).is_dir():
             (out / name).unlink(missing_ok=True)
     manifest_path.unlink(missing_ok=True)
+
+
+def _numeric_environment() -> dict:
+    """What the byte-for-byte claim depends on beyond the config: numpy's version and the BLAS
+    thread count (products may sum in another order at another count)."""
+    usable = cores.usable_cores()
+    return {"numpy_version": np.__version__, "blas_threads": cores.blas_threads(usable),
+            "usable_cores": usable}
 
 
 def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool = False) -> dict:
@@ -243,6 +257,7 @@ def emit_outputs(artifacts: RunArtifactFiles, out_dir: str | Path, force: bool =
         "master_seed": seed,
         "stream_derivation": "splitmix64",
         "streams": {name: derive_seed(seed, sid) for name, sid in STREAM_IDS.items()},
+        "environment": _numeric_environment(),
         "started_at": artifacts.started_at,
         "finished_at": now_utc(),
         "files": inventory,

@@ -1,4 +1,4 @@
-"""Weight space: the two-layer network, its closed-form gradient and the oracle.
+"""Weight space: the two-layer network's init, its closed-form gradient and the oracle.
 
 This is the one module that builds, holds or steps weights. The coefficient
 engine (``data``, ``decomposition``, ``training``, ``recorder``) imports
@@ -9,8 +9,9 @@ sigma(<w_{j,r}, x^(p)>) with sigma(z) = max(0, z)^q, and the network output
 is f = F_{+1} - F_{-1}. Gradients are computed in closed form; the
 architecture is fixed and tiny, so no autodiff framework is involved.
 
-Internally the two branches live in one (d, 2m) array, [+1 branch | -1
-branch], so the per-step matmuls run as a single BLAS call.
+The weights are a plain (d, 2m) float64 array, [+1 branch | -1 branch], so
+the per-step matmuls run as a single BLAS call; every function here takes
+that array, and the activation exponent q where it needs one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .decomposition import _BRANCH_SIGN, CoefficientState, loss_derivative, sign
 from .training import LabelNoiseSpec, sample_multipliers
 
 __all__ = [
-    "Network",
     "init_network",
     "activation",
     "activation_derivative",
@@ -36,38 +36,15 @@ __all__ = [
 ]
 
 
-class Network:
-    """First-layer weights of both output branches plus activation exponent q."""
-
-    def __init__(self, weights: np.ndarray, q: int):
-        if weights.ndim != 2 or weights.shape[1] % 2 != 0:
-            raise ValueError(f"weights must be (d, 2m), got {weights.shape}")
-        if q < 2:
-            raise ValueError(f"q must be >= 2, got {q}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
-        self._w = np.ascontiguousarray(weights, dtype=np.float64)
-        self.q = int(q)
-
-    @property
-    def m(self) -> int:
-        return self._w.shape[1] // 2
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(d, 2m) backing array: [+1 branch | -1 branch]."""
-        return self._w
-
-
-def init_network(d: int, m: int, q: int, sigma_0: float, rng: np.random.Generator) -> Network:
-    """Gaussian init: i.i.d. N(0, sigma_0^2) entries in both branches."""
+def init_network(d: int, m: int, sigma_0: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian init: the (d, 2m) weights, i.i.d. N(0, sigma_0^2) entries in both branches."""
     if d < 1 or m < 1:
         raise ValueError("d and m must be >= 1")
     if not (sigma_0 >= 0):
         raise ValueError(f"sigma_0 must be nonnegative, got {sigma_0}")
     w = rng.standard_normal((d, 2 * m))
     w *= sigma_0
-    return Network(w, q)
+    return w
 
 
 def activation(z, q: int):
@@ -80,42 +57,42 @@ def activation_derivative(z, q: int):
     return q * np.maximum(z, 0.0) ** (q - 1)
 
 
-def _forward(net: Network, dataset: Dataset):
+def _forward(weights: np.ndarray, q: int, dataset: Dataset):
     """(n, 2m) pre-activations <w_{j,r}, y_i mu> and <w_{j,r}, xi_i>, and the (n,) outputs f.
 
     Call under ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    m, q = net.m, net.q
-    mu_proj = dataset.spec.mu @ net._w  # (2m,)
+    m = weights.shape[1] // 2
+    mu_proj = dataset.spec.mu @ weights  # (2m,)
     sig_pre = np.multiply.outer(dataset.labels, mu_proj)
-    noise_pre = dataset.noise_matrix @ net._w
+    noise_pre = dataset.noise_matrix @ weights
     act = activation(sig_pre, q) + activation(noise_pre, q)
     return sig_pre, noise_pre, (act[:, :m].sum(axis=1) - act[:, m:].sum(axis=1)) / m
 
 
-def _batch_outputs(net: Network, dataset: Dataset) -> np.ndarray:
+def _batch_outputs(weights: np.ndarray, q: int, dataset: Dataset) -> np.ndarray:
     """(n,) outputs f(W, x_i), vectorized over the dataset."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _forward(net, dataset)[2]
+        return _forward(weights, q, dataset)[2]
 
 
-def zero_one_error(net: Network, test_dataset: Dataset) -> float:
+def zero_one_error(weights: np.ndarray, q: int, test_dataset: Dataset) -> float:
     """Fraction of points with y != sign(f); sign(0) counts as an error."""
     if len(test_dataset) == 0:
         raise ValueError("empty test set")
-    return sign_error(_batch_outputs(net, test_dataset), test_dataset.labels)
+    return sign_error(_batch_outputs(weights, q, test_dataset), test_dataset.labels)
 
 
-def _forward_backward(net: Network, dataset: Dataset, multipliers: np.ndarray):
+def _forward_backward(weights: np.ndarray, q: int, dataset: Dataset, multipliers: np.ndarray):
     """Weight-space forward/backward pass: the oracle the coefficient engine is tested against.
 
     Returns (f, grad) where grad is the full gradient of
     (1/n) sum_i loss(eps_i y_i f_i) in (d, 2m) layout.
     """
-    n, m, q = len(dataset), net.m, net.q
+    n, m = len(dataset), weights.shape[1] // 2
     with np.errstate(over="ignore", invalid="ignore"):
         y = dataset.labels
-        sig_pre, noise_pre, f = _forward(net, dataset)
+        sig_pre, noise_pre, f = _forward(weights, q, dataset)
         coef = loss_derivative(multipliers * y * f) * multipliers  # (n,)
         sig_der = activation_derivative(sig_pre, q)
         noise_der = activation_derivative(noise_pre, q)
@@ -126,14 +103,15 @@ def _forward_backward(net: Network, dataset: Dataset, multipliers: np.ndarray):
     return f, grad
 
 
-def full_batch_gradient(net: Network, dataset: Dataset, multipliers: np.ndarray) -> np.ndarray:
+def full_batch_gradient(weights: np.ndarray, q: int, dataset: Dataset,
+                        multipliers: np.ndarray) -> np.ndarray:
     """Gradient of (1/n) sum_i loss(eps_i y_i f(W, x_i)) in (d, 2m) layout."""
     multipliers = np.asarray(multipliers, dtype=np.float64)
     if multipliers.shape != (len(dataset),):
         raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
     if not np.all(np.isfinite(multipliers)):
         raise ValueError("multipliers must be finite")
-    return _forward_backward(net, dataset, multipliers)[1]
+    return _forward_backward(weights, q, dataset, multipliers)[1]
 
 
 class RunAborted(RuntimeError):
@@ -145,18 +123,18 @@ class RunAborted(RuntimeError):
         self.reason = reason
 
 
-def train_step(net: Network, dataset: Dataset, multipliers: np.ndarray, eta: float,
-               step: int = 0) -> None:
+def train_step(weights: np.ndarray, q: int, dataset: Dataset, multipliers: np.ndarray,
+               eta: float, step: int = 0) -> None:
     """Oracle step: apply W <- W - eta * grad in place with the closed-form gradient."""
     multipliers = np.asarray(multipliers, dtype=np.float64)
     if multipliers.shape != (len(dataset),):
         raise ValueError(f"multipliers must have shape ({len(dataset)},), got {multipliers.shape}")
-    f, grad = _forward_backward(net, dataset, multipliers)
+    f, grad = _forward_backward(weights, q, dataset, multipliers)
     if not np.all(np.isfinite(f)):
         raise RunAborted(step, "non-finite network outputs")
     if not np.all(np.isfinite(grad)):
         raise RunAborted(step, "non-finite gradient")
-    np.subtract(net.weights, eta * grad, out=net.weights)
+    np.subtract(weights, eta * grad, out=weights)
 
 
 class OracleReplay:
@@ -164,9 +142,10 @@ class OracleReplay:
 
     ``noise_rng`` must be a fresh generator on the arm's multiplier stream,
     so the replay draws the same multipliers as the engine did. ``advance``
-    takes the oracle network (built from ``state.w0`` on first use) forward
-    to a given step; observers use it to compare the engine's coefficients
-    against directly trained weights.
+    takes the oracle's weights (a copy of ``state.w0``, made on first use)
+    forward to a given step and returns them, the one array it steps in place;
+    observers use it to compare the engine's coefficients against directly
+    trained weights.
     """
 
     def __init__(self, q: int, eta: float, noise: LabelNoiseSpec, noise_rng=None):
@@ -174,19 +153,19 @@ class OracleReplay:
         self.eta = eta
         self.noise = noise
         self.noise_rng = noise_rng
-        self.net: Network | None = None
+        self.weights: np.ndarray | None = None
         self.step = 0
 
-    def advance(self, step: int, state: CoefficientState, dataset: Dataset) -> Network:
-        if self.net is None:
-            self.net = Network(state.w0.copy(), self.q)
+    def advance(self, step: int, state: CoefficientState, dataset: Dataset) -> np.ndarray:
+        if self.weights is None:
+            self.weights = state.w0.copy()
         if step < self.step:
             raise ValueError(f"replay is at step {self.step}, cannot go back to {step}")
         while self.step < step:
             eps = sample_multipliers(self.noise, len(dataset), self.noise_rng)
-            train_step(self.net, dataset, eps, self.eta, step=self.step)
+            train_step(self.weights, self.q, dataset, eps, self.eta, step=self.step)
             self.step += 1
-        return self.net
+        return self.weights
 
 
 def reconstruct_weights(state: CoefficientState, dataset: Dataset):
@@ -204,7 +183,7 @@ def reconstruct_weights(state: CoefficientState, dataset: Dataset):
     return w[:, :m], w[:, m:]
 
 
-def projection_check(net: Network, state: CoefficientState, dataset: Dataset, *,
+def projection_check(weights: np.ndarray, state: CoefficientState, dataset: Dataset, *,
                      delta: float = 0.01, t_star: int | None = None) -> dict:
     """Compare coefficients against direct projections of the weight displacement.
 
@@ -215,7 +194,7 @@ def projection_check(net: Network, state: CoefficientState, dataset: Dataset, *,
     """
     mu = dataset.spec.mu
     n, m = state.n, state.m
-    disp = net.weights - state.w0  # (d, 2m)
+    disp = weights - state.w0  # (d, 2m)
     mu_proj = (mu @ disp).reshape(2, m) * _BRANCH_SIGN  # <w - w0, j mu>
     gamma_disc = np.abs(mu_proj - state.gamma)
 

@@ -230,9 +230,9 @@ def concentration_suite(spec: SignalSpec, n: int, m: int, sigma_0: float, p: flo
     def init_inner_products(t: int) -> tuple[bool]:
         rng = substream(seed, 2, t)
         ds = generate_dataset(spec, n, rng)
-        net = init_network(d, m, 2, sigma_0, rng)
-        mu_proj = (spec.mu @ net.weights).reshape(2, m)  # rows: j=+1, j=-1
-        xi_proj = (ds.noise_matrix @ net.weights).reshape(n, 2, m)
+        w0 = init_network(d, m, sigma_0, rng)
+        mu_proj = (spec.mu @ w0).reshape(2, m)  # rows: j=+1, j=-1
+        xi_proj = (ds.noise_matrix @ w0).reshape(n, 2, m)
         ok = np.all(np.abs(mu_proj) <= mu_hi)
         max_mu = (jsigns[:, None] * mu_proj).max(axis=1)
         ok = ok and np.all((max_mu >= mu_lo) & (max_mu <= mu_hi))

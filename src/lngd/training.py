@@ -11,7 +11,7 @@ state: one matrix product and one pass of each elementwise operation per
 step serve them all. The test error and the trace rows of each logged step
 are left to a recorder (``lngd.recorder``). No weights are built here:
 ``lngd.network`` owns weight space, including the oracle step the engine is
-tested against, and only ``RunArtifacts.net`` reaches it, on first read.
+tested against, and only ``RunArtifacts.weights`` reaches it, on first read.
 """
 
 from __future__ import annotations
@@ -222,13 +222,13 @@ class RunArtifacts:
     files: dict = field(default_factory=dict)
 
     @cached_property
-    def net(self):
-        """The final network, its weights rebuilt from the coefficients and the dataset's
-        points on first read."""
+    def weights(self) -> np.ndarray:
+        """The final (d, 2m) weights, rebuilt from the coefficients and the dataset's points
+        on first read."""
         # Imported here, not at module level: network imports this module.
-        from .network import Network, reconstruct_weights
+        from .network import reconstruct_weights
 
-        return Network(np.hstack(reconstruct_weights(self.state, self.dataset)), self.q)
+        return np.hstack(reconstruct_weights(self.state, self.dataset))
 
     @property
     def aborted(self) -> bool:

@@ -1,7 +1,7 @@
 """Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, training on
-explicit points (the stack, the products and the recorder ``run_training`` reads, built as in
-``experiments.run_paired``), observers that keep a run's points, and the sha256 of a file's
-bytes."""
+explicit points from a (d, 2m) init array (the stack, the products and the recorder
+``run_training`` reads, built as in ``experiments.run_paired``), observers that keep a run's
+points, and the sha256 of a file's bytes."""
 
 import hashlib
 from pathlib import Path
@@ -28,7 +28,7 @@ def paired_run(spec, *, n, m, q, sigma_0, eta, steps, noise, seed, log_stride=10
 
 def keep_points(run):
     """An observer per arm of ``run`` that does nothing: a run given observers keeps its
-    training points, so that ``arm.net`` can rebuild the weights."""
+    training points, so that ``arm.weights`` can rebuild the weights."""
     return {label: lambda *_: None for label, _ in run.arms}
 
 
@@ -48,9 +48,10 @@ def point_recorder(stack, q, dataset, test, steps, log_stride=10):
                     log_count(steps, log_stride))
 
 
-def train_on_points(net, dataset, test, arms, *, steps, log_stride=10, **kwargs):
-    """``run_training`` from ``net``'s weights on ``dataset``, evaluated on ``test``'s points."""
-    stack = CoefficientStack(dataset, net.weights, len(arms))
-    recorder = point_recorder(stack, net.q, dataset, test, steps, log_stride)
-    return run_training(stack, net.q, dataset, train_products(net.weights, dataset),
-                        recorder, arms, steps=steps, log_stride=log_stride, **kwargs)
+def train_on_points(w0, q, dataset, test, arms, *, steps, log_stride=10, **kwargs):
+    """``run_training`` at exponent ``q`` from the (d, 2m) init ``w0`` on ``dataset``,
+    evaluated on ``test``'s points."""
+    stack = CoefficientStack(dataset, w0, len(arms))
+    recorder = point_recorder(stack, q, dataset, test, steps, log_stride)
+    return run_training(stack, q, dataset, train_products(w0, dataset), recorder, arms,
+                        steps=steps, log_stride=log_stride, **kwargs)

@@ -85,14 +85,14 @@ def section5_runs():
 
         def make_observer(rec, oracle):
             def observer(step, state, dataset):
-                net = oracle.advance(step, state, dataset)
+                w = oracle.advance(step, state, dataset)
                 wp, wm = reconstruct_weights(state, dataset)
-                rel = (np.linalg.norm(np.hstack([wp, wm]) - net.weights)
-                       / np.linalg.norm(net.weights))
-                proj = projection_check(net, state, dataset, t_star=S5["steps"])
+                rel = (np.linalg.norm(np.hstack([wp, wm]) - w)
+                       / np.linalg.norm(w))
+                proj = projection_check(w, state, dataset, t_star=S5["steps"])
                 rec["recon"] = max(rec["recon"], rel)
                 rec["gamma"] = max(rec["gamma"], proj["gamma_discrepancy_max"])
-                rec["oracle"] = net
+                rec["oracle"] = w
 
             return observer
 
@@ -117,10 +117,10 @@ def test_engine_agrees_with_weight_space_oracle(section5_runs):
         test_dataset = generate_dataset(spec5(), S5["n_test"], stream(seed, "test"))
         for arm in (res.standard, res.label_noise):
             oracle = checks[arm.label]["oracle"]
-            rel = (np.linalg.norm(arm.net.weights - oracle.weights)
-                   / np.linalg.norm(oracle.weights))
+            rel = (np.linalg.norm(arm.weights - oracle)
+                   / np.linalg.norm(oracle))
             worst = max(worst, rel)
-            if arm.trace.final.test_error_01 != zero_one_error(oracle, test_dataset):
+            if arm.trace.final.test_error_01 != zero_one_error(oracle, S5["q"], test_dataset):
                 mismatched.append((seed, arm.label))
     assert worst <= 1e-12, f"worst relative weight gap {worst:.3e}"
     assert not mismatched, f"final test error differs from the oracle's: {mismatched}"
@@ -133,20 +133,19 @@ def test_criterion_01_gradient_matches_finite_differences():
         q = [2, 3, 4][trial % 3]
         spec = SignalSpec(mu=rng.standard_normal(10), sigma_p=0.7, d=10)
         ds = generate_dataset(spec, 5, rng)
-        net = init_network(10, 3, q, 0.5, rng)
+        w = init_network(10, 3, 0.5, rng)
         eps = np.where(rng.random(5) < 0.3, -1.0, 1.0)
-        analytic = full_batch_gradient(net, ds, eps)
+        analytic = full_batch_gradient(w, q, ds, eps)
         h = 1e-5
         numeric = np.zeros_like(analytic)
-        w = net.weights
         for i in range(10):
             for c in range(6):
                 orig = w[i, c]
                 w[i, c] = orig + h
-                f = _batch_outputs(net, ds)
+                f = _batch_outputs(w, q, ds)
                 lp = float(np.mean(logistic_loss(eps * ds.labels * f)))
                 w[i, c] = orig - h
-                f = _batch_outputs(net, ds)
+                f = _batch_outputs(w, q, ds)
                 lm = float(np.mean(logistic_loss(eps * ds.labels * f)))
                 w[i, c] = orig
                 numeric[i, c] = (lp - lm) / (2 * h)

@@ -392,6 +392,19 @@ def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     assert report["max_reconstruction_error"] <= 1e-8
 
 
+def test_forced_rerun_removes_the_old_runs_decompose_report(config_file, tmp_path, capsys):
+    # The report describes the run it replayed: a forced rerun at another seed must not
+    # leave it beside a manifest it does not describe.
+    out_dir = tmp_path / "run"
+    assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir)]) == 0
+    assert main_cli(["decompose", "--run", str(out_dir)]) == 0
+    assert (out_dir / "decompose_reports.json").exists()
+    assert main_cli(["dynamics", "--config", str(config_file), "--out", str(out_dir),
+                     "--seed", "7", "--force"]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["master_seed"] == 7
+    assert not (out_dir / "decompose_reports.json").exists()
+
+
 @pytest.mark.parametrize("edit", ["omit", "extra"])
 def test_decompose_counts_a_csv_on_one_side_as_a_mismatch(config_file, tmp_path, capsys,
                                                           edit):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 from functools import partial
 from pathlib import Path
@@ -213,6 +214,26 @@ class TestEmitOutputs:
             assert sha256_of(tmp_path / name) == digest
         assert manifest["master_seed"] == config.seed
         assert set(manifest["streams"]) == {"data", "init", "label_noise", "test"}
+
+    def test_manifest_records_the_numeric_environment_outside_files(self, tmp_path,
+                                                                    monkeypatch):
+        # The block names what the bytes were made under; it is no file of the run, so
+        # another BLAS thread count or core count changes it and no digest.
+        config = parse_config(data=MINIMAL)
+        result = tiny_run()
+        runs = []
+        for threads, cores in (("1", 1), ("3", 4)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            out = tmp_path / threads
+            inventory = emit_outputs(artifacts_for(result, config), out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["environment"] == {"numpy_version": np.__version__,
+                                               "blas_threads": int(threads),
+                                               "usable_cores": cores}
+            assert manifest["files"] == inventory and "environment" not in inventory
+            runs.append({name: sha256_of(out / name) for name in inventory})
+        assert runs[0] and runs[0] == runs[1]
 
     def test_refuses_overwrite_without_force(self, tmp_path):
         config = parse_config(data=MINIMAL)

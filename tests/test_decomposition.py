@@ -6,7 +6,6 @@ import pytest
 from lngd.data import Dataset, SignalSpec
 from lngd.decomposition import CoefficientStack, iota_all
 from lngd.network import (
-    Network,
     OracleReplay,
     init_network,
     projection_check,
@@ -22,22 +21,22 @@ def one_sample_setup():
     """d=2, m=1, n=1, q=2 instance small enough to evaluate by hand."""
     spec = SignalSpec(mu=np.array([2.0, 0.0]), sigma_p=1.0, d=2)
     ds = Dataset(labels=np.array([1.0]), points=np.array([[0.0, 1.0], [2.0, 0.0]]), spec=spec)
-    net = Network(np.array([[0.3, 0.1], [0.4, -0.2]]), 2)
-    return spec, ds, net
+    w0 = np.array([[0.3, 0.1], [0.4, -0.2]])
+    return spec, ds, w0
 
 
-def one_engine_step(net, ds, eta):
-    """One standard-GD step of the coefficient engine; returns the trained arm."""
-    [arm] = train_on_points(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=eta, steps=1,
-                            log_stride=1)
+def one_engine_step(w0, ds, eta):
+    """One standard-GD step of the coefficient engine at q = 2; returns the trained arm."""
+    [arm] = train_on_points(w0, 2, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=eta,
+                            steps=1, log_stride=1)
     return arm
 
 
 class TestSingleStepHandValues:
     def test_gamma_and_rho_match_hand_evaluation(self):
-        spec, ds, net = one_sample_setup()
+        spec, ds, w0 = one_sample_setup()
         eta = 0.1
-        state = one_engine_step(net, ds, eta).state
+        state = one_engine_step(w0, ds, eta).state
 
         # Hand evaluation: <w_+, mu> = 0.6, <w_+, xi> = 0.4, <w_-, mu> = 0.2,
         # <w_-, xi> = -0.2, so f = (0.36 + 0.16) - 0.04 = 0.48 and
@@ -54,71 +53,69 @@ class TestSingleStepHandValues:
 
     def test_zero_network_context_is_a_fixed_point(self):
         spec, ds, _ = one_sample_setup()
-        net = Network(np.zeros((2, 2)), 2)
-        state = one_engine_step(net, ds, 0.5).state
+        state = one_engine_step(np.zeros((2, 2)), ds, 0.5).state
         assert not state.gamma.any()
         assert not state.rho.any()
 
 
 class TestReconstruction:
     def test_step_zero_returns_w0(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(0))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(0))
+        state = CoefficientStack(small_dataset, w0, 1).states[0]
         wp, wm = reconstruct_weights(state, small_dataset)
-        assert np.array_equal(np.hstack([wp, wm]), net.weights)
+        assert np.array_equal(np.hstack([wp, wm]), w0)
 
     def test_after_training_small_scale(self, small_spec, small_dataset):
         # The engine's weights match the weight-space oracle replayed on the
         # same multiplier stream.
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(1))
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(1))
         noise = LabelNoiseSpec.flip(0.2)
-        [arm] = train_on_points(net, small_dataset, small_dataset,
+        [arm] = train_on_points(w0, 2, small_dataset, small_dataset,
                                 [Arm("lngd", noise, np.random.default_rng(2))], eta=0.05,
                                 steps=40, log_stride=10)
         state = arm.state
         oracle = OracleReplay(2, 0.05, noise, np.random.default_rng(2))
-        w = oracle.advance(40, state, small_dataset).weights
+        w = oracle.advance(40, state, small_dataset)
         wp, wm = reconstruct_weights(state, small_dataset)
         rel = np.linalg.norm(np.hstack([wp, wm]) - w) / np.linalg.norm(w)
         assert rel <= 1e-12
 
     def test_zero_learning_rate_returns_w0(self, small_spec, small_dataset):
         # eta carries through the update, so eta -> 0 reconstructs w0.
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(3))
-        w0 = net.weights.copy()
-        arm = one_engine_step(net, small_dataset, 0.0)
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(3))
+        arm = one_engine_step(w0.copy(), small_dataset, 0.0)
         wp, wm = reconstruct_weights(arm.state, small_dataset)
         assert np.array_equal(np.hstack([wp, wm]), w0)
-        assert np.array_equal(arm.net.weights, w0)
+        assert np.array_equal(arm.weights, w0)
 
 
 class TestProjectionCheck:
     def test_step_zero_all_zero(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(4))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
-        report = projection_check(net, state, small_dataset)
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(4))
+        state = CoefficientStack(small_dataset, w0, 1).states[0]
+        report = projection_check(w0, state, small_dataset)
         assert report["gamma_discrepancy_max"] == 0.0
         assert report["rho_discrepancy_max"] == 0.0
 
     def test_gamma_projection_is_exact_after_training(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(5))
-        [arm] = train_on_points(net, small_dataset, small_dataset,
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(5))
+        [arm] = train_on_points(w0, 2, small_dataset, small_dataset,
                                 [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=30,
                                 log_stride=10)
-        report = projection_check(arm.net, arm.state, small_dataset)
+        report = projection_check(arm.weights, arm.state, small_dataset)
         assert report["gamma_discrepancy_max"] <= 1e-9
         assert report["rho_within_bound_frac"] >= 0.99
 
 
 class TestIota:
     def test_step_zero(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
+        state = CoefficientStack(small_dataset, w0, 1).states[0]
         assert not iota_all(state).any()
 
     def test_constant_coefficients(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, net.weights, 1).states[0]
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
+        state = CoefficientStack(small_dataset, w0, 1).states[0]
         c = 0.7
         for i, label in enumerate(small_dataset.labels):
             j_idx = 0 if label == 1 else 1
@@ -138,13 +135,13 @@ def logged_ratio(stack, dataset):
 
 class TestRatioSummary:
     def test_step_zero_returns_zero(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        stack = CoefficientStack(small_dataset, net.weights, 1)
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
+        stack = CoefficientStack(small_dataset, w0, 1)
         assert logged_ratio(stack, small_dataset) == 0.0
 
     def test_max_aggregation(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(6))
-        stack = CoefficientStack(small_dataset, net.weights, 1)
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
+        stack = CoefficientStack(small_dataset, w0, 1)
         state = stack.states[0]
         state.gamma[0, 0] = 0.5
         state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry

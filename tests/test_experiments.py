@@ -54,7 +54,7 @@ class TestRunDynamics:
         run = paired_run(tiny_spec, noise=LabelNoiseSpec.flip(0.0), seed=5, **SMALL)
         result = run_dynamics(run, observers=keep_points(run))
         assert np.array_equal(result.standard.trace.rows, result.label_noise.trace.rows)
-        assert np.array_equal(result.standard.net.weights, result.label_noise.net.weights)
+        assert np.array_equal(result.standard.weights, result.label_noise.weights)
 
     def test_degenerate_gaussian_equals_standard(self, tiny_spec):
         result = run_dynamics(paired_run(tiny_spec, noise=LabelNoiseSpec.gaussian(1.0, 0.0),
@@ -244,10 +244,9 @@ def test_stacked_arms_equal_solo_arms(tiny_spec, case):
     assert len(arms) == len(noise_list) + 1
     dataset = generate_dataset(tiny_spec, shape["n"], stream(seed, "data"))
     test_dataset = generate_dataset(tiny_spec, shape["n_test"], stream(seed, "test"))
-    init = init_network(tiny_spec.d, shape["m"], shape["q"], shape["sigma_0"],
-                        stream(seed, "init"))
+    init = init_network(tiny_spec.d, shape["m"], shape["sigma_0"], stream(seed, "init"))
     for idx, arm in enumerate(arms):
-        [solo] = train_on_points(init, dataset, test_dataset,
+        [solo] = train_on_points(init, shape["q"], dataset, test_dataset,
                                  [Arm(arm.label, arm.noise, arm_noise_rng(seed, idx, arm.noise))],
                                  eta=shape["eta"], steps=shape["steps"],
                                  log_stride=shape["log_stride"])
@@ -277,7 +276,7 @@ class TestQSweep:
             reference = Q_SWEEP_DEFAULTS[run.q]
             assert {key: getattr(run, key) for key in reference} == reference
             for arm in run_paired(run, observers=keep_points(run)):
-                assert arm.net.q == run.q
+                assert arm.q == run.q and arm.weights.shape == (run.spec.d, 2 * run.m)
 
     def test_unknown_q_rejected(self):
         with pytest.raises(ValueError):

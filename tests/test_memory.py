@@ -169,7 +169,7 @@ def test_paired_runs_draw_their_points_once_and_drop_them(command, fork, tmp_pat
         assert np.array_equal(dataset.labels, fresh.labels)
         for arm in arms:  # the points are gone: no weights, and no second draw
             with pytest.raises(RuntimeError, match="dropped"):
-                arm.net
+                arm.weights
         with pytest.raises(RuntimeError, match="dropped"):
             dataset.points
         assert dataset.xi_norms_sq.tobytes() == fresh.xi_norms_sq.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -14,7 +15,6 @@ from lngd.data import Dataset, SignalSpec, generate_dataset
 from lngd.decomposition import logistic_loss, loss_derivative
 from lngd.experiments import axis_aligned_spec
 from lngd.network import (
-    Network,
     activation,
     activation_derivative,
     full_batch_gradient,
@@ -22,6 +22,7 @@ from lngd.network import (
     zero_one_error,
 )
 from lngd.network import _batch_outputs
+from lngd.streams import stream
 from lngd.training import Arm, LabelNoiseSpec
 
 from helpers import train_on_points
@@ -29,14 +30,13 @@ from helpers import train_on_points
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
-def fd_gradient(net, dataset, multipliers, h=1e-5):
+def fd_gradient(w, q, dataset, multipliers, h=1e-5):
     """Central finite differences of the multiplier-weighted batch loss."""
 
     def loss():
-        f = _batch_outputs(net, dataset)
+        f = _batch_outputs(w, q, dataset)
         return float(np.mean(logistic_loss(multipliers * dataset.labels * f)))
 
-    w = net.weights
     out = np.zeros_like(w)
     for i in range(w.shape[0]):
         for c in range(w.shape[1]):
@@ -90,16 +90,29 @@ class TestLogisticLoss:
 class TestInit:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
-            init_network(4, 2, 2, -0.1, np.random.default_rng(0))
+            init_network(4, 2, -0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d, m", [(0, 2), (4, 0), (-1, 2)])
+    def test_rejects_empty_shapes(self, d, m):
+        with pytest.raises(ValueError, match="d and m must be >= 1"):
+            init_network(d, m, 0.1, np.random.default_rng(0))
 
     def test_zero_sigma_gives_zero_network(self):
-        net = init_network(4, 2, 2, 0.0, np.random.default_rng(0))
-        assert not net.weights.any()
+        assert not init_network(4, 2, 0.0, np.random.default_rng(0)).any()
 
     def test_determinism(self):
-        a = init_network(6, 3, 2, 0.01, np.random.default_rng(12))
-        b = init_network(6, 3, 2, 0.01, np.random.default_rng(12))
-        assert np.array_equal(a.weights, b.weights)
+        a = init_network(6, 3, 0.01, np.random.default_rng(12))
+        b = init_network(6, 3, 0.01, np.random.default_rng(12))
+        assert np.array_equal(a, b)
+
+    def test_reference_draw_is_pinned(self):
+        # The section-5 init: one standard_normal((d, 2m)) draw scaled in place by
+        # sigma_0. Every result byte follows from it, so the bytes are pinned.
+        w = init_network(2000, 20, 0.01, stream(1, "init"))
+        assert w.shape == (2000, 40) and w.dtype == np.float64
+        assert w.flags.c_contiguous and w.flags.writeable
+        assert hashlib.sha256(w.tobytes()).hexdigest() == (
+            "a112bb289b97b847a9216412ed612b987893b2f26d554151a128cab3caf31b15")
 
     def test_init_mu_overlap_concentration(self):
         # max_r |<w_r, mu>| <= sqrt(2 log(8m / delta)) sigma_0 |mu| in >= 99%
@@ -111,8 +124,8 @@ class TestInit:
         passes = 0
         trials = 1000
         for _ in range(trials):
-            net = init_network(spec.d, m, 2, sigma_0, rng)
-            passes += np.max(np.abs(spec.mu @ net.weights)) <= bound
+            w = init_network(spec.d, m, sigma_0, rng)
+            passes += np.max(np.abs(spec.mu @ w)) <= bound
         assert passes / trials >= 0.99
 
 
@@ -122,40 +135,39 @@ def hand_dataset(spec2d):
                    spec=spec2d)
 
 
-def hand_network():
-    """m = 1, q = 2, w_plus = (0.5, 0.5), w_minus = (0.1, 0)."""
-    return Network(np.array([[0.5, 0.1], [0.5, 0.0]]), 2)
+def hand_weights():
+    """m = 1 (q = 2 in the tests): w_plus = (0.5, 0.5), w_minus = (0.1, 0)."""
+    return np.array([[0.5, 0.1], [0.5, 0.0]])
 
 
-def step0_clean_loss(net, ds):
-    """Clean training loss of the step-0 trace row (the state is the init)."""
-    [arm] = train_on_points(net, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=0.1, steps=0)
+def step0_clean_loss(w, ds):
+    """Clean training loss at q = 2 of the step-0 trace row (the state is the init ``w``)."""
+    [arm] = train_on_points(w, 2, ds, ds, [Arm("gd", LabelNoiseSpec.none())], eta=0.1,
+                            steps=0)
     return arm.trace.rows[0].clean_train_loss
 
 
 class TestForward:
     def test_zero_network(self, spec2d):
-        net = Network(np.zeros((2, 2)), 2)
-        assert _batch_outputs(net, hand_dataset(spec2d))[0] == 0.0
+        assert _batch_outputs(np.zeros((2, 2)), 2, hand_dataset(spec2d))[0] == 0.0
 
     def test_hand_example(self, spec2d):
         # F_plus = sigma(1) + sigma(1.5) = 3.25, F_minus = sigma(0.2) = 0.04
-        f = _batch_outputs(hand_network(), hand_dataset(spec2d))
+        f = _batch_outputs(hand_weights(), 2, hand_dataset(spec2d))
         assert f.shape == (1,)
         assert f[0] == pytest.approx(3.21, rel=1e-12)
 
     def test_dimension_mismatch_raises(self, spec2d):
-        net = Network(np.zeros((3, 2)), 2)
         with pytest.raises(ValueError):
-            _batch_outputs(net, hand_dataset(spec2d))
+            _batch_outputs(np.zeros((3, 2)), 2, hand_dataset(spec2d))
 
     def test_perfect_signal_network(self, spec2d):
         # w_plus = mu/|mu|, w_minus = -mu/|mu| classifies every point by sign.
         unit = (spec2d.mu / spec2d.mu_norm)[:, None]
-        net = Network(np.hstack([np.tile(unit, 3), np.tile(-unit, 3)]), 2)
+        w = np.hstack([np.tile(unit, 3), np.tile(-unit, 3)])
         ds = generate_dataset(spec2d, 50, np.random.default_rng(4))
-        assert np.array_equal(np.sign(_batch_outputs(net, ds)), ds.labels)
-        assert zero_one_error(net, ds) == 0.0
+        assert np.array_equal(np.sign(_batch_outputs(w, 2, ds)), ds.labels)
+        assert zero_one_error(w, 2, ds) == 0.0
 
     @given(st.floats(min_value=0.0, max_value=10.0), st.integers(min_value=2, max_value=4))
     @settings(max_examples=50, deadline=None)
@@ -163,44 +175,41 @@ class TestForward:
         rng = np.random.default_rng(15)
         spec = SignalSpec(mu=rng.standard_normal(5), sigma_p=1.0, d=5)
         ds = generate_dataset(spec, 4, rng)
-        net = init_network(5, 3, q, 0.4, rng)
-        scaled = Network(c * net.weights, q)
-        f = _batch_outputs(net, ds)
-        assert _batch_outputs(scaled, ds) == pytest.approx(c**q * f, rel=1e-9, abs=1e-12)
+        w = init_network(5, 3, 0.4, rng)
+        f = _batch_outputs(w, q, ds)
+        assert _batch_outputs(c * w, q, ds) == pytest.approx(c**q * f, rel=1e-9, abs=1e-12)
 
 
 class TestBatchLoss:
     def test_zero_network_gives_log2(self, small_dataset):
-        net = Network(np.zeros((small_dataset.spec.d, 4)), 2)
-        assert step0_clean_loss(net, small_dataset) == pytest.approx(math.log(2), rel=1e-12)
+        w = np.zeros((small_dataset.spec.d, 4))
+        assert step0_clean_loss(w, small_dataset) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_empty_dataset_rejected(self, spec2d):
         ds = generate_dataset(spec2d, 0, np.random.default_rng(0))
-        net = Network(np.zeros((2, 2)), 2)
         with pytest.raises(ValueError):
-            zero_one_error(net, ds)
+            zero_one_error(np.zeros((2, 2)), 2, ds)
 
     def test_single_sample_composed_value(self, spec2d):
         # forward hand example with y = +1: loss = log(1 + exp(-3.21))
         expected = math.log(1 + math.exp(-3.21))
-        assert step0_clean_loss(hand_network(), hand_dataset(spec2d)) == pytest.approx(
+        assert step0_clean_loss(hand_weights(), hand_dataset(spec2d)) == pytest.approx(
             expected, rel=1e-12)
         assert expected == pytest.approx(0.0395, abs=1e-4)
 
     def test_order_invariance(self, small_spec):
         ds = generate_dataset(small_spec, 6, np.random.default_rng(3))
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(4))
+        w = init_network(small_spec.d, 3, 0.2, np.random.default_rng(4))
         shuffled = Dataset(labels=ds.labels[::-1].copy(),
                            points=np.vstack([ds.noise_matrix[::-1], small_spec.mu]),
                            spec=ds.spec)
-        assert step0_clean_loss(net, ds) == pytest.approx(step0_clean_loss(net, shuffled),
-                                                          rel=1e-12)
+        assert step0_clean_loss(w, ds) == pytest.approx(step0_clean_loss(w, shuffled),
+                                                        rel=1e-12)
 
 
 class TestZeroOneError:
     def test_zero_network_is_maximally_wrong(self, small_dataset):
-        net = Network(np.zeros((small_dataset.spec.d, 4)), 2)
-        assert zero_one_error(net, small_dataset) == 1.0
+        assert zero_one_error(np.zeros((small_dataset.spec.d, 4)), 2, small_dataset) == 1.0
 
     def test_memorizing_network_is_chance_on_fresh_noise(self):
         # Filters aligned with training noise respond at chance to a fresh
@@ -211,10 +220,10 @@ class TestZeroOneError:
         for j in (1, -1):
             w = (train.noise_matrix * train.labels[:, None] * j).T
             cols.append(w / np.linalg.norm(w, axis=0, keepdims=True))
-        net = Network(np.hstack(cols), 2)
-        assert zero_one_error(net, train) <= 0.1  # memorized training noise
+        w = np.hstack(cols)
+        assert zero_one_error(w, 2, train) <= 0.1  # memorized training noise
         test = generate_dataset(spec, 2000, np.random.default_rng(32))
-        assert zero_one_error(net, test) == pytest.approx(0.5, abs=0.05)
+        assert zero_one_error(w, 2, test) == pytest.approx(0.5, abs=0.05)
 
 
 class TestGradient:
@@ -225,29 +234,29 @@ class TestGradient:
             q = [2, 3, 4][trial % 3]
             spec = SignalSpec(mu=rng.standard_normal(10), sigma_p=0.7, d=10)
             ds = generate_dataset(spec, 5, rng)
-            net = init_network(10, 3, q, 0.5, rng)
+            w = init_network(10, 3, 0.5, rng)
             eps = np.where(rng.random(5) < 0.3, -1.0, 1.0)
-            g = full_batch_gradient(net, ds, eps)
-            num = fd_gradient(net, ds, eps)
+            g = full_batch_gradient(w, q, ds, eps)
+            num = fd_gradient(w, q, ds, eps)
             worst = max(worst, np.linalg.norm(g - num) / np.linalg.norm(num))
         assert worst <= 1e-6
 
     def test_all_ones_multipliers_is_standard_gradient(self, small_dataset):
-        net = init_network(small_dataset.spec.d, 3, 2, 0.2, np.random.default_rng(1))
+        w = init_network(small_dataset.spec.d, 3, 0.2, np.random.default_rng(1))
         ones = np.ones(len(small_dataset))
-        g = full_batch_gradient(net, small_dataset, ones)
-        num = fd_gradient(net, small_dataset, ones)
+        g = full_batch_gradient(w, 2, small_dataset, ones)
+        num = fd_gradient(w, 2, small_dataset, ones)
         assert np.linalg.norm(g - num) / np.linalg.norm(num) <= 1e-6
 
     def test_zero_network_zero_gradient(self, small_dataset):
-        net = Network(np.zeros((small_dataset.spec.d, 6)), 2)
-        g = full_batch_gradient(net, small_dataset, np.ones(len(small_dataset)))
+        w = np.zeros((small_dataset.spec.d, 6))
+        g = full_batch_gradient(w, 2, small_dataset, np.ones(len(small_dataset)))
         assert not g.any()
 
     def test_multiplier_length_checked(self, small_dataset):
-        net = init_network(small_dataset.spec.d, 3, 2, 0.2, np.random.default_rng(1))
+        w = init_network(small_dataset.spec.d, 3, 0.2, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            full_batch_gradient(net, small_dataset, np.ones(3))
+            full_batch_gradient(w, 2, small_dataset, np.ones(3))
 
 
 def test_engine_imports_no_weight_space_code():

@@ -60,7 +60,7 @@ def test_label_noise_improves_test_accuracy(reference_run):
 
 def test_projection_check_at_scale(reference_run):
     for arm in (reference_run.standard, reference_run.label_noise):
-        report = projection_check(arm.net, arm.state, arm.dataset, t_star=2000)
+        report = projection_check(arm.weights, arm.state, arm.dataset, t_star=2000)
         assert report["gamma_discrepancy_max"] <= 1e-9
         assert report["rho_within_bound_frac"] >= 0.99
 
@@ -73,8 +73,8 @@ def test_iota_matches_direct_projections(reference_run):
     # at this scale) plus an aggregate band.
     arm = reference_run.label_noise
     ds = reference_run.standard.dataset
-    report = projection_check(arm.net, arm.state, ds, t_star=2000)
-    disp = arm.net.weights - arm.state.w0  # (d, 2m)
+    report = projection_check(arm.weights, arm.state, ds, t_star=2000)
+    disp = arm.weights - arm.state.w0  # (d, 2m)
     proj = (ds.noise_matrix @ disp).reshape(len(ds), 2, -1)  # (n, 2, m)
     j_idx = (ds.labels < 0).astype(np.intp)
     same_class = proj[np.arange(len(ds)), j_idx, :]  # (n, m)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lngd import theory
-from lngd.cores import worker_budget
+from lngd.cores import usable_cores, worker_budget
 from lngd.experiments import axis_aligned_spec
 from lngd.theory import (
     check_assumptions,
@@ -285,6 +285,16 @@ class TestWorkerBudget:
             monkeypatch.setenv(var, value)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         assert worker_budget() == budget
+
+    @pytest.mark.parametrize("count, cores", [(6, 6), (None, 1)])
+    def test_cores_without_an_affinity_call(self, monkeypatch, count, cores):
+        # Where os has no sched_getaffinity, the usable cores are os.cpu_count(), or 1 when
+        # that is unknown; the budget follows.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert usable_cores() == cores
+        assert worker_budget() == cores
 
 
 class TestTheoremVerdicts:

@@ -5,7 +5,6 @@ from lngd.data import generate_dataset
 from lngd.decomposition import CoefficientStack
 from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.network import (
-    Network,
     RunAborted,
     full_batch_gradient,
     init_network,
@@ -86,17 +85,16 @@ class TestSampleMultipliers:
 
 class TestTrainStep:
     def test_matches_gradient_update(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(1))
-        expected = net.weights - 0.3 * full_batch_gradient(
-            net, small_dataset, np.ones(len(small_dataset)))
-        train_step(net, small_dataset, np.ones(len(small_dataset)), 0.3)
-        assert np.array_equal(net.weights, expected)
+        w = init_network(small_spec.d, 3, 0.2, np.random.default_rng(1))
+        expected = w - 0.3 * full_batch_gradient(w, 2, small_dataset, np.ones(len(small_dataset)))
+        train_step(w, 2, small_dataset, np.ones(len(small_dataset)), 0.3)
+        assert np.array_equal(w, expected)
 
     def test_zero_learning_rate_is_identity(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(2))
-        before = net.weights.copy()
-        train_step(net, small_dataset, np.ones(len(small_dataset)), 0.0)
-        assert np.array_equal(net.weights, before)
+        w = init_network(small_spec.d, 3, 0.2, np.random.default_rng(2))
+        before = w.copy()
+        train_step(w, 2, small_dataset, np.ones(len(small_dataset)), 0.0)
+        assert np.array_equal(w, before)
 
     def test_one_step_reconstruction_at_scale(self):
         # After one step, the engine's weights (w0 + decomposition
@@ -104,36 +102,37 @@ class TestTrainStep:
         # relative Frobenius error at the reference scale.
         spec = axis_aligned_spec(2.0, 0.5, 2000)
         ds = generate_dataset(spec, 200, np.random.default_rng(5))
-        oracle = init_network(spec.d, 20, 2, 0.01, np.random.default_rng(6))
-        engine = Network(oracle.weights.copy(), oracle.q)
+        oracle = init_network(spec.d, 20, 0.01, np.random.default_rng(6))
+        engine = oracle.copy()
         noise = LabelNoiseSpec.flip(0.1)
         eps = sample_multipliers(noise, 200, np.random.default_rng(7))
-        train_step(oracle, ds, eps, 0.5, step=0)
-        [arm] = train_on_points(engine, ds, ds, [Arm("lngd", noise, np.random.default_rng(7))],
-                                eta=0.5, steps=1, log_stride=1)
-        rel = np.linalg.norm(arm.net.weights - oracle.weights) / np.linalg.norm(oracle.weights)
+        train_step(oracle, 2, ds, eps, 0.5, step=0)
+        [arm] = train_on_points(engine, 2, ds, ds,
+                                [Arm("lngd", noise, np.random.default_rng(7))], eta=0.5, steps=1,
+                                log_stride=1)
+        rel = np.linalg.norm(arm.weights - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-10
 
     def test_non_finite_abort(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(3))
-        net.weights[0, 0] = np.inf
+        w = init_network(small_spec.d, 3, 0.2, np.random.default_rng(3))
+        w[0, 0] = np.inf
         with pytest.raises(RunAborted):
-            train_step(net, small_dataset, np.ones(len(small_dataset)), 0.1)
+            train_step(w, 2, small_dataset, np.ones(len(small_dataset)), 0.1)
 
 
 class TestRunTraining:
     def small_run(self, spec, ds, *, steps=30, noise=None, seed=4, eta=0.05):
         noise = noise or LabelNoiseSpec.none()
-        net = init_network(spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        [arm] = train_on_points(net, ds, ds, [Arm("arm", noise, np.random.default_rng(seed))],
+        w0 = init_network(spec.d, 3, 0.2, np.random.default_rng(9))
+        [arm] = train_on_points(w0, 2, ds, ds, [Arm("arm", noise, np.random.default_rng(seed))],
                                 eta=eta, steps=steps, log_stride=10)
-        return arm.net, arm.trace, arm.state
+        return arm.weights, arm.trace, arm.state
 
     def test_zero_steps_logs_initial_row_only(self, small_spec, small_dataset):
-        net, trace, state = self.small_run(small_spec, small_dataset, steps=0)
+        weights, trace, state = self.small_run(small_spec, small_dataset, steps=0)
         assert [r.step for r in trace.rows] == [0]
-        fresh = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        assert np.array_equal(net.weights, fresh.weights)
+        fresh = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
+        assert np.array_equal(weights, fresh)
         assert state.step == 0
 
     def test_logged_steps_include_final(self, small_spec, small_dataset):
@@ -152,8 +151,8 @@ class TestRunTraining:
 
     def test_abort_records_step_and_reason(self, small_spec, small_dataset):
         # q = 4 with an absurd step size overflows the forward pass quickly.
-        net = init_network(small_spec.d, 3, 4, 0.2, np.random.default_rng(9))
-        [arm] = train_on_points(net, small_dataset, small_dataset,
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
+        [arm] = train_on_points(w0, 4, small_dataset, small_dataset,
                                 [Arm("gd", LabelNoiseSpec.none())], eta=1e80, steps=50,
                                 log_stride=10)
         assert arm.aborted
@@ -163,15 +162,14 @@ class TestRunTraining:
                                     "non-finite coefficient update")
 
     def test_non_finite_update_aborts_before_it_is_applied(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        w0 = net.weights.copy()
-        [arm] = train_on_points(net, small_dataset, small_dataset,
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
+        [arm] = train_on_points(w0.copy(), 2, small_dataset, small_dataset,
                                 [Arm("gd", LabelNoiseSpec.none())], eta=np.inf, steps=5,
                                 log_stride=1)
         assert arm.trace.aborted_at == 0
         assert arm.abort_reason == "non-finite coefficient update"
         assert not arm.state.gamma.any()
-        assert np.array_equal(arm.net.weights, w0)
+        assert np.array_equal(arm.weights, w0)
 
     def test_training_reads_no_point(self, small_spec):
         # The products carry all a step and a test evaluation read: with every
@@ -179,7 +177,7 @@ class TestRunTraining:
         # a run on the points, bit for bit.
         ds = generate_dataset(small_spec, 8, np.random.default_rng(7))
         test = generate_dataset(small_spec, 30, np.random.default_rng(8))
-        w0 = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9)).weights
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
 
         def run(products, stack, recorder):
             arms = [Arm("gd", LabelNoiseSpec.none()),
@@ -206,14 +204,14 @@ class TestRunTraining:
         calls = []
         monkeypatch.setattr(network, "reconstruct_weights",
                             lambda *args: calls.append(args) or reconstruct_weights(*args))
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
-        [arm] = train_on_points(net, small_dataset, small_dataset,
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
+        [arm] = train_on_points(w0, 2, small_dataset, small_dataset,
                                 [Arm("gd", LabelNoiseSpec.none())], eta=0.05, steps=20)
         assert not calls
-        assert np.array_equal(arm.net.weights,
+        assert np.array_equal(arm.weights,
                               np.hstack(reconstruct_weights(arm.state, small_dataset)))
-        assert arm.net is arm.net and len(calls) == 1
-        assert arm.net.q == 2
+        assert arm.weights is arm.weights and len(calls) == 1
+        assert arm.q == 2
 
     def test_standard_arm_draws_no_multipliers(self, small_spec, small_dataset, monkeypatch):
         # A "none" arm's multipliers stay the ones they start as; only the noisy arm draws.
@@ -223,10 +221,10 @@ class TestRunTraining:
         real = training.sample_multipliers
         monkeypatch.setattr(training, "sample_multipliers",
                             lambda noise, n, rng: kinds.append(noise.kind) or real(noise, n, rng))
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
         arms = [Arm("gd", LabelNoiseSpec.none()),
                 Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
-        gd, _ = train_on_points(net, small_dataset, small_dataset, arms, eta=0.05, steps=20)
+        gd, _ = train_on_points(w0, 2, small_dataset, small_dataset, arms, eta=0.05, steps=20)
         assert kinds == ["flip"] * 21
         assert not gd.trace.rows.flip_count.any()
 
@@ -241,9 +239,9 @@ class TestRunTraining:
         assert sum(r.flip_count for r in trace.rows) > 0
 
     def test_noise_rng_required_for_stochastic_noise(self, small_spec, small_dataset):
-        net = init_network(small_spec.d, 3, 2, 0.2, np.random.default_rng(9))
+        w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
         with pytest.raises(ValueError):
-            train_on_points(net, small_dataset, small_dataset,
+            train_on_points(w0, 2, small_dataset, small_dataset,
                             [Arm("lngd", LabelNoiseSpec.flip(0.5))], eta=0.1, steps=5,
                             log_stride=5)
 
@@ -261,7 +259,7 @@ class TestTrainRun:
     def test_deterministic_traces(self, small_spec):
         a, b = self.run(small_spec), self.run(small_spec)
         for arm_a, arm_b in ((a.standard, b.standard), (a.label_noise, b.label_noise)):
-            assert np.array_equal(arm_a.net.weights, arm_b.net.weights)
+            assert np.array_equal(arm_a.weights, arm_b.weights)
             assert np.array_equal(arm_a.trace.rows, arm_b.trace.rows)
 
     def test_changing_steps_preserves_dataset_stream(self, small_spec):
