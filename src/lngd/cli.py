@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_ABORTED = 2
 EXIT_ASSERT = 3
+RECONSTRUCTION_BOUND = 1e-8  # the largest engine-oracle weight gap decompose --assert passes
 
 _COMMANDS = ("check", "dynamics", "heatmap", "noise-compare", "q-sweep",
              "concentration", "decompose")
@@ -275,13 +276,14 @@ def _cmd_decompose(args) -> int:
         "max_reconstruction_error": max(
             (e for errs in recon_errors.values() for _, e in errs), default=0.0
         ),
+        "reconstruction_bound": RECONSTRUCTION_BOUND,
         "reports": result.reports,
     }
     write_json(report, run_dir / DECOMPOSE_REPORTS)
     print(f"digests match: {report['all_digests_match']}; "
           f"max reconstruction error: {report['max_reconstruction_error']:.3e}")
     if args.assert_ and not (report["all_digests_match"]
-                             and report["max_reconstruction_error"] <= 1e-8):
+                             and report["max_reconstruction_error"] <= RECONSTRUCTION_BOUND):
         return EXIT_ASSERT
     return EXIT_OK
 

@@ -9,14 +9,17 @@ with a signal coefficient gamma_{j,r} per filter and noise coefficients
 rho_{j,r,i} per (filter, sample) pair. Training advances (gamma, rho) with
 the recurrence in ``update_coefficients``; ``SpanProducts`` turns them into
 pre-activations from inner products computed once, so a step does no work
-that scales with d. No weights are rebuilt here: ``lngd.network``, the one
+that scales with d. ``RunGeometry`` is the engine's only reader of points:
+it holds what a run's points give (labels, |xi_i|^2, |mu|^2, the class
+masks, the init and the test labels) and builds the run's two
+``SpanProducts``. No weights are rebuilt here: ``lngd.network``, the one
 module that owns weights, rebuilds them and checks them against projections.
 
 Array convention: axis 0 indexes the branch, 0 -> j=+1, 1 -> j=-1. rho is
 stored once, (2, m, n); its same-class entries (y_i = j) are the paper's
 rho_bar and its opposite-class entries (y_i = -j, nonpositive) rho_under;
-``CoefficientStack.same_class``, the one (2, n) mask of y_i == j, tells them
-apart. Arms that share a dataset and an init are advanced together by
+``RunGeometry.same_class``, the one (2, n) mask of y_i == j, tells them
+apart. Arms that share a geometry are advanced together by
 ``CoefficientStack``, whose per-arm states are views into its arrays.
 """
 
@@ -31,6 +34,7 @@ from .data import Dataset
 __all__ = [
     "CoefficientState",
     "CoefficientStack",
+    "RunGeometry",
     "SpanProducts",
     "update_coefficients",
     "logistic_loss",
@@ -51,7 +55,7 @@ class CoefficientState:
     rho: np.ndarray
     xi_norms_sq: np.ndarray
     w0: np.ndarray  # (d, 2m) initial weights snapshot
-    same_class: np.ndarray = field(repr=False)  # the stack's (2, n) mask of y_i == j
+    same_class: np.ndarray = field(repr=False)  # the geometry's (2, n) mask of y_i == j
     step: int = 0
 
     @property
@@ -64,47 +68,39 @@ class CoefficientState:
 
 
 class CoefficientStack:
-    """The coefficients of A arms that share a dataset and an init.
+    """The coefficients of A arms that share a run's geometry.
 
     ``coef`` (n + 1, A, 2m) holds arm a's rho_{j,r,i} at [i, a, (j, r)] and
     its j gamma_{j,r} at row n, so every arm's pre-activations come from one
-    product with ``SpanProducts.span``. ``same_class`` (2, n) is True where
-    y_i == j for the branch on that row; every reader of the class layout
-    takes it from here. ``gamma`` (A, 2m) holds the signal
+    product with ``SpanProducts.span``. ``gamma`` (A, 2m) holds the signal
     coefficients themselves; ``states[a]`` is arm a's CoefficientState, whose
-    arrays are views into these. ``drho`` (n, A, 2m) receives each step's rho
-    increment. ``w0`` and every state's ``w0`` are the caller's init, not a copy.
+    arrays are views into these and whose |xi_i|^2, class mask and ``w0`` are
+    the geometry's. ``drho`` (n, A, 2m) receives each step's rho increment.
     """
 
-    def __init__(self, dataset: Dataset, w0: np.ndarray, arms: int):
-        n, two_m = len(dataset), w0.shape[1]
+    def __init__(self, geometry: RunGeometry, arms: int):
+        n, two_m = len(geometry.labels), geometry.w0.shape[1]
         m = two_m // 2
-        self.w0 = w0
-        self.labels = dataset.labels.copy()
-        self.xi_norms_sq = dataset.xi_norms_sq.copy()
-        self.signed_xi_norms_sq = self.labels * self.xi_norms_sq  # y_i |xi_i|^2
-        self.branch_sign = np.repeat([1.0, -1.0], m)  # j per column
-        self.same_class = np.stack([self.labels == 1.0, self.labels == -1.0])
-        self.label_index = self.same_class[1].astype(np.intp)  # 0 for y = +1, 1 for y = -1
-        self.label_onehot = self.same_class.astype(float)
         self.gamma = np.zeros((arms, two_m))
         self.coef = np.zeros((n + 1, arms, two_m))
         self.drho = np.zeros((n, arms, two_m))
         self.states = [
             CoefficientState(gamma=self.gamma[a].reshape(2, m),
                              rho=self.coef[:n, a].T.reshape(2, m, n),
-                             xi_norms_sq=self.xi_norms_sq, w0=w0, same_class=self.same_class)
+                             xi_norms_sq=geometry.xi_norms_sq, w0=geometry.w0,
+                             same_class=geometry.same_class)
             for a in range(arms)
         ]
 
-    def rho_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+    def rho_offsets(self, same_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat offsets into ``coef`` of each arm's rho_bar (y_i == j) and rho_under
-        (y_i != j) entries: two (A, n m) arrays, each row in (j, r, i) order."""
+        (y_i != j) entries under the (2, n) mask ``same_class``: two (A, n m) arrays, each
+        row in (j, r, i) order."""
         n, arms = self.drho.shape[:2]
         # at[a, j, r, i] is the offset of coef[i, a, (j, r)], arm a's rho_{j,r,i}.
         at = np.arange(self.coef.size).reshape(self.coef.shape)[:n].transpose(1, 2, 0)
         at = at.reshape(arms, 2, -1, n)
-        same = np.broadcast_to(self.same_class[:, None, :], at.shape[1:])
+        same = np.broadcast_to(same_class[:, None, :], at.shape[1:])
         return at[:, same], at[:, ~same]
 
 
@@ -152,6 +148,47 @@ class SpanProducts:
         return out
 
 
+class RunGeometry:
+    """What the engine reads of a paired run's points; the one code that reads them.
+
+    Built from the training ``dataset``, the (d, 2m) init ``w0`` (held, not
+    copied) and the streamed test set (see ``data.stream_test_set``), it holds
+    the labels, |xi_i|^2, |mu|^2, ``same_class`` (2, n), the one mask of
+    y_i == j per branch row, with its forms, ``branch_sign`` (j per column),
+    ``w0`` and the test labels. ``build_train`` and ``build_test`` build its
+    ``SpanProducts``, ``train`` (xi_1..xi_n, then mu, in one block) and
+    ``test`` (from the test chunks, which stream once), each in the process
+    that reads them, then drop that process's points unless told to keep them.
+    """
+
+    def __init__(self, dataset: Dataset, w0: np.ndarray, test_labels: np.ndarray, test_chunks):
+        self.labels = dataset.labels.copy()
+        self.xi_norms_sq = dataset.xi_norms_sq.copy()
+        self.signed_xi_norms_sq = self.labels * self.xi_norms_sq  # y_i |xi_i|^2
+        self.mu_norm_sq = dataset.spec.mu_norm_sq
+        self.same_class = np.stack([self.labels == 1.0, self.labels == -1.0])
+        self.label_index = self.same_class[1].astype(np.intp)  # 0 for y = +1, 1 for y = -1
+        self.label_onehot = self.same_class.astype(float)
+        self.branch_sign = np.repeat([1.0, -1.0], w0.shape[1] // 2)  # j per column
+        self.w0, self.test_labels = w0, test_labels
+        self.train = self.test = None
+        self._dataset, self._test_chunks = dataset, test_chunks
+
+    def build_train(self, keep_points: bool) -> None:
+        """Build ``train``; then drop the training points unless ``keep_points``."""
+        self.train = SpanProducts.of([self._dataset.points], len(self.labels) + 1,
+                                     self._dataset, self.w0)
+        if not keep_points:
+            self._dataset.drop_points()
+
+    def build_test(self, keep_points: bool) -> None:
+        """Build ``test``; then drop the training points unless ``keep_points``."""
+        self.test = SpanProducts.of(self._test_chunks, len(self.test_labels), self._dataset,
+                                    self.w0)
+        if not keep_points:
+            self._dataset.drop_points()
+
+
 def logistic_loss(z):
     """log(1 + exp(-z)), overflow-free for any margin."""
     return np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
@@ -167,10 +204,10 @@ def sign_error(f: np.ndarray, labels: np.ndarray):
     return np.mean(np.sign(f) != labels, axis=0)
 
 
-def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
-                        signal_q1: np.ndarray, noise_q1: np.ndarray, live: np.ndarray, *,
-                        eta: float, q: int, mu_norm_sq: float) -> np.ndarray:
-    """Advance every live arm by one step of GD on (1/n) sum_i loss(eps_i y_i f_i).
+def update_coefficients(geometry: RunGeometry, stack: CoefficientStack, eps: np.ndarray,
+                        f: np.ndarray, signal_q1: np.ndarray, noise_q1: np.ndarray,
+                        live: np.ndarray, *, eta: float, q: int) -> np.ndarray:
+    """Advance every live arm of ``stack`` by one step of GD on (1/n) sum_i loss(eps_i y_i f_i).
 
     ``eps`` and ``f`` (n, A) are the multipliers and outputs before the step;
     ``signal_q1`` (2, A, 2m) is max(y <w_{j,r}, mu>, 0)^(q-1) for y = +1, -1
@@ -183,15 +220,16 @@ def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
     m = two_m // 2
     drho = stack.drho
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = loss_derivative(eps * stack.labels[:, None] * f) * eps  # (n, A)
+        coef = loss_derivative(eps * geometry.labels[:, None] * f) * eps  # (n, A)
 
         # gamma_{j,r} += -(eta |mu|^2 / nm) sum_i coef_i sigma'(<w_{j,r}, y_i mu>);
         # y_i mu takes two values, so the sum runs over the two label groups.
-        by_label = stack.label_onehot @ coef  # (2, A)
-        dgamma = (-eta * mu_norm_sq * q / (n * m)) * (by_label[:, :, None] * signal_q1).sum(axis=0)
+        by_label = geometry.label_onehot @ coef  # (2, A)
+        dgamma = ((-eta * geometry.mu_norm_sq * q / (n * m))
+                  * (by_label[:, :, None] * signal_q1).sum(axis=0))
 
         # rho_{j,r,i} += -(eta / nm) j y_i coef_i sigma'(<w_{j,r}, xi_i>) |xi_i|^2
-        scale = (-eta * q / (n * m)) * (coef * stack.signed_xi_norms_sq[:, None])  # (n, A)
+        scale = (-eta * q / (n * m)) * (coef * geometry.signed_xi_norms_sq[:, None])  # (n, A)
         np.multiply(noise_q1.reshape(n, arms, 2, m), scale[:, :, None, None] * _BRANCH_SIGN,
                     out=drho.reshape(n, arms, 2, m))
     bad = np.zeros(arms, dtype=bool)
@@ -203,7 +241,7 @@ def update_coefficients(stack: CoefficientStack, eps: np.ndarray, f: np.ndarray,
         dgamma[frozen] = 0.0
     stack.coef[:n] += drho
     stack.gamma += dgamma
-    np.multiply(stack.gamma, stack.branch_sign, out=stack.coef[n])
+    np.multiply(stack.gamma, geometry.branch_sign, out=stack.coef[n])
     return bad
 
 

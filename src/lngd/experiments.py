@@ -22,7 +22,7 @@ from .config import ConfigError, FullConfig
 from .cores import blas_threads, usable_cores
 from .data import SignalSpec, generate_dataset, stream_test_set
 from .io import CoefficientDump
-from .decomposition import CoefficientStack, SpanProducts
+from .decomposition import CoefficientStack, RunGeometry
 from .network import init_network
 from .streams import STREAM_IDS, derive_seed, stream, substream
 from .theory import (
@@ -36,7 +36,6 @@ from .training import Arm, LabelNoiseSpec, RunArtifacts, log_count, run_training
 
 __all__ = [
     "RunArtifacts",
-    "DynamicsResult",
     "PairedRun",
     "ALGORITHMS",
     "HeatmapResult",
@@ -182,17 +181,19 @@ def run_paired(run: PairedRun, *, observers: dict | None = None,
     """Train one arm per (label, noise) of ``run`` on shared data/init/test; each arm
     carries the dataset.
 
-    The run's one ``CoefficientStack`` is made here: the trainer advances it,
-    and the trace recorder (``lngd.recorder``) reads it, or its copy in a
-    child, and builds the test products as ``stream_test_set`` streams the
-    test set; ``generate_dataset(spec, n_test, stream(seed, "test"))`` redraws
-    it. The training products are computed after the recorder starts; a run
-    given no observers then drops its training points (observers read
-    weights, and so points, while the arms train). The arms advance together
-    in one ``run_training`` call; arm ``idx`` draws from its own multiplier
-    stream. Given ``dump_dir``, the recorder writes each arm's coefficient
-    dump there every ``coeff_stride`` steps (``io.CoefficientDump``);
-    ``arm.files`` holds the digests.
+    The run's one ``RunGeometry``, the engine's only reader of points, is
+    built here from the dataset, the init and the streamed test set
+    (``stream_test_set``; ``generate_dataset(spec, n_test, stream(seed,
+    "test"))`` redraws it), and so is its one ``CoefficientStack``: the
+    trainer advances the stack, and the trace recorder (``lngd.recorder``)
+    reads it, or its copy in a child, and builds the geometry's test
+    products in its own process. The training products are built after the
+    recorder starts; a run given no observers then drops its training points
+    (observers read weights, and so points, while the arms train). The arms
+    advance together in one ``run_training`` call; arm ``idx`` draws from its
+    own multiplier stream. Given ``dump_dir``, the recorder writes each arm's
+    coefficient dump there every ``coeff_stride`` steps
+    (``io.CoefficientDump``); ``arm.files`` holds the digests.
     """
     seed, steps = run.seed, run.steps
     dataset = generate_dataset(run.spec, run.n, stream(seed, "data"))
@@ -201,17 +202,15 @@ def run_paired(run: PairedRun, *, observers: dict | None = None,
     w0.flags.writeable = False  # every arm's state holds this array
     arms = [Arm(label, noise, arm_noise_rng(seed, idx, noise), (observers or {}).get(label))
             for idx, (label, noise) in enumerate(run.arms)]
-    stack = CoefficientStack(dataset, w0, len(arms))
+    geometry = RunGeometry(dataset, w0, test_labels, test_chunks)
+    stack = CoefficientStack(geometry, len(arms))
     dumps = [] if dump_dir is None else [
-        CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", stack.same_class,
+        CoefficientDump(Path(dump_dir) / f"coefficients_{label}.csv", geometry.same_class,
                         run.coeff_stride, steps) for label, _ in run.arms]
-    recorder = start_recorder(test_labels, test_chunks, dataset, stack, run.q,
-                              log_count(steps, run.log_stride), dumps)
+    recorder = start_recorder(geometry, stack, run.q, log_count(steps, run.log_stride), dumps)
     try:
-        products = SpanProducts.of([dataset.points], run.n + 1, dataset, w0)
-        if not observers:
-            dataset.drop_points()
-        return run_training(stack, run.q, dataset, products, recorder, arms, eta=run.eta,
+        geometry.build_train(keep_points=bool(observers))
+        return run_training(geometry, stack, run.q, dataset, recorder, arms, eta=run.eta,
                             steps=steps, log_stride=run.log_stride)
     finally:
         recorder.close()

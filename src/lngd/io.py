@@ -23,7 +23,7 @@ from .config import FullConfig, config_to_dict
 from .streams import STREAM_IDS, derive_seed
 from .training import TRACE_COLUMNS, TrainTrace
 
-__all__ = ["EmitError", "DigestFile", "CoefficientDump", "fmt_float", "write_trace_csv",
+__all__ = ["EmitError", "CoefficientDump", "fmt_float", "write_trace_csv",
            "write_coefficients_csv", "write_heatmap_csv", "emit_outputs", "DECOMPOSE_REPORTS"]
 
 # Written into a run directory by ``lngd decompose``, beside the run's own files; it
@@ -109,7 +109,7 @@ class CoefficientDump:
     snapshot of every step t with t % stride == 0 or t == last and skips others.
 
     ``same_class`` is the run's (2, n) mask of y_i == j
-    (``CoefficientStack.same_class``). Both files are made at the first
+    (``RunGeometry.same_class``). Both files are made at the first
     snapshot, so an arm that took none has none; each is a ``DigestFile``.
     """
 
@@ -223,10 +223,12 @@ def refuse_overwrite(out_dir: str | Path, force: bool, keep=()) -> None:
 
 
 def _numeric_environment() -> dict:
-    """What the byte-for-byte claim depends on beyond the config: numpy's version and the BLAS
-    thread count (products may sum in another order at another count)."""
+    """What the byte-for-byte claim depends on beyond the config: numpy's version, its BLAS
+    library and the BLAS thread count (products may sum in another order under another)."""
     usable = cores.usable_cores()
-    return {"numpy_version": np.__version__, "blas_threads": cores.blas_threads(usable),
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy_version": np.__version__, "blas_name": blas.get("name"),
+            "blas_version": blas.get("version"), "blas_threads": cores.blas_threads(usable),
             "usable_cores": usable}
 
 

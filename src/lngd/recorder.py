@@ -1,14 +1,17 @@
 """The test side of a paired run's trace, kept off the training loop's core.
 
-A ``Recorder`` owns everything a trace row needs besides the step itself:
-the test set's products, its labels and a test pre-activation buffer. It
+A ``Recorder`` owns what a trace row needs besides the step itself: a test
+pre-activation buffer and the rows. What it reads of the points, the test
+set's products and labels and the training labels, comes from the run's
+``decomposition.RunGeometry``, the engine's only reader of points. It
 reads the run's ``CoefficientStack`` where it lies: ``record`` fills every
 live arm's row and iota at one logged step from the stack's coefficients
 and hands the coefficients and the row's summary to the arm's
 ``io.CoefficientDump``, if any; ``finish`` returns every arm's rows and
 iotas and the digests of the dump files written.
 
-``start_recorder`` runs it in a child process, made with ``os.fork`` and
+``start_recorder`` builds the geometry's test products in the recorder's
+process, and runs the recorder in a child process, made with ``os.fork`` and
 two pipes, when a second core is free (``cores.worker_budget() >= 2``) and
 this process has no other thread and is no ``multiprocessing`` pool worker;
 otherwise it runs in process, on the trainer's own stack. Both run the same
@@ -34,30 +37,27 @@ import traceback
 import numpy as np
 
 from .cores import worker_budget
-from .decomposition import CoefficientStack, SpanProducts, iota_all, sign_error
+from .decomposition import CoefficientStack, RunGeometry, iota_all, sign_error
 from .training import TRACE_DTYPE, _outputs, _trace_row
 
 __all__ = ["Recorder", "ForkedRecorder", "start_recorder"]
 
 
 class Recorder:
-    """Trace rows and iotas of the arms of ``stack`` at ``logs`` logged steps.
+    """Trace rows and iotas of the arms of ``stack`` at ``logs`` logged steps, evaluated on
+    the test products of ``geometry``, which must be built."""
 
-    ``test_chunks`` yields the test noise rows as (k, d) blocks (see
-    ``data.stream_test_set``); they are read here, once, into
-    the test ``SpanProducts`` of the stack's init.
-    """
-
-    def __init__(self, test_labels: np.ndarray, test_chunks, dataset, stack: CoefficientStack,
-                 q: int, logs: int, dumps=()):
-        self.test = SpanProducts.of(test_chunks, len(test_labels), dataset, stack.w0)
-        self.test_labels = test_labels[:, None]  # a column, for sign_error
-        self.test_label_rows = (test_labels < 0).astype(np.intp)
+    def __init__(self, geometry: RunGeometry, stack: CoefficientStack, q: int, logs: int,
+                 dumps=()):
+        self.geometry = geometry
+        self.test = geometry.test
+        self.test_labels = geometry.test_labels[:, None]  # a column, for sign_error
+        self.test_label_rows = (geometry.test_labels < 0).astype(np.intp)
         self.q = q
         self.stack = stack
         n, arms, two_m = stack.drho.shape
-        self.rho_bar_at, self.rho_under_at = stack.rho_offsets()
-        self.pre = np.empty((len(test_labels), arms, two_m))
+        self.rho_bar_at, self.rho_under_at = stack.rho_offsets(geometry.same_class)
+        self.pre = np.empty((len(self.test_labels), arms, two_m))
         self.rows = np.recarray((arms, logs), dtype=TRACE_DTYPE)
         self.iota = np.empty((arms, logs, n))
         self.logged = 0
@@ -73,12 +73,12 @@ class Recorder:
         """
         stack, k = self.stack, self.logged
         f_test, _ = _outputs(self.test.preactivations(stack.coef, out=self.pre), signal_sum,
-                             self.test_label_rows, self.q, stack.branch_sign)
+                             self.test_label_rows, self.q, self.geometry.branch_sign)
         arms = np.flatnonzero(live)
         for a in arms:
             self.iota[a, k] = iota_all(stack.states[a])
         # (L, n) copies of f and eps: each live arm's means sum one contiguous row, as 1-D means do.
-        summary = _trace_row(self.rows, k, t, live, stack.labels, f.T[live], eps.T[live],
+        summary = _trace_row(self.rows, k, t, live, self.geometry.labels, f.T[live], eps.T[live],
                              stack.gamma[live], stack.coef.take(self.rho_bar_at[live]),
                              stack.coef.take(self.rho_under_at[live]),
                              sign_error(f_test[:, live], self.test_labels), self.iota[live, k])
@@ -246,26 +246,23 @@ class ForkedRecorder:
         return RuntimeError(f"the trace recorder process failed with status {self._reap()}")
 
 
-def start_recorder(test_labels: np.ndarray, test_chunks, dataset, stack: CoefficientStack,
-                   q: int, logs: int, dumps=()) -> Recorder | ForkedRecorder:
-    """A ``Recorder`` of ``stack``, in a child process when a second core allows it.
+def start_recorder(geometry: RunGeometry, stack: CoefficientStack, q: int, logs: int,
+                   dumps=()) -> Recorder | ForkedRecorder:
+    """A ``Recorder`` of ``stack``, in a child process when a second core allows it; each
+    builds the geometry's test products in its own process first.
 
     A forked child starts with only the thread that forked it, so a process
     running other threads keeps the recorder in process, and so does a
     ``multiprocessing`` pool worker, whose pool budgets the cores. A child
-    drops its copy of the dataset's points once its test products are built.
+    drops its copy of the training points once its test products are built.
     """
 
-    def build() -> Recorder:
-        return Recorder(test_labels, test_chunks, dataset, stack, q, logs, dumps)
-
-    def build_in_child() -> Recorder:
-        recorder = build()
-        dataset.drop_points()
-        return recorder
+    def build(keep_points: bool = True) -> Recorder:
+        geometry.build_test(keep_points)
+        return Recorder(geometry, stack, q, logs, dumps)
 
     mp = sys.modules.get("multiprocessing")  # a pool worker has it loaded; no run imports it
     if (hasattr(os, "fork") and threading.active_count() == 1
             and (mp is None or mp.parent_process() is None) and worker_budget() >= 2):
-        return ForkedRecorder(build_in_child, stack, logs)
+        return ForkedRecorder(lambda: build(keep_points=False), stack, logs)
     return build()

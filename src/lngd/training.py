@@ -4,11 +4,12 @@ Standard GD is the special case of all-ones multipliers. Each step draws a
 fresh multiplier vector eps and descends the eps-weighted logistic loss.
 Training runs in coefficient space: ``run_training`` advances the signal and
 noise coefficients (gamma, rho) of the decomposition directly, evaluating
-pre-activations from inner products computed once per dataset and init, so
-a step costs O(n^2 m) whatever d is. The arms of a run, which share the
-dataset and the init and differ in their multipliers, advance as one stacked
-state: one matrix product and one pass of each elementwise operation per
-step serve them all. The test error and the trace rows of each logged step
+pre-activations from inner products computed once per run, so a step costs
+O(n^2 m) whatever d is. It reads no point: all it needs of them comes from
+the run's ``decomposition.RunGeometry``, the engine's only reader of points.
+The arms of a run, which share it and differ in their multipliers, advance
+as one stacked state: one matrix product and one pass of each elementwise
+operation per step serve them all. The test error and the trace rows of each logged step
 are left to a recorder (``lngd.recorder``). No weights are built here:
 ``lngd.network`` owns weight space, including the oracle step the engine is
 tested against, and only ``RunArtifacts.weights`` reaches it, on first read.
@@ -28,7 +29,7 @@ from .decomposition import (
     LABEL_SIGN,
     CoefficientStack,
     CoefficientState,
-    SpanProducts,
+    RunGeometry,
     logistic_loss,
     update_coefficients,
 )
@@ -312,32 +313,33 @@ def log_count(steps: int, log_stride: int) -> int:
     return -(-steps // log_stride) + 1
 
 
-def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: SpanProducts,
+def run_training(geometry: RunGeometry, stack: CoefficientStack, q: int, dataset: Dataset,
                  recorder, arms: list[Arm], *, eta: float, steps: int,
                  log_stride: int = 10) -> list[RunArtifacts]:
     """Train every arm from the init; log a row every log_stride steps plus the final step.
 
-    ``stack`` is a fresh ``CoefficientStack`` of ``len(arms)`` arms, advanced
-    in place. ``products`` are the training ``SpanProducts`` of its init: the
-    rows xi_1..xi_n, then mu. No point is read: ``dataset`` supplies the
-    labels, |xi_i|^2, |mu|^2 and d, and is passed to the observers. Each arm
-    draws its multipliers from its own stream and keeps its own trace,
-    observer and state. At each logged step ``recorder`` (``lngd.recorder``),
-    which reads the same stack, evaluates the test error and fills the trace
-    rows; it is made for ``log_count(steps, log_stride)`` rows; the traces, and the
-    digests of any files it wrote (``arm.files``), are read from it when the
-    run ends. The row at step t reflects the state after t updates and the
-    multiplier vector drawn for step t (the loss the optimizer is about to descend).
+    ``stack`` is a fresh ``CoefficientStack`` of ``len(arms)`` arms on
+    ``geometry``, whose training products must be built; it is advanced in
+    place. No point is read: ``geometry`` supplies the products, labels, class
+    masks, |xi_i|^2 and |mu|^2, and ``dataset`` is only handed to the observers
+    and kept by each ``RunArtifacts``. Each arm draws its multipliers from its
+    own stream and keeps its own trace, observer and state. At each logged
+    step ``recorder`` (``lngd.recorder``), which reads the same stack,
+    evaluates the test error and fills the trace rows; it is made for
+    ``log_count(steps, log_stride)`` rows; the traces, and the digests of any
+    files it wrote (``arm.files``), are read from it when the run ends. The
+    row at step t reflects the state after t updates and the multiplier
+    vector drawn for step t (the loss the optimizer is about to descend).
     ``observer(step, state, dataset)`` runs at every logged step; one that
-    needs weights rebuilds them with ``network.reconstruct_weights``. A non-finite
-    output or coefficient update aborts that arm alone: it keeps the rows
-    logged before, the reason and the state before the failed update.
+    needs weights rebuilds them with ``network.reconstruct_weights``. A
+    non-finite output or coefficient update aborts that arm alone: it keeps
+    the rows logged before, the reason and the state before the failed update.
     """
     for arm in arms:
         if arm.noise.draws and arm.noise_rng is None:
             raise ValueError(f"arm {arm.label!r}: noise_rng is required for stochastic label noise")
-    n, m = len(dataset), stack.gamma.shape[1] // 2
-    sign = stack.branch_sign
+    n, m = len(geometry.labels), stack.gamma.shape[1] // 2
+    sign = geometry.branch_sign
     logged = 0  # rows recorded for every live arm
     live = np.ones(len(arms), dtype=bool)
     stopped = {}  # arm -> (step, reason, rows logged) of an aborted arm
@@ -345,7 +347,7 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
     drawn = [a for a, arm in enumerate(arms) if arm.noise.draws]  # the rest stay ones
     monotone = [a for a, arm in enumerate(arms) if not arm.noise.draws]
     # rho_bar is nondecreasing exactly when no same-class increment is below 0.
-    floor = np.where(np.repeat(stack.same_class.T, m, axis=1), 0.0, -np.inf)  # (n, 2m)
+    floor = np.where(np.repeat(geometry.same_class.T, m, axis=1), 0.0, -np.inf)  # (n, 2m)
     eps = np.ones((n, len(arms)))
     pre = np.empty((n + 1, len(arms), 2 * m))  # rows: xi_1..xi_n, then mu
     act = np.empty((n, len(arms), 2 * m))
@@ -361,11 +363,11 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
         for a in drawn:
             if live[a]:
                 eps[:, a] = sample_multipliers(arms[a].noise, n, arms[a].noise_rng)
-        products.preactivations(stack.coef, out=pre)
+        geometry.train.preactivations(stack.coef, out=pre)
         s, s_q1 = _relu_q1(np.multiply.outer(LABEL_SIGN, pre[n]), q)  # signal patches y mu
         with np.errstate(over="ignore", invalid="ignore"):
             signal_sum = ((s_q1 * s).reshape(-1, 2 * m) @ sign).reshape(2, -1)
-        f, r_q1 = _outputs(pre[:n], signal_sum, stack.label_index, q, sign, act)
+        f, r_q1 = _outputs(pre[:n], signal_sum, geometry.label_index, q, sign, act)
         failed = live & ~np.isfinite(f).all(axis=0)
         if failed.any():
             abort(failed, t, "non-finite network outputs")
@@ -380,8 +382,7 @@ def run_training(stack: CoefficientStack, q: int, dataset: Dataset, products: Sp
                     arms[a].observer(t, stack.states[a], dataset)
         if t == steps:
             break
-        failed = update_coefficients(stack, eps, f, s_q1, r_q1, live, eta=eta, q=q,
-                                     mu_norm_sq=dataset.spec.mu_norm_sq)
+        failed = update_coefficients(geometry, stack, eps, f, s_q1, r_q1, live, eta=eta, q=q)
         if failed.any():
             abort(failed, t, "non-finite coefficient update")
         for a in monotone:

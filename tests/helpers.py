@@ -1,13 +1,13 @@
 """Test builders: the dynamics ``PairedRun`` of the old ``run_dynamics`` keywords, training on
-explicit points from a (d, 2m) init array (the stack, the products and the recorder
-``run_training`` reads, built as in ``experiments.run_paired``), observers that keep a run's
-points, and the sha256 of a file's bytes."""
+explicit points from a (d, 2m) init array (through the ``RunGeometry`` constructor that
+``experiments.run_paired`` uses, with both products built and the points kept), observers
+that keep a run's points, and the sha256 of a file's bytes."""
 
 import hashlib
 from pathlib import Path
 
 from lngd.config import parse_config
-from lngd.decomposition import CoefficientStack, SpanProducts
+from lngd.decomposition import CoefficientStack, RunGeometry
 from lngd.experiments import PairedRun
 from lngd.recorder import Recorder
 from lngd.training import LabelNoiseSpec, log_count, run_training
@@ -37,21 +37,20 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def train_products(w0, dataset):
-    """Training span products of the init ``w0`` on ``dataset``."""
-    return SpanProducts.of([dataset.points], len(dataset) + 1, dataset, w0)
-
-
-def point_recorder(stack, q, dataset, test, steps, log_stride=10):
-    """An in-process recorder of ``stack``'s arms, evaluating on ``test``'s points."""
-    return Recorder(test.labels, [test.noise_matrix], dataset, stack, q,
-                    log_count(steps, log_stride))
+def point_geometry(w0, dataset, test_labels, test_points):
+    """The ``RunGeometry`` of the init ``w0`` on ``dataset``, tested on the (n_test, d)
+    ``test_points``, with both its products built and the points kept."""
+    geometry = RunGeometry(dataset, w0, test_labels, [test_points])
+    geometry.build_train(keep_points=True)
+    geometry.build_test(keep_points=True)
+    return geometry
 
 
 def train_on_points(w0, q, dataset, test, arms, *, steps, log_stride=10, **kwargs):
     """``run_training`` at exponent ``q`` from the (d, 2m) init ``w0`` on ``dataset``,
-    evaluated on ``test``'s points."""
-    stack = CoefficientStack(dataset, w0, len(arms))
-    recorder = point_recorder(stack, q, dataset, test, steps, log_stride)
-    return run_training(stack, q, dataset, train_products(w0, dataset), recorder, arms,
-                        steps=steps, log_stride=log_stride, **kwargs)
+    evaluated on ``test``'s points by an in-process recorder."""
+    geometry = point_geometry(w0, dataset, test.labels, test.noise_matrix)
+    stack = CoefficientStack(geometry, len(arms))
+    recorder = Recorder(geometry, stack, q, log_count(steps, log_stride))
+    return run_training(geometry, stack, q, dataset, recorder, arms, steps=steps,
+                        log_stride=log_stride, **kwargs)

@@ -389,7 +389,8 @@ def test_decompose_verifies_saved_run(config_file, tmp_path, capsys):
     assert report["all_digests_match"]
     assert report["digests_match"]["coefficients_label_noise.csv"]
     assert report["digests_match"]["coefficients_label_noise_summary.csv"]
-    assert report["max_reconstruction_error"] <= 1e-8
+    assert report["reconstruction_bound"] == 1e-8
+    assert report["max_reconstruction_error"] <= report["reconstruction_bound"]
 
 
 def test_forced_rerun_removes_the_old_runs_decompose_report(config_file, tmp_path, capsys):

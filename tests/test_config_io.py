@@ -218,9 +218,11 @@ class TestEmitOutputs:
     def test_manifest_records_the_numeric_environment_outside_files(self, tmp_path,
                                                                     monkeypatch):
         # The block names what the bytes were made under; it is no file of the run, so
-        # another BLAS thread count or core count changes it and no digest.
+        # another BLAS thread count or core count changes it and no digest. The BLAS library
+        # is the one numpy reports it was built with.
         config = parse_config(data=MINIMAL)
         result = tiny_run()
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         runs = []
         for threads, cores in (("1", 1), ("3", 4)):
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
@@ -229,8 +231,12 @@ class TestEmitOutputs:
             inventory = emit_outputs(artifacts_for(result, config), out)
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["environment"] == {"numpy_version": np.__version__,
+                                               "blas_name": blas["name"],
+                                               "blas_version": blas["version"],
                                                "blas_threads": int(threads),
                                                "usable_cores": cores}
+            assert all(isinstance(manifest["environment"][key], str)
+                       for key in ("blas_name", "blas_version"))
             assert manifest["files"] == inventory and "environment" not in inventory
             runs.append({name: sha256_of(out / name) for name in inventory})
         assert runs[0] and runs[0] == runs[1]

@@ -14,7 +14,7 @@ from lngd.network import (
 from lngd.recorder import Recorder
 from lngd.training import Arm, LabelNoiseSpec
 
-from helpers import train_on_points
+from helpers import point_geometry, train_on_points
 
 
 def one_sample_setup():
@@ -23,6 +23,12 @@ def one_sample_setup():
     ds = Dataset(labels=np.array([1.0]), points=np.array([[0.0, 1.0], [2.0, 0.0]]), spec=spec)
     w0 = np.array([[0.3, 0.1], [0.4, -0.2]])
     return spec, ds, w0
+
+
+def origin_geometry(w0, dataset):
+    """The geometry of the init ``w0`` on ``dataset``, tested on 4 points at the origin with
+    y = +1."""
+    return point_geometry(w0, dataset, np.ones(4), np.zeros((4, dataset.spec.d)))
 
 
 def one_engine_step(w0, ds, eta):
@@ -61,7 +67,7 @@ class TestSingleStepHandValues:
 class TestReconstruction:
     def test_step_zero_returns_w0(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(0))
-        state = CoefficientStack(small_dataset, w0, 1).states[0]
+        state = CoefficientStack(origin_geometry(w0, small_dataset), 1).states[0]
         wp, wm = reconstruct_weights(state, small_dataset)
         assert np.array_equal(np.hstack([wp, wm]), w0)
 
@@ -92,7 +98,7 @@ class TestReconstruction:
 class TestProjectionCheck:
     def test_step_zero_all_zero(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(4))
-        state = CoefficientStack(small_dataset, w0, 1).states[0]
+        state = CoefficientStack(origin_geometry(w0, small_dataset), 1).states[0]
         report = projection_check(w0, state, small_dataset)
         assert report["gamma_discrepancy_max"] == 0.0
         assert report["rho_discrepancy_max"] == 0.0
@@ -110,12 +116,12 @@ class TestProjectionCheck:
 class TestIota:
     def test_step_zero(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, w0, 1).states[0]
+        state = CoefficientStack(origin_geometry(w0, small_dataset), 1).states[0]
         assert not iota_all(state).any()
 
     def test_constant_coefficients(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
-        state = CoefficientStack(small_dataset, w0, 1).states[0]
+        state = CoefficientStack(origin_geometry(w0, small_dataset), 1).states[0]
         c = 0.7
         for i, label in enumerate(small_dataset.labels):
             j_idx = 0 if label == 1 else 1
@@ -124,10 +130,10 @@ class TestIota:
         assert iota_all(state) == pytest.approx(np.full(len(small_dataset), c**2))
 
 
-def logged_ratio(stack, dataset):
+def logged_ratio(geometry, stack):
     """ratio_rho_over_gamma of the one trace row a recorder logs of ``stack``'s one arm."""
-    n, d = len(dataset), dataset.spec.d
-    recorder = Recorder(np.ones(4), [np.zeros((4, d))], dataset, stack, q=2, logs=1)
+    n = len(geometry.labels)
+    recorder = Recorder(geometry, stack, q=2, logs=1)
     recorder.record(0, np.ones(1, dtype=bool), np.zeros((n, 1)), np.ones((n, 1)),
                     np.zeros((2, 1)))
     return recorder.rows[0, 0].ratio_rho_over_gamma
@@ -136,15 +142,16 @@ def logged_ratio(stack, dataset):
 class TestRatioSummary:
     def test_step_zero_returns_zero(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
-        stack = CoefficientStack(small_dataset, w0, 1)
-        assert logged_ratio(stack, small_dataset) == 0.0
+        geometry = origin_geometry(w0, small_dataset)
+        assert logged_ratio(geometry, CoefficientStack(geometry, 1)) == 0.0
 
     def test_max_aggregation(self, small_spec, small_dataset):
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(6))
-        stack = CoefficientStack(small_dataset, w0, 1)
+        geometry = origin_geometry(w0, small_dataset)
+        stack = CoefficientStack(geometry, 1)
         state = stack.states[0]
         state.gamma[0, 0] = 0.5
         state.rho[0, 1, 3] = 4.0  # sample 3 has y = +1: a same-class (rho_bar) entry
         state.rho[1, 1, 3] = -9.0  # the opposite-class entry does not count
-        assert stack.same_class[0, 3]
-        assert logged_ratio(stack, small_dataset) == pytest.approx(8.0)
+        assert geometry.same_class[0, 3]
+        assert logged_ratio(geometry, stack) == pytest.approx(8.0)

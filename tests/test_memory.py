@@ -23,7 +23,7 @@ from lngd.experiments import axis_aligned_spec, run_dynamics
 from lngd.streams import derive_seed, stream
 from lngd.training import LabelNoiseSpec
 
-from helpers import paired_run
+from helpers import paired_run, point_geometry
 
 MIB = 1 << 20
 
@@ -40,8 +40,9 @@ def test_test_chunks_share_one_buffer(monkeypatch):
 
 def test_init_weights_are_not_copied(small_spec, small_dataset):
     w0 = np.random.default_rng(4).standard_normal((small_spec.d, 6))
-    stack = CoefficientStack(small_dataset, w0, 2)
-    assert all(state.w0 is w0 for state in stack.states)
+    geometry = point_geometry(w0, small_dataset, small_dataset.labels, small_dataset.noise_matrix)
+    stack = CoefficientStack(geometry, 2)
+    assert geometry.w0 is w0 and all(state.w0 is w0 for state in stack.states)
     # A paired run hands every arm the one init, read-only so no arm can move it.
     result = run_dynamics(paired_run(small_spec, n=8, m=3, q=2, sigma_0=0.1, eta=0.1, steps=2,
                                      noise=LabelNoiseSpec.flip(0.2), seed=5, log_stride=1,

@@ -15,15 +15,18 @@ from lngd.data import Dataset, SignalSpec, generate_dataset
 from lngd.decomposition import logistic_loss, loss_derivative
 from lngd.experiments import axis_aligned_spec
 from lngd.network import (
+    OracleReplay,
+    RunAborted,
     activation,
     activation_derivative,
     full_batch_gradient,
     init_network,
+    reconstruct_weights,
     zero_one_error,
 )
 from lngd.network import _batch_outputs
 from lngd.streams import stream
-from lngd.training import Arm, LabelNoiseSpec
+from lngd.training import NOISE_LAWS, Arm, LabelNoiseSpec
 
 from helpers import train_on_points
 
@@ -268,3 +271,102 @@ def test_engine_imports_no_weight_space_code():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+GATE_CASES = 300
+GATE_BOUND = 1e-8  # relative weight gap; decompose's bound, fixed before the gate first ran
+# Past this |w| an arm is in the finite-time blow-up of q >= 3: its outputs F+ - F- are
+# differences of terms beyond 1e30 whose sign rounding sets, so two correct computations part.
+BLOWUP = 1e8
+
+
+def random_noise(rng):
+    """A label-noise law of ``NOISE_LAWS``, drawn with random parameters."""
+    kind = rng.choice(sorted(NOISE_LAWS))
+    if kind == "flip":
+        return LabelNoiseSpec.flip(rng.uniform(0.0, 0.5))
+    if kind == "gaussian":
+        return LabelNoiseSpec.gaussian(rng.uniform(-0.5, 1.5), rng.uniform(0.0, 1.5))
+    if kind == "uniform":
+        lo = rng.uniform(-1.0, 1.0)
+        return LabelNoiseSpec.uniform(lo, lo + rng.uniform(0.1, 2.0))
+    return LabelNoiseSpec.none()
+
+
+class Replay:
+    """An arm's weight-space replay from ``w0``, used as its observer: ``gaps`` holds the
+    relative weight gap at each state it is shown. It stops at the step where the oracle
+    aborts (``aborted_at``) or its weights first pass BLOWUP (``blown_up``)."""
+
+    def __init__(self, q, eta, noise, seed, dataset, w0):
+        self.oracle = OracleReplay(q, eta, noise, np.random.default_rng(seed))
+        self.oracle.weights = w0.copy()
+        self.dataset, self.gaps = dataset, []
+        self.aborted_at = self.blown_up = None
+
+    def __call__(self, step, state, dataset):
+        self.show(state)
+
+    def run_to(self, step) -> bool:
+        """Step the oracle to ``step`` one step at a time; whether it got there."""
+        while self.oracle.step < step and self.aborted_at is None and self.blown_up is None:
+            try:
+                w = self.oracle.advance(self.oracle.step + 1, None, self.dataset)
+            except RunAborted as exc:
+                self.aborted_at = exc.step
+            else:
+                if np.abs(w).max() > BLOWUP:
+                    self.blown_up = self.oracle.step
+        return self.aborted_at is None and self.blown_up is None
+
+    def show(self, state):
+        if self.run_to(state.step):
+            w = self.oracle.weights
+            engine = np.hstack(reconstruct_weights(state, self.dataset))
+            self.gaps.append(np.linalg.norm(engine - w) / np.linalg.norm(w))
+
+    def finish(self, steps):
+        """Run to ``steps`` and evaluate f there, as the engine does for its last row;
+        return the abort step."""
+        if self.run_to(steps):
+            if not np.isfinite(_batch_outputs(self.oracle.weights, self.oracle.q,
+                                              self.dataset)).all():
+                self.aborted_at = steps
+        return self.aborted_at
+
+
+def test_engine_matches_the_oracle_on_random_tiny_configs():
+    # Random tiny runs of 1-4 arms, each with a random law, every arm replayed by the oracle
+    # at each logged step and at its last state, and the abort steps compared. The engine
+    # evaluates f at t = steps and train_step does not, so the replay checks those outputs
+    # too. An arm whose replay blows up is left out from there on.
+    rng = np.random.default_rng(20261021)
+    worst, arms_run, aborts, blown_up = 0.0, 0, 0, 0
+    for case in range(GATE_CASES):
+        d, n, m, q = (rng.integers(lo, hi) for lo, hi in ((8, 97), (2, 13), (1, 5), (2, 5)))
+        steps, eta = int(rng.integers(1, 61)), float(np.exp(rng.uniform(np.log(0.01), np.log(2))))
+        mu = rng.standard_normal(d)
+        spec = SignalSpec(mu=mu * (rng.uniform(0.5, 3.0) / np.linalg.norm(mu)),
+                          sigma_p=rng.uniform(0.2, 1.0), d=d)
+        ds, test = generate_dataset(spec, n, rng), generate_dataset(spec, 5, rng)
+        w0 = init_network(d, m, float(np.exp(rng.uniform(np.log(0.01), np.log(0.1)))), rng)
+        laws = [random_noise(rng) for _ in range(rng.integers(1, 5))]
+        seeds = rng.integers(2**32, size=len(laws))
+        replays = [Replay(q, eta, noise, s, ds, w0) for noise, s in zip(laws, seeds)]
+        arms = [Arm(f"a{a}", noise, np.random.default_rng(s), replay)
+                for a, (noise, s, replay) in enumerate(zip(laws, seeds, replays))]
+        trained = train_on_points(w0, q, ds, test, arms, eta=eta, steps=steps,
+                                  log_stride=int(rng.integers(1, steps + 1)))
+        for arm, replay in zip(trained, replays):
+            replay.show(arm.state)
+            oracle_abort = replay.finish(steps)
+            if replay.blown_up is None:
+                assert arm.trace.aborted_at == oracle_abort, (case, arm.label)
+            arms_run += 1
+            aborts += arm.aborted
+            blown_up += replay.blown_up is not None
+            worst = max(worst, *replay.gaps)
+    print(f"\nrandom engine-oracle gate: {GATE_CASES} cases, {arms_run} arms, {aborts} aborted, "
+          f"{blown_up} past |w| = {BLOWUP:g}; worst relative weight gap {worst!r}")
+    assert worst <= GATE_BOUND, f"worst relative weight gap {worst:.3e}"
+    assert blown_up <= 0.1 * arms_run

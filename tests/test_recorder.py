@@ -28,7 +28,7 @@ from lngd.recorder import ForkedRecorder, Recorder
 from lngd.streams import stream
 from lngd.training import TRACE_DTYPE, LabelNoiseSpec
 
-from helpers import paired_run, sha256_of
+from helpers import paired_run, point_geometry, sha256_of
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -220,9 +220,10 @@ def tiny_recorder(n=10):
     """An in-process recorder of 3 arms on n points, its coefficients drawn at random."""
     spec = axis_aligned_spec(1.5, 0.5, 60)
     dataset = generate_dataset(spec, n, stream(1, "data"))
-    stack = CoefficientStack(dataset, np.zeros((60, 6)), 3)
+    geometry = point_geometry(np.zeros((60, 6)), dataset, np.ones(4), np.zeros((4, 60)))
+    stack = CoefficientStack(geometry, 3)
     stack.coef[...] = np.random.default_rng(0).standard_normal(stack.coef.shape)
-    return Recorder(np.ones(4), [np.zeros((4, 60))], dataset, stack, q=2, logs=1)
+    return Recorder(geometry, stack, q=2, logs=1)
 
 
 def test_trace_rows_take_each_class_of_rho_in_mask_order():
@@ -230,7 +231,7 @@ def test_trace_rows_take_each_class_of_rho_in_mask_order():
     # per arm; the (j, r, i) order of the boolean mask keeps mean_rho_bar's bits.
     rec = tiny_recorder()
     for a, state in enumerate(rec.stack.states):
-        same = np.broadcast_to(rec.stack.same_class[:, None, :], state.rho.shape)
+        same = np.broadcast_to(rec.geometry.same_class[:, None, :], state.rho.shape)
         assert np.array_equal(rec.stack.coef.take(rec.rho_bar_at[a]), state.rho[same])
         assert np.array_equal(rec.stack.coef.take(rec.rho_under_at[a]), state.rho[~same])
 
@@ -252,11 +253,12 @@ def test_trace_rows_equal_each_arms_own_reductions(special):
     # the dump equals the zero-filled extrema of rho, and the ratio the zero-filled max rho_bar
     # over max(max_gamma, 1e-12), also where rho holds inf, nan and -0.0.
     rec = tiny_recorder(100)
-    stack, n = rec.stack, len(rec.stack.labels)
+    stack, geometry = rec.stack, rec.geometry
+    n = len(geometry.labels)
     rng = np.random.default_rng(1)
     f, eps = rng.standard_normal((n, 3)), np.where(rng.random((n, 3)) < 0.3, -1.0, 1.0)
     stack.gamma[...] = rng.standard_normal(stack.gamma.shape)
-    same = stack.same_class[:, None, :]
+    same = geometry.same_class[:, None, :]
     rho = stack.states[2].rho
     rho[...] = np.where(same, -np.abs(rho), np.abs(rho))  # both of arm 2's extrema get clamped
     if special:
@@ -274,7 +276,7 @@ def test_trace_rows_equal_each_arms_own_reductions(special):
         state = stack.states[a]
         mask = np.broadcast_to(same, state.rho.shape)
         rho_bar, rho_under, iotas = state.rho[mask], state.rho[~mask], iota_all(state)
-        margins = stack.labels * f[:, a]
+        margins = geometry.labels * f[:, a]
         # the test points sit at the origin: every f_test is 0, an error
         floor = max(float(state.gamma.max()), 1e-12)
         row = (0, np.mean(logistic_loss(margins)), np.mean(logistic_loss(eps[:, a] * margins)),

@@ -11,9 +11,10 @@ from lngd.network import (
     reconstruct_weights,
     train_step,
 )
-from lngd.training import Arm, LabelNoiseSpec, run_training, sample_multipliers
+from lngd.recorder import Recorder
+from lngd.training import Arm, LabelNoiseSpec, log_count, run_training, sample_multipliers
 
-from helpers import keep_points, paired_run, point_recorder, train_on_points, train_products
+from helpers import keep_points, paired_run, point_geometry, train_on_points
 
 
 class TestLabelNoiseSpec:
@@ -172,28 +173,26 @@ class TestRunTraining:
         assert np.array_equal(arm.weights, w0)
 
     def test_training_reads_no_point(self, small_spec):
-        # The products carry all a step and a test evaluation read: with every
-        # point overwritten by NaN once they are built, the rows are those of
-        # a run on the points, bit for bit.
+        # The geometry carries all that the stack, a step and a test evaluation read: with
+        # every training and test point overwritten by NaN once it and both its products
+        # are built, the stack, the recorder and the trainer give the rows of a run on the
+        # points, bit for bit.
         ds = generate_dataset(small_spec, 8, np.random.default_rng(7))
         test = generate_dataset(small_spec, 30, np.random.default_rng(8))
         w0 = init_network(small_spec.d, 3, 0.2, np.random.default_rng(9))
 
-        def run(products, stack, recorder):
-            arms = [Arm("gd", LabelNoiseSpec.none()),
+        def arms():
+            return [Arm("gd", LabelNoiseSpec.none()),
                     Arm("lngd", LabelNoiseSpec.flip(0.2), np.random.default_rng(4))]
-            return run_training(stack, 2, ds, products, recorder, arms, eta=0.05, steps=50,
-                                log_stride=10)
 
-        def built():
-            stack = CoefficientStack(ds, w0, 2)
-            return train_products(w0, ds), stack, point_recorder(stack, 2, ds, test, 50)
-
-        want = run(*built())
-        products, stack, recorder = built()
+        want = train_on_points(w0, 2, ds, test, arms(), eta=0.05, steps=50, log_stride=10)
+        geometry = point_geometry(w0, ds, test.labels, test.noise_matrix)
         ds.points[...] = np.nan
         test.points[...] = np.nan
-        got = run(products, stack, recorder)
+        stack = CoefficientStack(geometry, 2)
+        recorder = Recorder(geometry, stack, 2, log_count(50, 10))
+        got = run_training(geometry, stack, 2, ds, recorder, arms(), eta=0.05, steps=50,
+                           log_stride=10)
         for ours, theirs in zip(got, want):
             assert np.isfinite(ours.trace.rows.test_error_01).all()
             assert np.array_equal(ours.trace.rows, theirs.trace.rows)
